@@ -1,8 +1,16 @@
 #!/bin/sh
 # Drive the command line front end end to end on a scratch directory.
-# Needs the package installed (pip install -e .) so that the
-# `supertropical` entry point is on PATH.
+# Uses the `supertropical` entry point when one is on PATH (after
+# pip install -e .), otherwise runs this checkout's package with
+# python3 -m supertropical.
 set -eu
+
+if ! command -v supertropical >/dev/null 2>&1; then
+  src=$(cd "$(dirname "$0")/../src" && pwd)
+  PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+  export PYTHONPATH
+  supertropical() { python3 -m supertropical "$@"; }
+fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

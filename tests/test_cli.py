@@ -2,7 +2,8 @@
 
 Most cases drive ``main`` in process and read captured stdout; two
 smoke tests run the console script declared in ``pyproject.toml`` and
-``python -m supertropical`` as subprocesses against the checkout.
+``python -m supertropical`` as subprocesses against the checkout, and
+a third runs ``demos/cli_tour.sh`` against its pinned transcript.
 The math behind each command is covered by the module tests, so these
 focus on wiring: argument handling, formatting, exit codes, JSON shape.
 """
@@ -272,10 +273,10 @@ def _checkout_env(bin_dir=None):
     return env
 
 
-def test_console_script(tmp_path):
+def _write_launcher(tmp_path):
     """Writes the launcher an installer would generate for the
-    ``supertropical`` entry of ``[project.scripts]`` and runs it by
-    name from PATH."""
+    ``supertropical`` entry of ``[project.scripts]`` into a fresh bin
+    directory and returns that directory."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = SRC_DIR.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
@@ -290,6 +291,12 @@ def test_console_script(tmp_path):
         f"sys.exit({func}())\n"
     )
     launcher.chmod(0o755)
+    return bin_dir
+
+
+def test_console_script(tmp_path):
+    """Runs the declared console script by name from PATH."""
+    bin_dir = _write_launcher(tmp_path)
     m = tmp_path / "m.txt"
     m.write_text(SUM10_INDEP)
     r = subprocess.run(
@@ -300,6 +307,19 @@ def test_console_script(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "11", r.stderr
+
+
+def test_cli_tour_transcript(tmp_path):
+    """``demos/cli_tour.sh`` with the console script on PATH prints
+    ``demos/cli_tour.out`` byte for byte."""
+    demos = SRC_DIR.parent / "demos"
+    r = subprocess.run(
+        ["sh", str(demos / "cli_tour.sh")],
+        capture_output=True,
+        env=_checkout_env(_write_launcher(tmp_path)),
+    )
+    assert r.returncode == 0, r.stderr.decode()
+    assert r.stdout == (demos / "cli_tour.out").read_bytes()
 
 
 def test_module_runner(tmp_path):
