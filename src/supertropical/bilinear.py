@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .dependence import DepWitness, is_dependent
+from .dependence import is_dependent
 from .exceptions import DegenerateSpaceError, InvalidInputError, ShapeError
-from .matrices import Mat, Vec, is_nonsingular, permanent
-from .scalars import ONE, ZERO, Scalar, ghost, tangible
+from .matrices import Mat, Vec, _tagged_combinations, is_nonsingular, permanent
+from .scalars import ONE, ZERO, ghost, tangible
 
 __all__ = [
     "GramForm",
@@ -146,40 +146,18 @@ def radical_and_nondegenerate(F):
 def _grid_radical_witness(W, F):
     """A combination of W outside the ghost layer that the form
     annihilates against every member, if the coefficient grid holds one."""
-    k = len(W)
     gram = gram_of_form(F, W).G
-    vals = {0}
-    for i in range(k):
-        for j in range(k):
-            x = gram.entry(i, j)
-            if not x.is_zero():
-                for a in range(k):
-                    for b in range(k):
-                        y = gram.entry(a, b)
-                        if not y.is_zero():
-                            vals.add(x.value - y.value)
+    nz = [x.value for r in gram.row_tuples for x in r if not x.is_zero()]
+    vals = {0} | {a - b for a in nz for b in nz}
     vals.add(min(vals) - 1)
     options = [
         [None] + [tangible(v) for v in sorted(vals)] + [ghost(v) for v in sorted(vals)]
-        for _ in range(k)
+        for _ in W
     ]
-    n = W[0].dim
-    for tags in product(*options):
-        if all(t is None for t in tags):
-            continue
+    Gt = gram.transpose()
+    for tags, v in _tagged_combinations(options, W):
         coeff = Vec([t if t is not None else ZERO for t in tags])
-        acc = [ZERO] * n
-        for t, w in zip(tags, W):
-            if t is None:
-                continue
-            for j, x in enumerate(w):
-                acc[j] = acc[j] + t * x
-        v = Vec(acc)
-        if v.is_ghost():
-            continue
-        if all(
-            coeff.dot(gram.col(j)).is_ghost0() for j in range(k)
-        ):
+        if not v.is_ghost() and Gt.apply(coeff).is_ghost():
             return v
     return None
 
@@ -243,23 +221,6 @@ def _entry_diff_values(G):
     return sorted(vals)
 
 
-def _eval_tables(G, xs):
-    """For each candidate argument x, the row x'G, so that both
-    evaluation orders of a pair reduce to one dot product each."""
-    n = G.rows
-    rows = [[G.entry(i, j) for j in range(n)] for i in range(n)]
-    left = []
-    for x in xs:
-        lx = []
-        for j in range(n):
-            acc = ZERO
-            for i in range(n):
-                acc = acc + x[i] * rows[i][j]
-            lx.append(acc)
-        left.append(lx)
-    return left
-
-
 def _dot_value_ghost(row, x):
     """Value and ghostness of row . x without building a Scalar."""
     best = None
@@ -313,42 +274,33 @@ def _symmetry_scan(F, budget, rng, require_nu_match):
     for i in range(n):
         for j in range(n):
             a, b = G.entry(i, j), G.entry(j, i)
-            if a.is_ghost0() != b.is_ghost0():
-                ei = Vec([ONE if c == i else ZERO for c in range(n)])
-                ej = Vec([ONE if c == j else ZERO for c in range(n)])
-                return SymmetryVerdict(False, (ei, ej), True, 0)
-            if (
-                require_nu_match
-                and not a.is_ghost0()
-                and not b.is_ghost0()
-                and a.value != b.value
+            if a.is_ghost0() != b.is_ghost0() or (
+                require_nu_match and not a.is_ghost0() and a.value != b.value
             ):
                 ei = Vec([ONE if c == i else ZERO for c in range(n)])
                 ej = Vec([ONE if c == j else ZERO for c in range(n)])
                 return SymmetryVerdict(False, (ei, ej), True, 0)
     grid, extra = _candidate_args(G, rng, budget)
     allargs = grid + extra
-    left = _eval_tables(G, allargs)
-    m = len(allargs)
+    # each argument x with its row x'G, so that both evaluation orders of
+    # a pair reduce to one dot product each; the pair loop reads tuples
+    Gt = G.transpose()
+    args = [x.entries for x in allargs]
+    left = [Gt.apply(x).entries for x in allargs]
+    m = len(args)
     for ai in range(m):
         la = left[ai]
-        xa = allargs[ai]
+        xa = args[ai]
         for bi in range(ai, m):
-            v1, g1 = _dot_value_ghost(la, allargs[bi])
+            v1, g1 = _dot_value_ghost(la, args[bi])
             v2, g2 = _dot_value_ghost(left[bi], xa)
-            if v1 is None and v2 is None:
-                continue
-            if (v1 is None) != (v2 is None):
+            if (
+                (v1 is None) != (v2 is None)
+                or g1 != g2
+                or (require_nu_match and not g1 and v1 != v2)
+            ):
                 return SymmetryVerdict(
-                    False, (xa, allargs[bi]), bi < len(grid), len(extra)
-                )
-            if g1 != g2:
-                return SymmetryVerdict(
-                    False, (xa, allargs[bi]), bi < len(grid), len(extra)
-                )
-            if require_nu_match and not g1 and v1 != v2:
-                return SymmetryVerdict(
-                    False, (xa, allargs[bi]), bi < len(grid), len(extra)
+                    False, (allargs[ai], allargs[bi]), bi < len(grid), len(extra)
                 )
     return SymmetryVerdict(True, None, True, len(extra))
 

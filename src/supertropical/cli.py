@@ -25,6 +25,7 @@ from .bilinear import (
     isotropy,
 )
 from .dependence import (
+    DepWitness,
     d_base,
     depends_on,
     is_dependent,
@@ -37,7 +38,6 @@ from .exceptions import (
     SingularMatrixError,
     SupertropicalError,
 )
-from .dependence import DepWitness
 from .matrices import Mat, adjoint, nabla, permanent, quasi_identity
 from .oracles import brute_dependence, brute_permanent, check_saturated
 from .scalars import ZERO
@@ -87,36 +87,34 @@ def _mat_obj(A):
     return [_vec_obj(A.row(i)) for i in range(A.rows)]
 
 
-def _dep_witness_lines(w):
+def _emit(args, kind, value, lines, **extra):
+    """Print the text lines, or with ``--json`` one document holding the
+    kind, the value and any extra keys."""
+    if getattr(args, "json", False):
+        doc = {"kind": kind, "value": value, **extra}
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+
+
+def _emit_witness(args, w, extra_lines=(), **extra):
+    """Print a witness's support and coefficients, then the extra lines
+    (text) or keys (JSON); ``none`` when there is no witness."""
+    if w is None:
+        _emit(args, "none", None, ["none"], witness=None)
+        return
     lines = [
         "support: " + " ".join(str(i) for i in w.support),
         "coeffs: " + " ".join(print_scalar(w.coeffs[i]) for i in w.support),
+        *extra_lines,
     ]
-    return lines
-
-
-def _dep_witness_obj(w):
-    return {
+    obj = {
         "support": list(w.support),
         "coeffs": [_scalar_obj(w.coeffs[i]) for i in w.support],
+        **extra,
     }
-
-
-def _emit(args, kind, value, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps({"kind": kind, "value": value}, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _emit_witness(args, kind, value, witness_obj, text_lines):
-    if getattr(args, "json", False):
-        doc = {"kind": kind, "value": value, "witness": witness_obj}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    _emit(args, "witness", True, lines, witness=obj)
 
 
 # -- subcommand bodies -------------------------------------------------
@@ -158,25 +156,14 @@ def _cmd_dep(args):
         w = depends_on(_load_vector(args.target), S)
     else:
         w = is_dependent(S)
-    if w is None:
-        _emit_witness(args, "none", None, None, ["none"])
-    else:
-        _emit_witness(
-            args, "witness", True, _dep_witness_obj(w), _dep_witness_lines(w)
-        )
+    _emit_witness(args, w)
 
 
 def _cmd_saturate(args):
     S = _rows_of(args.matrix)
     v = _load_vector(args.target)
-    w0 = depends_on(v, S)
-    if w0 is None:
-        _emit_witness(args, "none", None, None, ["none"])
-        return
-    w = saturate(v, S, w0)
-    _emit_witness(
-        args, "witness", True, _dep_witness_obj(w), _dep_witness_lines(w)
-    )
+    w = depends_on(v, S)
+    _emit_witness(args, w if w is None else saturate(v, S, w))
 
 
 def _cmd_span(args):
@@ -184,19 +171,10 @@ def _cmd_span(args):
     v = _load_vector(args.target)
     w = spans(S, v)
     if w is None:
-        _emit_witness(args, "none", None, None, ["none"])
-        return
-    lines = [
-        "support: " + " ".join(str(i) for i in w.support),
-        "coeffs: " + " ".join(print_scalar(w.coeffs[i]) for i in w.support),
-        "ghost: " + print_vector(w.ghost_part),
-    ]
-    obj = {
-        "support": list(w.support),
-        "coeffs": [_scalar_obj(w.coeffs[i]) for i in w.support],
-        "ghost": _vec_obj(w.ghost_part),
-    }
-    _emit_witness(args, "witness", True, obj, lines)
+        _emit_witness(args, w)
+    else:
+        g = w.ghost_part
+        _emit_witness(args, w, ["ghost: " + print_vector(g)], ghost=_vec_obj(g))
 
 
 def _cmd_sbase(args):
@@ -303,14 +281,7 @@ def _cmd_oracle(args):
     if args.oracle_op == "dep":
         S = _rows_of(args.matrix)
         target = _load_vector(args.target) if args.target else None
-        w = brute_dependence(S, target)
-        if w is None:
-            _emit_witness(args, "none", None, None, ["none"])
-        else:
-            _emit_witness(
-                args, "witness", True, _dep_witness_obj(w),
-                _dep_witness_lines(w),
-            )
+        _emit_witness(args, brute_dependence(S, target))
         return
     # satcheck
     if not args.support or not args.coeffs:
@@ -339,61 +310,45 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *positionals):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         p.set_defaults(fn=fn)
+        for pos in positionals:
+            p.add_argument(pos)
         return p
 
-    p = add("det", _cmd_det, "permanent determinant")
-    p.add_argument("matrix")
-    p = add("adj", _cmd_adj, "adjoint matrix")
-    p.add_argument("matrix")
-    p = add("nabla", _cmd_nabla, "adjoint over the permanent")
-    p.add_argument("matrix")
-    p = add("qid", _cmd_qid, "quasi-identity")
-    p.add_argument("matrix")
+    add("det", _cmd_det, "permanent determinant", "matrix")
+    add("adj", _cmd_adj, "adjoint matrix", "matrix")
+    add("nabla", _cmd_nabla, "adjoint over the permanent", "matrix")
+    p = add("qid", _cmd_qid, "quasi-identity", "matrix")
     p.add_argument("--right", action="store_true",
                    help="use the right-hand quasi-identity")
-    p = add("rank", _cmd_rank, "largest nonsingular submatrix size")
-    p.add_argument("matrix")
-    p = add("dep", _cmd_dep, "dependence witness for the rows")
-    p.add_argument("matrix")
+    add("rank", _cmd_rank, "largest nonsingular submatrix size", "matrix")
+    p = add("dep", _cmd_dep, "dependence witness for the rows", "matrix")
     p.add_argument("--target", help="vector file: express this vector instead")
-    p = add("saturate", _cmd_saturate, "coefficientwise largest witness")
-    p.add_argument("matrix")
+    p = add("saturate", _cmd_saturate, "coefficientwise largest witness", "matrix")
     p.add_argument("--target", required=True, help="vector file")
-    p = add("span", _cmd_span, "spanning witness with ghost surplus")
-    p.add_argument("matrix")
+    p = add("span", _cmd_span, "spanning witness with ghost surplus", "matrix")
     p.add_argument("--target", required=True, help="vector file")
-    p = add("sbase", _cmd_sbase, "minimal spanning subset")
-    p.add_argument("matrix")
-    p = add("critical", _cmd_critical, "critical row indices")
-    p.add_argument("matrix")
+    add("sbase", _cmd_sbase, "minimal spanning subset", "matrix")
+    p = add("critical", _cmd_critical, "critical row indices", "matrix")
     p.add_argument("--index", type=int, help="test one row only")
-    p = add("dbase", _cmd_dbase, "greedy independent subset")
-    p.add_argument("matrix")
+    p = add("dbase", _cmd_dbase, "greedy independent subset", "matrix")
     p.add_argument("--order", help="1-based visit order, e.g. 2,3,1")
-    p = add("thick", _cmd_thick, "equal-rank test for two families")
-    p.add_argument("first")
-    p.add_argument("second")
-    p = add("changebase", _cmd_changebase, "generalized permutation between bases")
-    p.add_argument("matrix")
-    p.add_argument("target_matrix")
-    p = add("dual", _cmd_dual, "dual functional covectors of a closed base")
-    p.add_argument("matrix")
-    p = add("gram", _cmd_gram, "Gram matrix of the rows under the dot form")
-    p.add_argument("matrix")
-    p = add("orthosym", _cmd_orthosym, "symmetry verdict for a Gram form")
-    p.add_argument("matrix")
+    add("thick", _cmd_thick, "equal-rank test for two families", "first", "second")
+    add("changebase", _cmd_changebase, "generalized permutation between bases",
+        "matrix", "target_matrix")
+    add("dual", _cmd_dual, "dual functional covectors of a closed base", "matrix")
+    add("gram", _cmd_gram, "Gram matrix of the rows under the dot form", "matrix")
+    p = add("orthosym", _cmd_orthosym, "symmetry verdict for a Gram form", "matrix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=0,
                    help="extra random argument pairs")
     p.add_argument("--supertropical", action="store_true",
                    help="also require value agreement on tangible pairs")
-    p = add("isotropy", _cmd_isotropy, "classify a vector against a form")
-    p.add_argument("matrix")
-    p.add_argument("vector")
+    add("isotropy", _cmd_isotropy, "classify a vector against a form",
+        "matrix", "vector")
     p = add("oracle", _cmd_oracle, "brute-force reference computations")
     p.add_argument("oracle_op", choices=["det", "dep", "satcheck"])
     p.add_argument("matrix")

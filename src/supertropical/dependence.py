@@ -43,7 +43,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .exceptions import InvalidInputError, ShapeError
-from .matrices import Mat, Vec, _perm_rows
+from .matrices import (
+    Mat,
+    Vec,
+    _combine,
+    _perm_rows,
+    is_nonsingular,
+    solve_max,
+)
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -103,18 +110,7 @@ class DepWitness:
     def combination(self, vectors):
         """The combination this witness asserts to be ghost: the target
         (if any) plus the coefficient-weighted family members."""
-        if len(vectors) != len(self.coeffs):
-            raise ShapeError("witness length does not match the family")
-        n = vectors[self.support[0]].dim
-        if self.target is not None:
-            acc = list(self.target.entries)
-        else:
-            acc = [ZERO] * n
-        for i in self.support:
-            c = self.coeffs[i]
-            for j, x in enumerate(vectors[i]):
-                acc[j] = acc[j] + c * x
-        return Vec(acc)
+        return _combine(self.coeffs, vectors, self.target)
 
     def is_valid(self, vectors):
         return self.combination(vectors).is_ghost()
@@ -259,24 +255,30 @@ def _valid_on_support(vectors, target, support, coeff_scalars):
     return True
 
 
+def _grid_solutions(vectors, target, support):
+    """The valid coefficient lists for one support, in candidate-grid
+    (lexicographic tuple) order."""
+    rows = _value_rows(vectors, support)
+    tvals = tuple(x.value for x in target) if target is not None else None
+    cand = _chain_candidates(rows, tvals, support)
+    for tup in product(*(cand[i] for i in support)):
+        cs = [Scalar(v) for v in tup]
+        if _valid_on_support(vectors, target, support, cs):
+            yield cs
+
+
 def _search_witness(vectors, target, supports=None):
     """First valid witness in (support size, support, coefficient tuple)
     order, or None.  Enumerating small supports first means the returned
     support is always irredundant: every proper sub-support was already
     tried and failed."""
     k = len(vectors)
-    rows = _value_rows(vectors, range(k))
-    tvals = tuple(x.value for x in target) if target is not None else None
-    todo = supports if supports is not None else _iter_supports(k)
-    for support in todo:
-        cand = _chain_candidates(rows, tvals, support)
-        for tup in product(*(cand[i] for i in support)):
-            cs = [Scalar(v) for v in tup]
-            if _valid_on_support(vectors, target, support, cs):
-                coeffs = [ZERO] * k
-                for i, c in zip(support, cs):
-                    coeffs[i] = c
-                return DepWitness(tuple(coeffs), support, target)
+    for support in supports if supports is not None else _iter_supports(k):
+        for cs in _grid_solutions(vectors, target, support):
+            coeffs = [ZERO] * k
+            for i, c in zip(support, cs):
+                coeffs[i] = c
+            return DepWitness(tuple(coeffs), support, target)
     return None
 
 
@@ -410,15 +412,7 @@ def _classify_components(v, S, support, coeffs):
 def _grid_assignments(v, S, support):
     """All valid coefficient assignments for this support drawn from the
     chain candidate grid, as dicts index -> Scalar."""
-    rows = _value_rows(S, support)
-    tvals = tuple(x.value for x in v)
-    cand = _chain_candidates(rows, tvals, support)
-    out = []
-    for tup in product(*(cand[i] for i in support)):
-        cs = [Scalar(x) for x in tup]
-        if _valid_on_support(S, v, support, cs):
-            out.append(dict(zip(support, cs)))
-    return out
+    return [dict(zip(support, cs)) for cs in _grid_solutions(S, v, support)]
 
 
 def _sup_assignment(assignments, support):
@@ -483,16 +477,11 @@ def _check_saturate_inputs(v, S, w):
 
 
 def _is_irredundant(v, S, support):
-    rows = _value_rows(S, range(len(S)))
-    tvals = tuple(x.value for x in v)
-    for size in range(1, len(support)):
-        for sub in combinations(support, size):
-            cand = _chain_candidates(rows, tvals, sub)
-            for tup in product(*(cand[i] for i in sub)):
-                cs = [Scalar(x) for x in tup]
-                if _valid_on_support(S, v, sub, cs):
-                    return False
-    return True
+    subs = (
+        sub for size in range(1, len(support))
+        for sub in combinations(support, size)
+    )
+    return _search_witness(S, v, subs) is None
 
 
 def saturate(v, S, w):
@@ -529,8 +518,6 @@ def saturate(v, S, w):
 
 
 def _saturate_fast(v, S):
-    from .matrices import is_nonsingular, solve_max
-
     A = Mat(list(S))
     if not is_nonsingular(A):
         return None

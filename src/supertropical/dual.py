@@ -15,7 +15,6 @@ span is tested through that fixed-point equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .dependence import max_rank
 from .exceptions import (
@@ -23,7 +22,7 @@ from .exceptions import (
     NotInClosedSpanError,
     ShapeError,
 )
-from .matrices import Mat, Vec, nabla, quasi_identity
+from .matrices import Mat, Vec, _tagged_combinations, nabla, quasi_identity
 from .scalars import ZERO, ghost, tangible
 
 __all__ = [
@@ -69,6 +68,10 @@ class MapByMatrix:
     @property
     def target_dim(self):
         return self.matrix.rows
+
+
+def _as_mat(M):
+    return M.matrix if isinstance(M, MapByMatrix) else M
 
 
 def _row_matrix(B):
@@ -157,7 +160,7 @@ def reconstruct(B, v):
 def ghost_kernel(M):
     """Predicate for vectors whose image lies entirely in the ghost or
     zero layer."""
-    mat = M.matrix if isinstance(M, MapByMatrix) else M
+    mat = _as_mat(M)
 
     def in_kernel(v):
         return mat.apply(v).is_ghost()
@@ -192,7 +195,7 @@ def is_ghost_monic(M, sample_space):
     of chaining, a sentinel, tangible and ghost layers per generator),
     so the verdict is exact on that grid and conservative beyond it.
     """
-    mat = M.matrix if isinstance(M, MapByMatrix) else M
+    mat = _as_mat(M)
     gens = list(sample_space)
     if not gens:
         raise InvalidInputError("need at least one sample generator")
@@ -207,27 +210,16 @@ def is_ghost_monic(M, sample_space):
         + [ghost(x) for x in values]
         for _ in gens
     ]
-    for tags in product(*options):
-        if all(t is None for t in tags):
-            continue
-        acc = [ZERO] * gens[0].dim
-        for t, g in zip(tags, gens):
-            if t is None:
-                continue
-            for j, x in enumerate(g):
-                acc[j] = acc[j] + t * x
-        v = Vec(acc)
-        if v.is_ghost():
-            continue
-        if in_kernel(v):
-            return False
-    return True
+    return not any(
+        not v.is_ghost() and in_kernel(v)
+        for _, v in _tagged_combinations(options, gens)
+    )
 
 
 def is_tropically_onto(M, target_rank, generators=None):
     """Whether the images of the source generators reach the stated
     rank.  Defaults to the standard base of the source."""
-    mat = M.matrix if isinstance(M, MapByMatrix) else M
+    mat = _as_mat(M)
     if generators is None:
         cols = [mat.col(j) for j in range(mat.cols)]
     else:
@@ -237,7 +229,7 @@ def is_tropically_onto(M, target_rank, generators=None):
 
 def is_iso(M, sample_space=None, target_rank=None):
     """Ghost monic and tropically onto together."""
-    mat = M.matrix if isinstance(M, MapByMatrix) else M
+    mat = _as_mat(M)
     if sample_space is None:
         n = mat.cols
         sample_space = [

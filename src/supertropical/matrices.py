@@ -16,6 +16,8 @@ through a ghost entry.  Sizes up to 3 are unrolled.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .exceptions import ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar
 
@@ -328,6 +330,34 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self._r)
         return f"Mat[{body}]"
+
+
+# -- combinations ------------------------------------------------------
+
+
+def _combine(coeffs, vectors, start=None):
+    """``start`` (zero by default) plus the sum of ``coeffs[i] * vectors[i]``.
+
+    ``None`` and zero coefficients leave their vector out.
+    """
+    if len(coeffs) != len(vectors):
+        raise ShapeError("coefficient count does not match the family")
+    acc = list(start) if start is not None else [ZERO] * vectors[0].dim
+    for c, w in zip(coeffs, vectors):
+        if c is None or c.is_zero():
+            continue
+        for j, x in enumerate(w.entries):
+            acc[j] = acc[j] + c * x
+    return Vec(acc)
+
+
+def _tagged_combinations(options, vectors):
+    """``(tags, combination)`` for every tag tuple of ``product(*options)``
+    that uses at least one vector, in product order; a ``None`` tag
+    leaves its vector out."""
+    for tags in product(*options):
+        if any(t is not None for t in tags):
+            yield tags, _combine(tags, vectors)
 
 
 # -- permanents ---------------------------------------------------------

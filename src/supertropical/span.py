@@ -40,8 +40,8 @@ from .exceptions import (
     ShapeError,
 )
 from .dependence import BaseReport, max_rank, projective_normalize
-from .matrices import Mat, Vec
-from .scalars import ONE, ZERO, Scalar, ghost, tangible
+from .matrices import Mat, Vec, _combine, _tagged_combinations
+from .scalars import ONE, ZERO, ghost, tangible
 
 __all__ = [
     "SpanWitness",
@@ -78,22 +78,13 @@ class SpanWitness:
                 )
 
     def combination(self, vectors):
-        n = self.ghost_part.dim
-        acc = [ZERO] * n
-        for i in self.support:
-            c = self.coeffs[i]
-            for j, x in enumerate(vectors[i]):
-                acc[j] = acc[j] + c * x
-        return Vec(acc)
+        sup = self.support
+        return _combine([self.coeffs[i] for i in sup], [vectors[i] for i in sup])
 
     def is_valid(self, vectors, v):
         """The reconstruction identity: the combination plus the ghost
         part reproduces v exactly."""
         return self.combination(vectors) + self.ghost_part == v
-
-
-def _nu(x):
-    return x.value
 
 
 def _residual(v, w):
@@ -107,7 +98,7 @@ def _residual(v, w):
         vj = v[j]
         if vj.is_zero():
             return None
-        d = _nu(vj) - _nu(x)
+        d = vj.value - x.value
         if best is None or d < best:
             best = d
     return best
@@ -128,10 +119,10 @@ def _span_candidates(S, v, support):
             if x.is_zero():
                 continue
             if not v[j].is_zero():
-                cand.add(_nu(v[j]) - _nu(x))
+                cand.add(v[j].value - x.value)
             for u in S:
                 if u is not w and not u[j].is_zero():
-                    cand.add(_nu(u[j]) - _nu(x))
+                    cand.add(u[j].value - x.value)
         cand.add(min(cand) - 1)
         vals = sorted((c for c in cand if c <= cap), reverse=True)
         if not vals:
@@ -178,13 +169,10 @@ def spans(S, v):
         cands = _span_candidates(S, v, support)
         if cands is None:
             continue
+        members = [S[i] for i in support]
         for tup in product(*cands):
             cs = [tangible(x) for x in tup]
-            comb = [ZERO] * v.dim
-            for c, i in zip(cs, support):
-                for j, x in enumerate(S[i]):
-                    comb[j] = comb[j] + c * x
-            g = _ghost_surplus(v, comb)
+            g = _ghost_surplus(v, _combine(cs, members))
             if g is not None:
                 coeffs = [ZERO] * k
                 for c, i in zip(cs, support):
@@ -211,7 +199,7 @@ def _tangible_ratio(w, u):
             continue
         if a.is_ghost() != b.is_ghost():
             return None
-        d = _nu(a) - _nu(b)
+        d = a.value - b.value
         if ratio is None:
             ratio = d
         elif ratio != d:
@@ -249,20 +237,13 @@ def _internal_spanned(v, S, excluded):
                 opts.append(tangible(r))
         options.append(opts)
     for tags in product(*options):
-        if all(t is None for t in tags):
-            continue
+        # checking for a tangible tag is much cheaper than combining
         if not any(
             t is not None and t.is_tangible() and i not in excluded
             for i, t in enumerate(tags)
         ):
             continue
-        acc = [ZERO] * v.dim
-        for t, w in zip(tags, S):
-            if t is None:
-                continue
-            for j, x in enumerate(w):
-                acc[j] = acc[j] + t * x
-        if Vec(acc) == v:
+        if _combine(tags, S) == v:
             return True
     if v.is_ghost():
         # the target itself is the surplus; any small tangible multiple
@@ -399,16 +380,7 @@ def is_almost_tangible(v, S):
         if r is not None:
             opts.extend((tangible(r), ghost(r)))
         options.append(opts)
-    for tags in product(*options):
-        if all(t is None for t in tags):
-            continue
-        acc = [ZERO] * v.dim
-        for t, w in zip(tags, S):
-            if t is None:
-                continue
-            for j, x in enumerate(w):
-                acc[j] = acc[j] + t * x
-        w = Vec(acc)
+    for _, w in _tagged_combinations(options, S):
         if w == v or _tangible_ratio(w, v) is not None:
             continue
         if _surpasses_with_internal_ghost(v, w, S):
@@ -460,13 +432,4 @@ def _surpasses_with_internal_ghost(v, w, S):
         if r is not None:
             opts.append(ghost(r))
         options.append(opts)
-    for tags in product(*options):
-        acc = [ZERO] * v.dim
-        for t, u in zip(tags, S):
-            if t is None:
-                continue
-            for j, x in enumerate(u):
-                acc[j] = acc[j] + t * x
-        if fits(Vec(acc)):
-            return True
-    return False
+    return any(fits(g) for _, g in _tagged_combinations(options, S))

@@ -19,7 +19,13 @@ from supertropical import (
     solve_max,
     solve_raw,
 )
-from supertropical.matrices import ann_membership, geq_nu_vec, surpasses_vec
+from supertropical.matrices import (
+    _combine,
+    _tagged_combinations,
+    ann_membership,
+    geq_nu_vec,
+    surpasses_vec,
+)
 from helpers import (
     G,
     T,
@@ -307,3 +313,44 @@ def test_vec_surpasses_methods():
     assert vec("1v 3").surpasses(vec("1 3"))
     assert vec("2 3").nu_ge(vec("1 3v"))
     assert vec("1 3v").nu_le(vec("2 3"))
+
+
+# -- combination kernels -----------------------------------------------
+
+def test_combine_adds_weighted_vectors_to_the_start():
+    S = [vec("1 2"), vec("0 5")]
+    assert _combine([T(1), T(0)], S) == vec("2 5")
+    assert _combine([T(1), T(0)], S, vec("2 -inf")) == vec("2v 5")
+
+
+def test_combine_skips_none_and_zero_coefficients():
+    S = [vec("1 2"), vec("0 5")]
+    assert _combine([None, T(-1)], S) == vec("-1 4")
+    assert _combine([Z, T(-1)], S) == vec("-1 4")
+    assert _combine([None, None], S) == vec("-inf -inf")
+    assert _combine([Z, None], S, vec("3v 1")) == vec("3v 1")
+
+
+def test_combine_rejects_a_length_mismatch():
+    with pytest.raises(ShapeError):
+        _combine([T(0)], [vec("1 2"), vec("0 5")])
+
+
+def test_tagged_combinations_in_product_order_without_the_empty_tuple():
+    S = [vec("1 2"), vec("0 5")]
+    options = [[None, T(0)], [None, G(0), T(1)]]
+    got = list(_tagged_combinations(options, S))
+    assert [tags for tags, _ in got] == [
+        (None, G(0)),
+        (None, T(1)),
+        (T(0), None),
+        (T(0), G(0)),
+        (T(0), T(1)),
+    ]
+    assert [w for _, w in got] == [
+        vec("0v 5v"),
+        vec("1 6"),
+        vec("1 2"),
+        vec("1 5v"),
+        vec("1v 6"),
+    ]
