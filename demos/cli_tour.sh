@@ -1,16 +1,13 @@
 #!/bin/sh
 # Drive the command line front end end to end on a scratch directory.
-# Uses the `supertropical` entry point when one is on PATH (after
-# pip install -e .), otherwise runs this checkout's package with
-# python3 -m supertropical.
+# Runs this checkout's package with python3 -m supertropical, so it
+# needs no install and never picks up another installed copy.
 set -eu
 
-if ! command -v supertropical >/dev/null 2>&1; then
-  src=$(cd "$(dirname "$0")/../src" && pwd)
-  PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
-  export PYTHONPATH
-  supertropical() { python3 -m supertropical "$@"; }
-fi
+src=$(cd "$(dirname "$0")/../src" && pwd)
+PYTHONPATH="$src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
+supertropical() { python3 -m supertropical "$@"; }
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT

@@ -273,10 +273,10 @@ def _checkout_env(bin_dir=None):
     return env
 
 
-def _write_launcher(tmp_path):
+def test_console_script(tmp_path):
     """Writes the launcher an installer would generate for the
-    ``supertropical`` entry of ``[project.scripts]`` into a fresh bin
-    directory and returns that directory."""
+    ``supertropical`` entry of ``[project.scripts]`` and runs it by
+    name from PATH."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = SRC_DIR.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
@@ -291,12 +291,6 @@ def _write_launcher(tmp_path):
         f"sys.exit({func}())\n"
     )
     launcher.chmod(0o755)
-    return bin_dir
-
-
-def test_console_script(tmp_path):
-    """Runs the declared console script by name from PATH."""
-    bin_dir = _write_launcher(tmp_path)
     m = tmp_path / "m.txt"
     m.write_text(SUM10_INDEP)
     r = subprocess.run(
@@ -309,14 +303,13 @@ def test_console_script(tmp_path):
     assert r.stdout.strip() == "11", r.stderr
 
 
-def test_cli_tour_transcript(tmp_path):
-    """``demos/cli_tour.sh`` with the console script on PATH prints
-    ``demos/cli_tour.out`` byte for byte."""
+def test_cli_tour_transcript():
+    """``demos/cli_tour.sh`` prints ``demos/cli_tour.out`` byte for byte."""
     demos = SRC_DIR.parent / "demos"
     r = subprocess.run(
         ["sh", str(demos / "cli_tour.sh")],
         capture_output=True,
-        env=_checkout_env(_write_launcher(tmp_path)),
+        env=_checkout_env(),
     )
     assert r.returncode == 0, r.stderr.decode()
     assert r.stdout == (demos / "cli_tour.out").read_bytes()
