@@ -1,13 +1,17 @@
 """End-to-end command line tests.
 
-Most cases drive ``main`` in process and read captured stdout; two
-smoke tests run the console script declared in ``pyproject.toml`` and
-``python -m supertropical`` as subprocesses against the checkout, and
-a third runs ``demos/cli_tour.sh`` against its pinned transcript.
+Most cases drive ``main`` in process and read captured stdout; one
+runs every subcommand in text and JSON mode against the pinned
+transcript ``tests/cli_golden.out``.  Two smoke tests run the console
+script declared in ``pyproject.toml`` and ``python -m supertropical``
+as subprocesses against the checkout, and a third runs
+``demos/cli_tour.sh`` against its pinned transcript.
 The math behind each command is covered by the module tests, so these
 focus on wiring: argument handling, formatting, exit codes, JSON shape.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -326,3 +330,110 @@ def test_module_runner(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "14v", r.stderr
+
+
+GOLDEN_FILES = {
+    "indep": SUM10_INDEP,
+    "dep": SUM10_DEP,
+    "frac": "1/2 -inf 2v\n0v 3 -1/3\n1 1 1\n",
+    "sat": SAT_MAT,
+    "satv": "0 1 3\n",
+    "far": "5 -inf -inf\n",
+    "span": SPAN_MAT,
+    "spanv": "4 5\n",
+    "e1": "0 -inf\n",
+    "qid": QID_MAT,
+    "redun": REDUN,
+    "variants": "1 1\n1v 1\n1 1v\n",
+    "diag": DIAG,
+    "antidiag": "-inf 4\n7 -inf\n",
+    "open": "0 0\n-inf 0\n",
+    "sym": "0 1\n1 0\n",
+    "skew": "0 1\n3 0\n",
+    "halfghost": "0 1\n1v 0\n",
+    "bad": "1 2\n3 oops\n",
+}
+
+# Each argv runs once as written and once with --json appended.
+GOLDEN_ARGVS = [
+    ["det", "indep"],
+    ["det", "dep"],
+    ["det", "frac"],
+    ["det", "bad"],
+    ["det", "missing"],
+    ["adj", "qid"],
+    ["adj", "frac"],
+    ["nabla", "indep"],
+    ["nabla", "dep"],
+    ["qid", "indep"],
+    ["qid", "indep", "--right"],
+    ["rank", "dep"],
+    ["rank", "indep"],
+    ["dep", "dep"],
+    ["dep", "span"],
+    ["dep", "span", "--target", "spanv"],
+    ["dep", "span", "--target", "e1"],
+    ["saturate", "sat", "--target", "satv"],
+    ["saturate", "sat", "--target", "far"],
+    ["span", "span", "--target", "spanv"],
+    ["span", "span", "--target", "e1"],
+    ["sbase", "redun"],
+    ["sbase", "variants"],
+    ["critical", "redun"],
+    ["critical", "redun", "--index", "0"],
+    ["critical", "redun", "--index", "2"],
+    ["dbase", "dep"],
+    ["dbase", "dep", "--order", "2,3,1"],
+    ["dbase", "dep", "--order", "9,1"],
+    ["thick", "dep", "indep"],
+    ["thick", "indep", "indep"],
+    ["changebase", "diag", "antidiag"],
+    ["changebase", "diag", "sym"],
+    ["dual", "qid"],
+    ["dual", "open"],
+    ["gram", "dep"],
+    ["gram", "frac"],
+    ["orthosym", "skew"],
+    ["orthosym", "sym"],
+    ["orthosym", "halfghost", "--supertropical"],
+    ["orthosym", "skew", "--budget", "5", "--seed", "3"],
+    ["orthosym", "sym", "--budget", "25", "--seed", "7"],
+    ["isotropy", "sym", "e1"],
+    ["isotropy", "skew", "spanv"],
+    ["oracle", "det", "indep"],
+    ["oracle", "det", "dep"],
+    ["oracle", "dep", "dep"],
+    ["oracle", "dep", "span"],
+    ["oracle", "dep", "span", "--target", "spanv"],
+    ["oracle", "satcheck", "sat", "--target", "satv",
+     "--support", "0,1", "--coeffs", "0,0"],
+    ["oracle", "satcheck", "dep", "--support", "0,1,2", "--coeffs", "0,0,0"],
+    ["oracle", "satcheck", "sat", "--target", "satv"],
+]
+
+
+def _golden_transcript():
+    """One ``## argv`` block per run: the header, stdout, then ``rc=N``.
+
+    Runs from the current directory, which must hold ``GOLDEN_FILES``.
+    Writing its result to ``tests/cli_golden.out`` regenerates the
+    golden file after an intended output change.
+    """
+    blocks = []
+    for argv in GOLDEN_ARGVS:
+        for run in (argv, argv + ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main(run)
+            blocks.append(f"## {' '.join(run)}\n{out.getvalue()}rc={rc}\n")
+    return "".join(blocks)
+
+
+def test_cli_golden_transcript(tmp_path, monkeypatch):
+    """Every subcommand's text and JSON output and exit code match
+    ``tests/cli_golden.out`` byte for byte."""
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    golden = Path(__file__).with_name("cli_golden.out").read_bytes()
+    assert _golden_transcript() == golden.decode("utf-8")
