@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+def _dot(row, col):
+    """The max-plus dot product of two scalar tuples of equal length."""
+    acc = ZERO
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
 def _as_scalar_tuple(entries):
     t = tuple(entries)
     for x in t:
@@ -91,10 +99,7 @@ class Vec:
     def dot(self, other):
         if len(self._e) != len(other._e):
             raise ShapeError("vector dimensions differ")
-        acc = ZERO
-        for a, b in zip(self._e, other._e):
-            acc = acc + a * b
-        return acc
+        return _dot(self._e, other._e)
 
     def nu(self):
         return Vec(x.nu() for x in self._e)
@@ -260,16 +265,7 @@ class Mat:
                 f"cannot multiply {self._shape} by {other._shape}"
             )
         bt = tuple(zip(*other._r))
-        out = []
-        for ra in self._r:
-            row = []
-            for cb in bt:
-                acc = ZERO
-                for a, b in zip(ra, cb):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return Mat(out)
+        return Mat([[_dot(ra, cb) for cb in bt] for ra in self._r])
 
     def __rmul__(self, alpha):
         if not isinstance(alpha, Scalar):
@@ -287,13 +283,7 @@ class Mat:
             ve = _as_scalar_tuple(v)
         if self.cols != len(ve):
             raise ShapeError(f"cannot apply {self._shape} to a {len(ve)}-vector")
-        out = []
-        for r in self._r:
-            acc = ZERO
-            for a, b in zip(r, ve):
-                acc = acc + a * b
-            out.append(acc)
-        return Vec(out)
+        return Vec([_dot(r, ve) for r in self._r])
 
     def nu(self):
         return Mat([[x.nu() for x in r] for r in self._r])

@@ -365,71 +365,25 @@ def is_almost_tangible(v, S):
     ghost from the module) are its own tangible multiples.
 
     Tangible vectors qualify outright; nonzero ghost vectors never do.
-    Mixed vectors are checked by the residual-tag grid over the family.
+    Mixed vectors are checked by the residual-tag grid over the family:
+    a combination w other than a tangible multiple of v disqualifies v
+    when w plus a ghost-tagged combination equals v.
     """
     if v.is_zero() or v.is_tangible():
         return True
     if v.is_ghost():
         return False
     S = list(S)
-    k = len(S)
-    options = []
-    for i in range(k):
-        opts = [None]
-        r = _residual(v, S[i])
-        if r is not None:
-            opts.extend((tangible(r), ghost(r)))
-        options.append(opts)
+    residuals = [_residual(v, w) for w in S]
+    options = [
+        [None] if r is None else [None, tangible(r), ghost(r)] for r in residuals
+    ]
+    ghost_options = [[None] if r is None else [None, ghost(r)] for r in residuals]
+    surpluses = [g for _, g in _tagged_combinations(ghost_options, S)]
     for _, w in _tagged_combinations(options, S):
         if w == v or _tangible_ratio(w, v) is not None:
             continue
-        if _surpasses_with_internal_ghost(v, w, S):
+        # surpassing w is necessary and much cheaper than the surplus scan
+        if v.surpasses(w) and any(w + g == v for g in surpluses):
             return False
     return True
-
-
-def _surpasses_with_internal_ghost(v, w, S):
-    """True when v = w + g for some ghost g inside the module of S."""
-    need = []
-    for j in range(v.dim):
-        vj, wj = v[j], w[j]
-        if vj == wj:
-            need.append(None)  # no surplus required here
-            continue
-        if vj.is_zero():
-            return False
-        if vj.is_tangible():
-            return False  # w must match tangible components exactly
-        if wj.nu_gt(vj):
-            return False
-        need.append(vj)  # the surplus must land exactly on vj
-    # the surplus pattern: exactly vj where needed, nu-below elsewhere,
-    # zero outside the support of v; search ghost-tag combinations
-    def fits(g):
-        for j in range(v.dim):
-            gj = g[j]
-            target = need[j]
-            if target is not None:
-                if gj != target:
-                    return False
-            else:
-                vj = v[j]
-                if vj.is_zero():
-                    if not gj.is_zero():
-                        return False
-                elif gj.nu_gt(vj):
-                    return False
-                elif gj.nu_matches(vj) and vj.is_tangible():
-                    return False
-        return True
-
-    if all(n is None for n in need):
-        return True  # zero surplus suffices and is in every module
-    options = []
-    for i in range(len(S)):
-        r = _residual(v, S[i])
-        opts = [None]
-        if r is not None:
-            opts.append(ghost(r))
-        options.append(opts)
-    return any(fits(g) for _, g in _tagged_combinations(options, S))

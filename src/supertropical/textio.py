@@ -92,7 +92,7 @@ def parse_matrix(text):
 
 
 def print_matrix(A):
-    return "\n".join(" ".join(str(x) for x in row) for row in A.row_tuples)
+    return str(A)
 
 
 def parse_vector(text):
@@ -104,4 +104,4 @@ def parse_vector(text):
 
 
 def print_vector(v):
-    return " ".join(str(x) for x in v)
+    return str(v)

@@ -37,14 +37,17 @@ DIAG = "3 -inf\n-inf 1\n"
 @pytest.fixture
 def cli(tmp_path, capsys):
     """Returns a runner: cli(argv, **files) writes each file into a
-    temp dir, substitutes its path for the bare name in argv, runs
+    temp dir (bytes as they are), substitutes its path for the bare name in argv, runs
     main, and hands back (exit_code, stdout_lines)."""
 
     def run(argv, **files):
         paths = {}
         for name, text in files.items():
             p = tmp_path / f"{name}.txt"
-            p.write_text(text)
+            if isinstance(text, bytes):
+                p.write_bytes(text)
+            else:
+                p.write_text(text)
             paths[name] = str(p)
         argv = [paths.get(a, a) for a in argv]
         rc = main(argv)
@@ -260,6 +263,42 @@ class TestErrorHandling:
         rc, out = cli(["det", "no-such-file.txt"])
         assert rc == 2
         assert out[0].startswith("error: cannot read")
+
+    @pytest.mark.parametrize(
+        "argv, files, rc, first",
+        [
+            (["critical", "m", "--index", "5"], {"m": REDUN},
+             2, "error: row index 5 out of range for 3 rows"),
+            (["det", "m"], {"m": b"1 2\n3 \xff\n"},
+             2, "error: cannot read {tmp}/m.txt: not UTF-8 at byte 6"),
+            (["oracle", "satcheck", "m", "--support", "x", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n"}, 2, "error: bad support 'x'"),
+            (["oracle", "satcheck", "m", "--support", "5", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n"}, 2, "error: row index 5 out of range for 2 rows"),
+            (["oracle", "satcheck", "m", "--support", "-1", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n"}, 2, "error: row index -1 out of range for 2 rows"),
+            (["oracle", "satcheck", "m", "--support", "0", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n"}, 1, "error: not a valid dependence witness"),
+            (["oracle", "satcheck", "m", "--target", "v",
+              "--support", "0", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n", "v": "0 1 3\n"},
+             1, "error: target dimension mismatch"),
+        ],
+        ids=[
+            "critical-index-out-of-range",
+            "non-utf8-file",
+            "satcheck-support-not-an-int",
+            "satcheck-support-out-of-range",
+            "satcheck-support-negative",
+            "satcheck-not-a-dependence",
+            "satcheck-target-dimension",
+        ],
+    )
+    def test_bad_input_is_reported(self, cli, tmp_path, argv, files, rc, first):
+        """Bad input gives an error line and exit 2 (or 1 for an input
+        that parses but is not a dependence), never a traceback."""
+        got_rc, out = cli(argv, **files)
+        assert (got_rc, out[0]) == (rc, first.format(tmp=tmp_path))
 
 
 def _checkout_env(bin_dir=None):

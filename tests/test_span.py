@@ -301,6 +301,12 @@ def test_ghosted_vector_almost_tangible_in_small_space():
     assert is_almost_tangible(vec("1 1v"), S)
 
 
+def test_mixed_vector_over_a_full_space_not_almost_tangible():
+    # (1, 1) is not a multiple of (1, 1v), and adding the ghost surplus
+    # (-inf, 1v) from the span of E1, E2 gives back (1, 1v)
+    assert not is_almost_tangible(vec("1 1v"), [E1, E2])
+
+
 def test_nonzero_ghost_never_almost_tangible():
     assert not is_almost_tangible(vec("1v 1v"), [E1, E2])
     assert not is_almost_tangible(vec("-inf 0v"), [E1, E2])
