@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .exceptions import ParseError
-from .matrices import Mat, Vec
+from .matrices import Mat
 from .scalars import Scalar, ZERO
 
 __all__ = [
