@@ -24,7 +24,14 @@ from itertools import product
 
 from .dependence import is_dependent
 from .exceptions import DegenerateSpaceError, InvalidInputError, ShapeError
-from .matrices import Mat, Vec, _tagged_combinations, is_nonsingular, permanent
+from .matrices import (
+    Mat,
+    Vec,
+    _family,
+    _tagged_combinations,
+    is_nonsingular,
+    permanent,
+)
 from .scalars import ONE, ZERO, ghost, tangible
 
 __all__ = [
@@ -75,13 +82,7 @@ class SymmetryVerdict:
 
 def gram_of_dot(W):
     """Gram matrix of a family under the tropical dot product."""
-    W = list(W)
-    if not W:
-        raise InvalidInputError("empty family")
-    n = W[0].dim
-    for w in W:
-        if w.dim != n:
-            raise ShapeError("mixed dimensions")
+    W = _family(W)
     return GramForm(Mat([[v.dot(w) for w in W] for v in W]))
 
 
@@ -173,9 +174,7 @@ def gram_dependence(W, F, strict=False):
     (that is the only way the implication can fail).  With ``strict``
     the precondition is checked up front.
     """
-    W = list(W)
-    if not W:
-        raise InvalidInputError("empty family")
+    W = _family(W)
     if strict:
         bad = _grid_radical_witness(W, F)
         if bad is not None:
@@ -250,7 +249,7 @@ def _candidate_args(G, rng, budget):
             for rest in product(vals, repeat=n - 1)
         ]
     extra = []
-    if budget and rng is not None:
+    if budget:
         lo = min(vals) - 2
         hi = max(vals) + 2
         for _ in range(budget):
@@ -277,9 +276,10 @@ def _symmetry_scan(F, budget, rng, require_nu_match):
             if a.is_ghost0() != b.is_ghost0() or (
                 require_nu_match and not a.is_ghost0() and a.value != b.value
             ):
-                ei = Vec([ONE if c == i else ZERO for c in range(n)])
-                ej = Vec([ONE if c == j else ZERO for c in range(n)])
-                return SymmetryVerdict(False, (ei, ej), True, 0)
+                unit = Mat.identity(n)
+                return SymmetryVerdict(False, (unit.row(i), unit.row(j)), True, 0)
+    if budget and rng is None:
+        rng = random.Random(0)
     grid, extra = _candidate_args(G, rng, budget)
     allargs = grid + extra
     # each argument x with its row x'G, so that both evaluation orders of
@@ -309,15 +309,11 @@ def is_orthogonal_symmetric(F, budget=0, rng=None):
     """Search for arguments whose two evaluation orders disagree about
     ghostness.  Consistency is relative to the searched grid plus the
     random budget."""
-    if budget and rng is None:
-        rng = random.Random(0)
     return _symmetry_scan(F, budget, rng, require_nu_match=False)
 
 
 def is_supertropically_symmetric(F, budget=0, rng=None):
     """Orthogonal symmetry plus value agreement on tangible pairs."""
-    if budget and rng is None:
-        rng = random.Random(0)
     return _symmetry_scan(F, budget, rng, require_nu_match=True)
 
 

@@ -303,7 +303,8 @@ def _build_parser():
     p.add_argument("matrix")
     p.add_argument("--target", help="vector file")
     p.add_argument("--support", help="comma-separated indices (satcheck)")
-    p.add_argument("--coeffs", help="comma-separated scalars (satcheck)")
+    p.add_argument("--coeffs", help="comma-separated scalars (satcheck); "
+                   "write a negative first one as --coeffs=-1,0")
     return parser
 
 

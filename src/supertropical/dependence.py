@@ -47,6 +47,7 @@ from .matrices import (
     Mat,
     Vec,
     _combine,
+    _family,
     _perm_rows,
     is_nonsingular,
     solve_max,
@@ -110,7 +111,7 @@ class DepWitness:
     def combination(self, vectors):
         """The combination this witness asserts to be ghost: the target
         (if any) plus the coefficient-weighted family members."""
-        return _combine(self.coeffs, vectors, self.target)
+        return _combine(self.coeffs, _family(vectors, self.target), self.target)
 
     def is_valid(self, vectors):
         return self.combination(vectors).is_ghost()
@@ -139,47 +140,38 @@ def projective_normalize(v):
 # -- decision ----------------------------------------------------------
 
 
+def _has_nonsingular_minor(rows, k):
+    """Whether some k by k submatrix of the row tuples has a tangible
+    permanent, trying row sets and then column sets in lexicographic
+    order."""
+    cols = range(len(rows[0]))
+    for picked in combinations(rows, k):
+        for ci in combinations(cols, k):
+            if _perm_rows([tuple(r[j] for j in ci) for r in picked]).is_tangible():
+                return True
+    return False
+
+
 def _independent(vectors):
     """True when the family admits a nonsingular square column submatrix
-    of full family size."""
-    k = len(vectors)
-    if k == 0:
-        return True
-    n = vectors[0].dim
-    for v in vectors:
-        if v.dim != n:
-            raise ShapeError("mixed dimensions in the family")
-    if k > n:
-        return False
+    of full family size; more members than coordinates never do."""
     rows = [v.entries for v in vectors]
-    for cols in combinations(range(n), k):
-        sub = [tuple(r[j] for j in cols) for r in rows]
-        if _perm_rows(sub).is_tangible():
-            return True
-    return False
+    return not rows or _has_nonsingular_minor(rows, len(rows))
 
 
 def rank(A):
     """Size of the largest nonsingular square submatrix (0 for a matrix
     with no tangible structure at all)."""
-    m, n = A.shape
-    rows = A.row_tuples
-    for k in range(min(m, n), 0, -1):
-        for ri in combinations(range(m), k):
-            picked = [rows[i] for i in ri]
-            for ci in combinations(range(n), k):
-                sub = [tuple(r[j] for j in ci) for r in picked]
-                if _perm_rows(sub).is_tangible():
-                    return k
+    for k in range(min(A.shape), 0, -1):
+        if _has_nonsingular_minor(A.row_tuples, k):
+            return k
     return 0
 
 
 def max_rank(S):
     """Rank of the row matrix of the family: the size of its largest
     tropically independent subset."""
-    if not S:
-        raise InvalidInputError("empty family")
-    return rank(Mat(list(S)))
+    return rank(Mat(_family(S)))
 
 
 # -- witness search ----------------------------------------------------
@@ -275,11 +267,17 @@ def _search_witness(vectors, target, supports=None):
     k = len(vectors)
     for support in supports if supports is not None else _iter_supports(k):
         for cs in _grid_solutions(vectors, target, support):
-            coeffs = [ZERO] * k
-            for i, c in zip(support, cs):
-                coeffs[i] = c
-            return DepWitness(tuple(coeffs), support, target)
+            return _witness_of(k, support, cs, target)
     return None
+
+
+def _witness_of(k, support, cs, target):
+    """The witness over k members with the coefficients ``cs`` on the
+    support and zero elsewhere."""
+    coeffs = [ZERO] * k
+    for i, c in zip(support, cs):
+        coeffs[i] = c
+    return DepWitness(tuple(coeffs), support, target)
 
 
 def is_dependent(S):
@@ -292,9 +290,7 @@ def is_dependent(S):
     A dependence without a target is scale invariant, so the returned
     witness is normalized to have the unit at its first support index.
     """
-    S = list(S)
-    if not S:
-        raise InvalidInputError("empty family")
+    S = _family(S)
     if _independent(S):
         return None
     w = _search_witness(S, None)
@@ -312,12 +308,7 @@ def is_dependent(S):
 def depends_on(v, S):
     """A verified witness expressing v over the family in the ghost sense
     (v plus the combination is ghost), or None."""
-    S = list(S)
-    if not S:
-        raise InvalidInputError("empty family")
-    for u in S:
-        if u.dim != v.dim:
-            raise ShapeError("mixed dimensions")
+    S = _family(S, v)
     w = _search_witness(S, v)
     if w is not None and not w.is_valid(S):
         raise AssertionError("witness failed re-verification")
@@ -333,9 +324,7 @@ def d_base(S, order=None):
     Different orders can genuinely return different sizes; the visit order
     is explicit so results are reproducible.
     """
-    S = list(S)
-    if not S:
-        raise InvalidInputError("empty family")
+    S = _family(S)
     if order is None:
         order = range(len(S))
     order = list(order)
@@ -358,8 +347,8 @@ def d_base(S, order=None):
 def extend_with_tangible(S, v):
     """Indices of members that stay independent together with the tangible
     vector v: all of them if possible, otherwise the first (lowest index)
-    subset of size one less."""
-    S = list(S)
+    subset of size one less.  The family may be empty."""
+    S = _family([*S, v])[:-1]
     if not _independent(S):
         raise InvalidInputError("the family must be independent")
     if not v.is_tangible() or v.is_zero():
@@ -386,6 +375,7 @@ def _classify_components(v, S, support, coeffs):
     Essential (type one): the target attains the componentwise maximum
     and either is ghost itself or ties exactly one tangible term.  In all
     other cases the terms of the support cover the component on their own.
+    ``coeffs`` is aligned with ``support``.
     """
     n = v.dim
     essential = []
@@ -393,7 +383,7 @@ def _classify_components(v, S, support, coeffs):
         vj = v[j]
         if vj.is_zero():
             continue
-        terms = [coeffs[i] * S[i].entries[j] for i in support]
+        terms = [c * S[i].entries[j] for i, c in zip(support, coeffs)]
         top = vj
         for t in terms:
             if t.nu_gt(top):
@@ -409,58 +399,39 @@ def _classify_components(v, S, support, coeffs):
     return essential
 
 
-def _grid_assignments(v, S, support):
-    """All valid coefficient assignments for this support drawn from the
-    chain candidate grid, as dicts index -> Scalar."""
-    return [dict(zip(support, cs)) for cs in _grid_solutions(S, v, support)]
-
-
-def _sup_assignment(assignments, support):
-    best = {}
-    for i in support:
-        top = None
-        for a in assignments:
-            c = a[i]
-            if top is None or c.nu_gt(top):
-                top = c
-        best[i] = top.nu_hat()
-    return best
+def _sup_assignment(assignments):
+    """Coefficientwise supremum of support-aligned assignments, lifted to
+    the tangible layer."""
+    return [max(col, key=lambda c: c.value).nu_hat() for col in zip(*assignments)]
 
 
 def _saturate_recursive(v, S, support):
     """The constructive saturation: pin down the coefficients anchored at
     essential components, fold them into the target, recurse on the rest.
     Returns a dict index -> Scalar for every index in support."""
-    support = tuple(support)
     if not support:
         return {}
-    assignments = _grid_assignments(v, S, support)
+    assignments = list(_grid_solutions(S, v, support))
     if not assignments:
         raise AssertionError("a valid witness must exist on the grid")
     counted = [
         (len(_classify_components(v, S, support, a)), a) for a in assignments
     ]
     fewest = min(c for c, _ in counted)
-    sup = _sup_assignment([a for c, a in counted if c == fewest], support)
-    if not _valid_on_support(S, v, support, [sup[i] for i in support]):
+    sup = _sup_assignment([a for c, a in counted if c == fewest])
+    if not _valid_on_support(S, v, support, sup):
         raise AssertionError("supremum of valid assignments lost validity")
     essential = _classify_components(v, S, support, sup)
-    anchored = []
-    for i in support:
-        for j in essential:
-            term = sup[i] * S[i].entries[j]
-            if not term.is_zero() and term.nu_matches(v[j]):
-                anchored.append(i)
-                break
-    if not anchored:
+    out = {
+        i: c for i, c in zip(support, sup)
+        if any((c * S[i].entries[j]).nu_matches(v[j]) for j in essential)
+    }
+    if not out:
         # nothing is pinned by the target any more; the remaining
         # coefficients are already grid-maximal, so they are final
-        return dict(sup)
-    out = {i: sup[i] for i in anchored}
+        return dict(zip(support, sup))
+    folded = _combine([out.get(i) for i in range(len(S))], S, v)
     rest = tuple(i for i in support if i not in out)
-    folded = v
-    for i in anchored:
-        folded = folded + S[i].scale(sup[i])
     out.update(_saturate_recursive(folded, S, rest))
     return out
 
@@ -493,7 +464,7 @@ def saturate(v, S, w):
     applied to the transposed system; otherwise the constructive
     recursion runs.
     """
-    S = list(S)
+    S = _family(S, v)
     _check_saturate_inputs(v, S, w)
     if not _is_irredundant(v, S, w.support):
         raise InvalidInputError("witness support is reducible")
@@ -507,18 +478,15 @@ def saturate(v, S, w):
         fast = _saturate_fast(v, S)
         if fast is not None:
             return fast
-    coeffs_map = _saturate_recursive(v, S, w.support)
-    coeffs = [ZERO] * len(S)
-    for i, c in coeffs_map.items():
-        coeffs[i] = c
-    out = DepWitness(tuple(coeffs), w.support, v)
+    coeffs = _saturate_recursive(v, S, w.support)
+    out = _witness_of(len(S), w.support, [coeffs[i] for i in w.support], v)
     if not out.is_valid(S):
         raise AssertionError("saturated witness failed re-verification")
     return out
 
 
 def _saturate_fast(v, S):
-    A = Mat(list(S))
+    A = Mat(S)
     if not is_nonsingular(A):
         return None
     x = solve_max(A.transpose(), v)
@@ -532,19 +500,24 @@ def saturate_by_sup(v, S, w):
     """Independent second route to the saturated witness: the pointwise
     supremum of every valid same-support assignment on the candidate
     grid."""
-    S = list(S)
+    S = _family(S, v)
     _check_saturate_inputs(v, S, w)
-    assignments = _grid_assignments(v, S, w.support)
+    assignments = list(_grid_solutions(S, v, w.support))
     if not assignments:
         raise AssertionError("a valid witness must exist on the grid")
-    sup = _sup_assignment(assignments, w.support)
-    coeffs = [ZERO] * len(S)
-    for i in w.support:
-        coeffs[i] = sup[i]
-    out = DepWitness(tuple(coeffs), w.support, v)
+    out = _witness_of(len(S), w.support, _sup_assignment(assignments), v)
     if not out.is_valid(S):
         raise AssertionError("supremum witness failed re-verification")
     return out
+
+
+def _join(w1, w2):
+    """Coefficients and support of the join of two witnesses: the
+    tangible lifts of the coefficient sums on the union of the supports."""
+    if len(w1.coeffs) != len(w2.coeffs):
+        raise ShapeError("witness lengths differ")
+    coeffs = tuple((a + b).nu_hat() for a, b in zip(w1.coeffs, w2.coeffs))
+    return coeffs, tuple(sorted(set(w1.support) | set(w2.support)))
 
 
 def sup_witness(w1, w2, S=None):
@@ -553,14 +526,8 @@ def sup_witness(w1, w2, S=None):
     validity, which is re-checked when the family is supplied."""
     if w1.target != w2.target:
         raise InvalidInputError("witnesses must share a target")
-    if len(w1.coeffs) != len(w2.coeffs):
-        raise ShapeError("witness lengths differ")
-    coeffs = tuple(
-        (a + b).nu_hat() for a, b in zip(w1.coeffs, w2.coeffs)
-    )
-    support = tuple(sorted(set(w1.support) | set(w2.support)))
-    out = DepWitness(coeffs, support, w1.target)
-    if S is not None and not out.is_valid(list(S)):
+    out = DepWitness(*_join(w1, w2), w1.target)
+    if S is not None and not out.is_valid(S):
         raise AssertionError("joined witness failed re-verification")
     return out
 
@@ -580,10 +547,9 @@ def sum_saturated(w1, w2, S=None):
     produce a sum that is valid but short of saturated."""
     if w1.target is None or w2.target is None:
         raise InvalidInputError("both witnesses need targets")
-    if len(w1.coeffs) != len(w2.coeffs):
-        raise ShapeError("witness lengths differ")
+    coeffs, support = _join(w1, w2)
     if S is not None:
-        S = list(S)
+        S = _family(S)
         for w in (w1, w2):
             again = saturate_by_sup(w.target, S, w)
             if again.coeffs != w.coeffs:
@@ -593,8 +559,6 @@ def sum_saturated(w1, w2, S=None):
                     "input witness is not saturated: it has no "
                     "coefficient on some family member"
                 )
-    coeffs = tuple((a + b).nu_hat() for a, b in zip(w1.coeffs, w2.coeffs))
-    support = tuple(sorted(set(w1.support) | set(w2.support)))
     return DepWitness(coeffs, support, w1.target + w2.target)
 
 
@@ -611,12 +575,8 @@ def annihilator_set(A):
     """
     cols = A.col_list()
     n = A.cols
-    base = []
-    base_idx = []
-    for j in range(n):
-        if _independent(base + [cols[j]]):
-            base.append(cols[j])
-            base_idx.append(j)
+    base_idx = d_base(cols).indices
+    base = [cols[j] for j in base_idx]
     out = []
     for j in range(n):
         if j in base_idx:

@@ -23,7 +23,7 @@ from .exceptions import (
     ShapeError,
 )
 from .matrices import Mat, Vec, _tagged_combinations, nabla, quasi_identity
-from .scalars import ZERO, ghost, tangible
+from .scalars import ghost, tangible
 
 __all__ = [
     "Functional",
@@ -96,8 +96,7 @@ def close_base(B):
     A = _row_matrix(B)
     I_A, _ = quasi_identity(A)
     A_B = I_A @ A
-    I_B, _ = quasi_identity(A_B)
-    if I_B @ A_B != A_B:
+    if not _is_closed(A_B):
         raise AssertionError("closure is not a fixed point of its own quasi-identity")
     return A_B, A_B.row_list()
 
@@ -231,11 +230,7 @@ def is_iso(M, sample_space=None, target_rank=None):
     """Ghost monic and tropically onto together."""
     mat = _as_mat(M)
     if sample_space is None:
-        n = mat.cols
-        sample_space = [
-            Vec([tangible(0) if j == i else ZERO for j in range(n)])
-            for i in range(n)
-        ]
+        sample_space = Mat.identity(mat.cols).row_list()
     if target_rank is None:
         target_rank = mat.rows
     return is_ghost_monic(mat, sample_space) and is_tropically_onto(

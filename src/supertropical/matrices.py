@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .exceptions import ShapeError, SingularMatrixError
+from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar
 
 __all__ = [
@@ -322,17 +322,34 @@ class Mat:
         return f"Mat[{body}]"
 
 
-# -- combinations ------------------------------------------------------
+# -- families and combinations -----------------------------------------
+
+
+def _family(S, *targets):
+    """``list(S)``, checked to be nonempty and of one dimension, which
+    every target other than ``None`` must share."""
+    S = list(S)
+    if not S:
+        raise InvalidInputError("empty family")
+    n = len(S[0]._e)
+    for w in (*S, *targets):
+        if w is not None and len(w._e) != n:
+            raise ShapeError("mixed dimensions")
+    return S
 
 
 def _combine(coeffs, vectors, start=None):
     """``start`` (zero by default) plus the sum of ``coeffs[i] * vectors[i]``.
 
-    ``None`` and zero coefficients leave their vector out.
+    ``None`` and zero coefficients leave their vector out.  Only ``start``
+    is checked against the first vector's dimension.
     """
     if len(coeffs) != len(vectors):
         raise ShapeError("coefficient count does not match the family")
-    acc = list(start) if start is not None else [ZERO] * vectors[0].dim
+    n = len(vectors[0]._e)
+    acc = [ZERO] * n if start is None else list(start)
+    if len(acc) != n:
+        raise ShapeError("start vector dimension does not match the family")
     for c, w in zip(coeffs, vectors):
         if c is None or c.is_zero():
             continue

@@ -34,13 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exceptions import (
-    InvalidInputError,
-    NoChangeOfBaseError,
-    ShapeError,
-)
+from .exceptions import InvalidInputError, NoChangeOfBaseError
 from .dependence import BaseReport, max_rank, projective_normalize
-from .matrices import Mat, Vec, _combine, _tagged_combinations
+from .matrices import Mat, Vec, _combine, _family, _tagged_combinations
 from .scalars import ONE, ZERO, ghost, tangible
 
 __all__ = [
@@ -84,6 +80,7 @@ class SpanWitness:
     def is_valid(self, vectors, v):
         """The reconstruction identity: the combination plus the ghost
         part reproduces v exactly."""
+        vectors = _family(vectors, v, self.ghost_part)
         return self.combination(vectors) + self.ghost_part == v
 
 
@@ -146,12 +143,7 @@ def spans(S, v):
     """First witness that v surpasses a tangible combination of S, with
     supports in lexicographic order and greatest coefficients first, or
     None when no support works."""
-    S = list(S)
-    if not S:
-        raise InvalidInputError("empty family")
-    for w in S:
-        if w.dim != v.dim:
-            raise ShapeError("mixed dimensions")
+    S = _family(S, v)
     k = len(S)
     if v.is_zero():
         for i, w in enumerate(S):
@@ -214,6 +206,18 @@ def _class_indices(S, i):
     )
 
 
+def _residual_tags(v, S, ghost_only=()):
+    """Tag options per member for an exact representation of v: absent,
+    or the member's residual against v as a ghost coefficient and, for
+    indices outside ``ghost_only``, as a tangible one."""
+    return [
+        [None] if r is None
+        else [None, ghost(r)] if i in ghost_only
+        else [None, ghost(r), tangible(r)]
+        for i, r in enumerate(_residual(v, w) for w in S)
+    ]
+
+
 def _internal_spanned(v, S, excluded):
     """Spanning with the ghost surplus restricted to the module the
     family generates.
@@ -227,16 +231,7 @@ def _internal_spanned(v, S, excluded):
     """
     k = len(S)
     excluded = set(excluded)
-    options = []
-    for i in range(k):
-        opts = [None]
-        r = _residual(v, S[i])
-        if r is not None:
-            opts.append(ghost(r))
-            if i not in excluded:
-                opts.append(tangible(r))
-        options.append(opts)
-    for tags in product(*options):
+    for tags in product(*_residual_tags(v, S, excluded)):
         # checking for a tangible tag is much cheaper than combining
         if not any(
             t is not None and t.is_tangible() and i not in excluded
@@ -260,7 +255,7 @@ def _internal_spanned(v, S, excluded):
 def is_critical(i, S):
     """Whether the i-th member cannot be rebuilt from the family once
     its whole projective class is set aside."""
-    S = list(S)
+    S = _family(S)
     if not 0 <= i < len(S):
         raise IndexError("member index out of range")
     if S[i].is_zero():
@@ -273,10 +268,7 @@ def s_base(S):
     class, kept only when critical.  Reported indices refer to the
     input; normalized representatives have their first nonzero
     coordinate scaled to the unit."""
-    S = list(S)
-    if not S:
-        raise InvalidInputError("empty family")
-    seen = []
+    S = _family(S)
     reps = []
     for idx, w in enumerate(S):
         if w.is_zero():
@@ -295,13 +287,8 @@ def s_base(S):
 
 def is_thick(W_gens, V_gens):
     """Whether the first family reaches the full rank of the second."""
-    W_gens = list(W_gens)
-    V_gens = list(V_gens)
-    if not W_gens or not V_gens:
-        raise InvalidInputError("empty family")
-    if W_gens[0].dim != V_gens[0].dim:
-        raise ShapeError("mixed ambient dimensions")
-    return max_rank(W_gens) == max_rank(V_gens)
+    W_gens = _family(W_gens)
+    return max_rank(W_gens) == max_rank(_family(V_gens, W_gens[0]))
 
 
 def is_generalized_permutation(P):
@@ -367,20 +354,17 @@ def is_almost_tangible(v, S):
     Tangible vectors qualify outright; nonzero ghost vectors never do.
     Mixed vectors are checked by the residual-tag grid over the family:
     a combination w other than a tangible multiple of v disqualifies v
-    when w plus a ghost-tagged combination equals v.
+    when w plus a ghost-tagged combination equals v.  The family may be
+    empty.
     """
+    S = _family([v, *S])[1:]
     if v.is_zero() or v.is_tangible():
         return True
     if v.is_ghost():
         return False
-    S = list(S)
-    residuals = [_residual(v, w) for w in S]
-    options = [
-        [None] if r is None else [None, tangible(r), ghost(r)] for r in residuals
-    ]
-    ghost_options = [[None] if r is None else [None, ghost(r)] for r in residuals]
+    ghost_options = _residual_tags(v, S, range(len(S)))
     surpluses = [g for _, g in _tagged_combinations(ghost_options, S)]
-    for _, w in _tagged_combinations(options, S):
+    for _, w in _tagged_combinations(_residual_tags(v, S), S):
         if w == v or _tangible_ratio(w, v) is not None:
             continue
         # surpassing w is necessary and much cheaper than the surplus scan

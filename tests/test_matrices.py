@@ -334,6 +334,8 @@ def test_combine_skips_none_and_zero_coefficients():
 def test_combine_rejects_a_length_mismatch():
     with pytest.raises(ShapeError):
         _combine([T(0)], [vec("1 2"), vec("0 5")])
+    with pytest.raises(ShapeError):
+        _combine([T(0), T(0)], [vec("1 2"), vec("0 5")], vec("1v 0v 5v"))
 
 
 def test_tagged_combinations_in_product_order_without_the_empty_tuple():

@@ -1,0 +1,189 @@
+"""Print the results of the family-taking library calls on seeded inputs,
+one line each, and a sha256 over all of them.
+
+Two checkouts that print the same final hash give the same results on
+these inputs.  The script imports only the public API, so it runs
+unchanged on an older checkout:
+
+    PYTHONPATH=src python tools/results_digest.py | tail -1
+
+Each line is ``<draw> <call>: <repr of the result>``, or
+``<draw> <call>: <ErrorClass>: <message>`` when the call raises.  The
+inputs are small (at most 3 members in at most 3 coordinates, values
+-2..2, zero 0.15, ghost 0.3), so the whole run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+
+from supertropical import (
+    ZERO,
+    DepWitness,
+    GramForm,
+    Mat,
+    Vec,
+    annihilator_set,
+    close_base,
+    d_base,
+    depends_on,
+    extend_with_tangible,
+    ghost,
+    gram_dependence,
+    gram_of_dot,
+    is_almost_tangible,
+    is_critical,
+    is_dependent,
+    is_ghost_monic,
+    is_iso,
+    is_orthogonal_symmetric,
+    is_supertropically_symmetric,
+    is_thick,
+    max_rank,
+    rank,
+    s_base,
+    saturate,
+    saturate_by_sup,
+    spans,
+    sum_saturated,
+    sup_witness,
+    tangible,
+)
+
+SEED = 20261018
+DRAWS = 4000
+
+
+def scalar(rng, tangible_only=False):
+    if rng.random() < 0.15:
+        return ZERO
+    v = Fraction(rng.randint(-2, 2))
+    if not tangible_only and rng.random() < 0.3:
+        return ghost(v)
+    return tangible(v)
+
+
+def vector(rng, n, tangible_only=False):
+    return Vec([scalar(rng, tangible_only) for _ in range(n)])
+
+
+def family(rng, k, n, tangible_only=False):
+    return [vector(rng, n, tangible_only) for _ in range(k)]
+
+
+def form(rng, n):
+    return GramForm(Mat([[scalar(rng) for _ in range(n)] for _ in range(n)]))
+
+
+def draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded draw."""
+    k = rng.randint(1, 3)
+    n = rng.randint(1, 3)
+    tangible_only = rng.random() < 0.4
+    S = family(rng, k, n, tangible_only)
+    v = vector(rng, n)
+    u = vector(rng, n)
+    t = vector(rng, n, tangible_only=True)
+    S2 = family(rng, rng.randint(1, 3), n)
+
+    out.append(("is_dependent", lambda: is_dependent(S)))
+    out.append(("max_rank", lambda: max_rank(S)))
+    out.append(("rank", lambda: rank(Mat(S))))
+    out.append(("d_base", lambda: d_base(S)))
+    out.append(("d_base reversed", lambda: d_base(S, order=range(k)[::-1])))
+    out.append(("extend_with_tangible", lambda: extend_with_tangible(S, t)))
+    out.append(("is_thick", lambda: is_thick(S, S2)))
+    out.append(("annihilator_set", lambda: annihilator_set(Mat(S))))
+    out.append(("spans", lambda: spans(S, v)))
+    out.append(("s_base", lambda: s_base(S)))
+    for i in range(k):
+        out.append((f"is_critical {i}", lambda i=i: is_critical(i, S)))
+    out.append(("is_almost_tangible", lambda: is_almost_tangible(v, S)))
+    out.append(("gram_of_dot", lambda: gram_of_dot(S)))
+    F = form(rng, n)
+    out.append(("gram_dependence", lambda: gram_dependence(S, F)))
+    if k <= 2:
+        out.append(("gram_dependence strict",
+                    lambda: gram_dependence(S, F, strict=True)))
+
+    witnesses = {}
+    for name, target in (("v", v), ("u", u)):
+        w = depends_on(target, S)
+        out.append((f"depends_on {name}", lambda w=w: w))
+        if w is None:
+            continue
+        out.append((f"is_valid {name}", lambda w=w: w.is_valid(S)))
+        out.append((f"saturate {name}",
+                    lambda w=w, x=target: saturate(x, S, w)))
+        try:
+            sat = saturate_by_sup(target, S, w)
+        except Exception as exc:  # recorded like any other result
+            out.append((f"saturate_by_sup {name}", lambda e=exc: _raise(e)))
+            continue
+        out.append((f"saturate_by_sup {name}", lambda s=sat: s))
+        out.append((f"sup_witness {name}",
+                    lambda w=w, s=sat: sup_witness(w, s, S)))
+        witnesses[name] = sat
+    if len(witnesses) == 2:
+        out.append(("sum_saturated",
+                    lambda: sum_saturated(witnesses["v"], witnesses["u"], S)))
+        out.append(("sum_saturated unchecked",
+                    lambda: sum_saturated(witnesses["v"], witnesses["u"])))
+    if k == n:
+        out.append(("close_base", lambda: close_base(S)))
+    if k <= 2 and n <= 2:
+        out.append(("is_ghost_monic", lambda: is_ghost_monic(Mat(S), S2[:2])))
+        out.append(("is_iso", lambda: is_iso(Mat(S))))
+    if k <= 2:
+        Fk = form(rng, k)
+        rng_seed = rng.randint(0, 10**6)
+        out.append(("is_orthogonal_symmetric",
+                    lambda: is_orthogonal_symmetric(Fk, budget=3)))
+        out.append(("is_supertropically_symmetric",
+                    lambda: is_supertropically_symmetric(Fk, budget=3)))
+        out.append(("is_supertropically_symmetric seeded",
+                    lambda: is_supertropically_symmetric(
+                        Fk, budget=3, rng=random.Random(rng_seed))))
+    # a hand-built witness of full support for the target v
+    coeffs = tuple(scalar(rng, tangible_only=True) for _ in range(k))
+    if all(not c.is_zero() for c in coeffs):
+        w = DepWitness(coeffs, tuple(range(k)), v)
+        out.append(("DepWitness.is_valid", lambda: w.is_valid(S)))
+
+
+def _raise(exc):
+    raise exc
+
+
+def line(label, thunk):
+    try:
+        result = thunk()
+    except Exception as exc:
+        return f"{label}: {type(exc).__name__}: {exc}"
+    return f"{label}: {result!r}"
+
+
+def main():
+    rng = random.Random(SEED)
+    digest = hashlib.sha256()
+    count = 0
+    for d in range(DRAWS):
+        calls = []
+        try:
+            draw(rng, calls)
+        except Exception as exc:
+            calls.append(("draw", lambda e=exc: _raise(e)))
+        for call, thunk in calls:
+            text = line(f"{d} {call}", thunk)
+            print(text)
+            digest.update(text.encode() + b"\n")
+            count += 1
+    print(f"sha256 {digest.hexdigest()} over {count} results")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
