@@ -14,6 +14,7 @@ change of base, and so on), 2 on parse or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -242,7 +243,10 @@ def _cmd_oracle(args):
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on first use and shared by every later call:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="supertropical",
         description="Exact supertropical linear algebra on text matrices.",

@@ -8,15 +8,22 @@ get the adjoint (transposed grid of minors), the scaled adjoint ``nabla``,
 and the pair of quasi-identities ``A @ nabla(A)`` and ``nabla(A) @ A`` that
 stand in for the identity matrix in cancellation arguments.
 
-The permanent is computed by row expansion memoized over column subsets,
-which costs ``n * 2^n`` scalar operations and, unlike fast assignment
-solvers, keeps exact track of whether the maximum is attained twice or
-through a ghost entry.  Sizes up to 3 are unrolled.
+The permanent has one route per size.  Sizes up to 4 are unrolled; the
+4x4 expansion shares the six 2x2 minors of its last two rows.  From size 5
+on, an exact optimal-assignment solver (shortest augmenting paths with row
+and column potentials, on integers scaled by the lcm of the denominators)
+finds the value in ``O(n^3)``.  The layer comes from the same run: the
+result is tangible exactly when the optimal permutation uses only tangible
+entries and is the only optimal one.  Every optimal permutation uses only
+tight edges, where the potentials sum to the weight, so a second one
+exists exactly when the tight edges off the optimal permutation close a
+cycle.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 
 from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar
@@ -375,12 +382,129 @@ def _perm2(r0, r1):
 
 
 def _perm3(r0, r1, r2):
-    # Expansion along the first row; the three 2x2 minors are exactly the
-    # memoized states the subset method would build.
     m0 = r1[1] * r2[2] + r1[2] * r2[1]
     m1 = r1[0] * r2[2] + r1[2] * r2[0]
     m2 = r1[0] * r2[1] + r1[1] * r2[0]
     return r0[0] * m0 + r0[1] * m1 + r0[2] * m2
+
+
+def _perm4(r0, r1, r2, r3):
+    # Expansion along the first two rows; each of the six 2x2 minors of
+    # the last two rows is shared by two of the 3x3 minors.
+    a0, a1, a2, a3 = r2
+    b0, b1, b2, b3 = r3
+    m01 = a0 * b1 + a1 * b0
+    m02 = a0 * b2 + a2 * b0
+    m03 = a0 * b3 + a3 * b0
+    m12 = a1 * b2 + a2 * b1
+    m13 = a1 * b3 + a3 * b1
+    m23 = a2 * b3 + a3 * b2
+    c0, c1, c2, c3 = r1
+    return (
+        r0[0] * (c1 * m23 + c2 * m13 + c3 * m12)
+        + r0[1] * (c0 * m23 + c2 * m03 + c3 * m02)
+        + r0[2] * (c0 * m13 + c1 * m03 + c3 * m01)
+        + r0[3] * (c0 * m12 + c1 * m02 + c2 * m01)
+    )
+
+
+def _perm_assign(rows):
+    """The permanent as an optimal assignment with a uniqueness test."""
+    n = len(rows)
+    vals = [[x.value for x in r] for r in rows]
+    den = 1
+    for r in vals:
+        for w in r:
+            if w is not None and type(w) is not int:
+                den = lcm(den, w.denominator)
+    if den != 1:
+        vals = [[None if w is None else int(w * den) for w in r] for r in vals]
+    finite = [w for r in vals for w in r if w is not None]
+    if not finite:
+        return ZERO
+    # Minimise hi - weight.  A zero entry costs more than any permutation
+    # of finite entries, so an optimum uses one only when it must.
+    hi = max(finite)
+    big = n * (hi - min(finite)) + 1
+    cost = [[big if w is None else hi - w for w in r] for r in vals]
+
+    # Shortest augmenting paths, 1-based, column 0 rooting each search.
+    # Invariant: u[i] + v[j] <= cost, with equality on the matching p
+    # (p[j] is the row matched to column j).  0 <= u <= big and
+    # -big <= v <= 0 throughout, so every reduced cost is below inf.
+    inf = 2 * big + 1
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    cols = range(1, n + 1)
+    for i in cols:
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            ci = cost[i0 - 1]
+            ui = u[i0]
+            delta = inf
+            j1 = 0
+            for j in cols:
+                if not used[j]:
+                    cur = ci[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+
+    # The optimal term: zero when it needs a zero entry, ghost when it
+    # uses a ghost one.
+    best = ONE
+    for j in cols:
+        best = best * rows[p[j] - 1][j - 1]
+    if not best.is_tangible():
+        return best
+
+    # Every optimal permutation uses tight edges only, so a second one
+    # exists iff the tight edges (i, j) off the matching, read as
+    # i -> p[j], close a cycle.  No cycle passes through a zero entry:
+    # it would give an optimal permutation through one.  Peel off nodes
+    # of in-degree zero.
+    succ = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for i in cols:
+        ci = cost[i - 1]
+        ui = u[i]
+        for j in cols:
+            k = p[j]
+            if k != i and ci[j - 1] == ui + v[j]:
+                succ[i].append(k)
+                indeg[k] += 1
+    free = [i for i in cols if not indeg[i]]
+    peeled = 0
+    while free:
+        peeled += 1
+        for k in succ[free.pop()]:
+            indeg[k] -= 1
+            if not indeg[k]:
+                free.append(k)
+    return best.nu() if peeled < n else best
 
 
 def _perm_rows(rows):
@@ -388,25 +512,12 @@ def _perm_rows(rows):
     if n == 1:
         return rows[0][0]
     if n == 2:
-        return _perm2(rows[0], rows[1])
+        return _perm2(*rows)
     if n == 3:
-        return _perm3(rows[0], rows[1], rows[2])
-    # dp[mask] = permanent of the first popcount(mask) rows restricted to
-    # the column set in mask.
-    dp = [ZERO] * (1 << n)
-    dp[0] = ONE
-    for mask in range(1, 1 << n):
-        i = mask.bit_count() - 1
-        row = rows[i]
-        acc = ZERO
-        m = mask
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            acc = acc + row[j] * dp[mask ^ low]
-            m ^= low
-        dp[mask] = acc
-    return dp[-1]
+        return _perm3(*rows)
+    if n == 4:
+        return _perm4(*rows)
+    return _perm_assign(rows)
 
 
 def permanent(A):

@@ -3,7 +3,7 @@
 Everything here leans on scalar arithmetic alone, never on the matrix
 or dependence algorithms, so that an agreement between an oracle and
 the main path counts as two independent pieces of evidence.  The loops
-are exponential on purpose and guarded by small size limits.
+are exponential on purpose and guarded by size limits.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from itertools import combinations, permutations, product
 
 from .dependence import DepWitness
 from .exceptions import InvalidInputError, ShapeError
-from .scalars import ZERO, tangible
+from .scalars import ONE, ZERO, tangible
 
-__all__ = ["brute_permanent", "brute_dependence", "check_saturated"]
+__all__ = ["brute_permanent", "dp_permanent", "brute_dependence", "check_saturated"]
 
 _MAX_PERM = 8
+_MAX_DP = 14
 _MAX_DEP = 4
 
 
@@ -36,6 +37,30 @@ def brute_permanent(A):
             term = x if term is None else term * x
         total = total + term
     return total
+
+
+def dp_permanent(A):
+    """Row expansion memoized over column subsets, ``n * 2^n`` scalar
+    operations: ``dp[mask]`` is the permanent of the first
+    ``popcount(mask)`` rows on the columns in ``mask``."""
+    if not A.is_square():
+        raise ShapeError("permanent requires a square matrix")
+    n = A.rows
+    if n > _MAX_DP:
+        raise InvalidInputError(f"dp permanent capped at n={_MAX_DP}")
+    rows = A.row_tuples
+    dp = [ZERO] * (1 << n)
+    dp[0] = ONE
+    for mask in range(1, 1 << n):
+        row = rows[mask.bit_count() - 1]
+        acc = ZERO
+        m = mask
+        while m:
+            low = m & -m
+            acc = acc + row[low.bit_length() - 1] * dp[mask ^ low]
+            m ^= low
+        dp[mask] = acc
+    return dp[-1]
 
 
 def _grid_values(rows, target_vals, support):

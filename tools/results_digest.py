@@ -1,5 +1,6 @@
-"""Print the results of the family-taking library calls on seeded inputs,
-one line each, and a sha256 over all of them.
+"""Print the results of the family-taking library calls and of the
+permanent-based matrix calls on seeded inputs, one line each, and a
+sha256 over all of them.
 
 Two checkouts that print the same final hash give the same results on
 these inputs.  The script imports only the public API, so it runs
@@ -9,8 +10,13 @@ unchanged on an older checkout:
 
 Each line is ``<draw> <call>: <repr of the result>``, or
 ``<draw> <call>: <ErrorClass>: <message>`` when the call raises.  The
-inputs are small (at most 3 members in at most 3 coordinates, values
--2..2, zero 0.15, ghost 0.3), so the whole run takes well under a minute.
+family inputs are small (at most 3 members in at most 3 coordinates,
+values -2..2, zero 0.15, ghost 0.3).  The matrix draws come after them,
+from their own seed, so adding them left the family lines as they were:
+square matrices of size 1 to 10, half with tie-heavy values -2..2
+(zero 0.15, ghost 0.3) and half tangible with values -20..20 (zero
+0.05), some of them with halves and thirds.  The whole run takes about
+a minute.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from supertropical import (
     GramForm,
     Mat,
     Vec,
+    adjoint,
     annihilator_set,
     close_base,
     d_base,
@@ -41,8 +48,12 @@ from supertropical import (
     is_iso,
     is_orthogonal_symmetric,
     is_supertropically_symmetric,
+    is_nonsingular,
     is_thick,
     max_rank,
+    nabla,
+    permanent,
+    quasi_identity,
     rank,
     s_base,
     saturate,
@@ -55,6 +66,9 @@ from supertropical import (
 
 SEED = 20261018
 DRAWS = 4000
+MATRIX_SEED = 20261019
+MATRIX_DRAWS = 12  # per size
+MATRIX_SIZES = range(1, 11)
 
 
 def scalar(rng, tangible_only=False):
@@ -154,6 +168,30 @@ def draw(rng, out):
         out.append(("DepWitness.is_valid", lambda: w.is_valid(S)))
 
 
+def matrix_draw(rng, n, out):
+    """Append ``(call, thunk)`` pairs for one seeded square matrix."""
+    tie_heavy = rng.random() < 0.5
+    lo, hi, zero_p, ghost_p = (-2, 2, 0.15, 0.3) if tie_heavy else (-20, 20, 0.05, 0)
+    denoms = (1, 2, 3) if rng.random() < 0.3 else (1,)
+    grid = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if rng.random() < zero_p:
+                row.append(ZERO)
+                continue
+            v = Fraction(rng.randint(lo, hi), rng.choice(denoms))
+            row.append(ghost(v) if rng.random() < ghost_p else tangible(v))
+        grid.append(row)
+    A = Mat(grid)
+    out.append(("permanent", lambda: permanent(A)))
+    out.append(("is_nonsingular", lambda: is_nonsingular(A)))
+    out.append(("adjoint", lambda: adjoint(A)))
+    out.append(("nabla", lambda: nabla(A)))
+    out.append(("quasi_identity", lambda: quasi_identity(A)))
+    out.append(("rank", lambda: rank(A)))
+
+
 def _raise(exc):
     raise exc
 
@@ -166,18 +204,29 @@ def line(label, thunk):
     return f"{label}: {result!r}"
 
 
-def main():
+def draws():
+    """``(label, fill)`` for every draw, where ``fill(out)`` appends its
+    calls; the matrix draws use their own generator."""
     rng = random.Random(SEED)
+    for d in range(DRAWS):
+        yield str(d), lambda out: draw(rng, out)
+    mrng = random.Random(MATRIX_SEED)
+    for n in MATRIX_SIZES:
+        for d in range(MATRIX_DRAWS):
+            yield f"m{n}.{d}", lambda out, n=n: matrix_draw(mrng, n, out)
+
+
+def main():
     digest = hashlib.sha256()
     count = 0
-    for d in range(DRAWS):
+    for label, fill in draws():
         calls = []
         try:
-            draw(rng, calls)
+            fill(calls)
         except Exception as exc:
             calls.append(("draw", lambda e=exc: _raise(e)))
         for call, thunk in calls:
-            text = line(f"{d} {call}", thunk)
+            text = line(f"{label} {call}", thunk)
             print(text)
             digest.update(text.encode() + b"\n")
             count += 1
