@@ -8,13 +8,12 @@ get the adjoint (transposed grid of minors), the scaled adjoint ``nabla``,
 and the pair of quasi-identities ``A @ nabla(A)`` and ``nabla(A) @ A`` that
 stand in for the identity matrix in cancellation arguments.
 
-The permanent has one route per size.  Sizes up to 4 are unrolled; the
-4x4 expansion shares the six 2x2 minors of its last two rows.  From size 5
-on, an exact optimal-assignment solver (shortest augmenting paths with row
-and column potentials, on integers scaled by the lcm of the denominators)
-finds the value in ``O(n^3)``.  The layer comes from the same run: the
-result is tangible exactly when the optimal permutation uses only tangible
-entries and is the only optimal one.  Every optimal permutation uses only
+The permanent has one route per size.  Sizes up to 3 are unrolled.  From
+size 4 on, an exact optimal-assignment solver (shortest augmenting paths
+with row and column potentials, in int and Fraction arithmetic) finds the
+value in ``O(n^3)``.  The layer comes from the same run: the result is
+tangible exactly when the optimal permutation uses only tangible entries
+and is the only optimal one.  Every optimal permutation uses only
 tight edges, where the potentials sum to the weight, so a second one
 exists exactly when the tight edges off the optimal permutation close a
 cycle.
@@ -23,7 +22,6 @@ cycle.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
 
 from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar
@@ -388,37 +386,10 @@ def _perm3(r0, r1, r2):
     return r0[0] * m0 + r0[1] * m1 + r0[2] * m2
 
 
-def _perm4(r0, r1, r2, r3):
-    # Expansion along the first two rows; each of the six 2x2 minors of
-    # the last two rows is shared by two of the 3x3 minors.
-    a0, a1, a2, a3 = r2
-    b0, b1, b2, b3 = r3
-    m01 = a0 * b1 + a1 * b0
-    m02 = a0 * b2 + a2 * b0
-    m03 = a0 * b3 + a3 * b0
-    m12 = a1 * b2 + a2 * b1
-    m13 = a1 * b3 + a3 * b1
-    m23 = a2 * b3 + a3 * b2
-    c0, c1, c2, c3 = r1
-    return (
-        r0[0] * (c1 * m23 + c2 * m13 + c3 * m12)
-        + r0[1] * (c0 * m23 + c2 * m03 + c3 * m02)
-        + r0[2] * (c0 * m13 + c1 * m03 + c3 * m01)
-        + r0[3] * (c0 * m12 + c1 * m02 + c2 * m01)
-    )
-
-
 def _perm_assign(rows):
     """The permanent as an optimal assignment with a uniqueness test."""
     n = len(rows)
     vals = [[x.value for x in r] for r in rows]
-    den = 1
-    for r in vals:
-        for w in r:
-            if w is not None and type(w) is not int:
-                den = lcm(den, w.denominator)
-    if den != 1:
-        vals = [[None if w is None else int(w * den) for w in r] for r in vals]
     finite = [w for r in vals for w in r if w is not None]
     if not finite:
         return ZERO
@@ -515,8 +486,6 @@ def _perm_rows(rows):
         return _perm2(*rows)
     if n == 3:
         return _perm3(*rows)
-    if n == 4:
-        return _perm4(*rows)
     return _perm_assign(rows)
 
 

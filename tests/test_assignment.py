@@ -1,11 +1,10 @@
 """The assignment permanent against the oracles, and its ghost layer on
 pinned cases.
 
-From size 5 on, ``permanent`` solves an optimal assignment and decides
-the layer by a cycle test on the tight edges; size 4 has its own
-unrolled expansion.  ``oracles.dp_permanent`` (the memoized row
-expansion) and ``oracles.brute_permanent`` (the literal permutation sum)
-share no code with either route.
+From size 4 on, ``permanent`` solves an optimal assignment and decides
+the layer by a cycle test on the tight edges.  ``oracles.dp_permanent``
+(the memoized row expansion) and ``oracles.brute_permanent`` (the literal
+permutation sum) share no code with it.
 """
 
 import time
@@ -37,7 +36,7 @@ def _draw(rng, n, population):
 
 
 def _mixed_denominators(rng, n):
-    # Every row has its own denominator, so the lcm scaling is exercised.
+    # Every row has its own denominator, so the potentials are Fractions.
     return Mat([
         [rand_scalar(rng, lo=-6, hi=6, zero_p=0.1, denom=d) for _ in range(n)]
         for d in (rng.choice([1, 2, 3, 4, 6]) for _ in range(n))
