@@ -22,7 +22,7 @@ from .exceptions import (
     NotInClosedSpanError,
     ShapeError,
 )
-from .matrices import Mat, Vec, _tagged_combinations, nabla, quasi_identity
+from .matrices import Mat, Vec, _tagged_combinations, nabla
 from .scalars import ghost, tangible
 
 __all__ = [
@@ -94,16 +94,15 @@ def close_base(B):
     a tangible permanent.
     """
     A = _row_matrix(B)
-    I_A, _ = quasi_identity(A)
-    A_B = I_A @ A
-    if not _is_closed(A_B):
+    A_B = A @ nabla(A) @ A
+    if not _is_closed(A_B, nabla(A_B)):
         raise AssertionError("closure is not a fixed point of its own quasi-identity")
     return A_B, A_B.row_list()
 
 
-def _is_closed(A):
-    I_A, _ = quasi_identity(A)
-    return I_A @ A == A
+def _is_closed(A, nb):
+    """Whether the quasi-identity ``A @ nb`` fixes A, for ``nb = nabla(A)``."""
+    return A @ nb @ A == A
 
 
 def dual_base(B):
@@ -114,9 +113,9 @@ def dual_base(B):
     ghost or zero elsewhere; both facts are asserted here.
     """
     A = _row_matrix(B)
-    if not _is_closed(A):
-        raise InvalidInputError("base is not closed; run close_base first")
     nb = nabla(A)
+    if not _is_closed(A, nb):
+        raise InvalidInputError("base is not closed; run close_base first")
     E = nb @ A @ nb
     n = A.rows
     for i in range(n):
@@ -144,12 +143,11 @@ def reconstruct(B, v):
     A = _row_matrix(B)
     if v.dim != A.cols:
         raise ShapeError("vector dimension does not match the base")
-    I_A, _ = quasi_identity(A)
-    if I_A.apply(v) != v:
+    nb = nabla(A)
+    if (A @ nb).apply(v) != v:
         raise NotInClosedSpanError(
             "vector is not a fixed point of the quasi-identity"
         )
-    nb = nabla(A)
     out = A.apply((nb @ A @ nb).apply(v))
     if out != v:
         raise AssertionError("reconstruction missed a fixed point")

@@ -386,23 +386,25 @@ def _perm3(r0, r1, r2):
     return r0[0] * m0 + r0[1] * m1 + r0[2] * m2
 
 
-def _perm_assign(rows):
-    """The permanent as an optimal assignment with a uniqueness test."""
+def _assign(rows):
+    """``(hi, big, cost, u, v, p)`` for an optimal assignment of ``rows``,
+    0-based, or None when no entry is finite: ``cost = hi - weight``, and
+    ``big`` for a zero entry; potentials with ``u[r] + v[c] <= cost[r][c]``,
+    equal on the matching; p[c], the row matched to column c."""
     n = len(rows)
     vals = [[x.value for x in r] for r in rows]
     finite = [w for r in vals for w in r if w is not None]
     if not finite:
-        return ZERO
-    # Minimise hi - weight.  A zero entry costs more than any permutation
-    # of finite entries, so an optimum uses one only when it must.
+        return None
+    # A zero entry costs more than any permutation of finite entries, so
+    # an optimum uses one only when it must.
     hi = max(finite)
     big = n * (hi - min(finite)) + 1
     cost = [[big if w is None else hi - w for w in r] for r in vals]
 
     # Shortest augmenting paths, 1-based, column 0 rooting each search.
-    # Invariant: u[i] + v[j] <= cost, with equality on the matching p
-    # (p[j] is the row matched to column j).  0 <= u <= big and
-    # -big <= v <= 0 throughout, so every reduced cost is below inf.
+    # 0 <= u <= big and -big <= v <= 0 throughout, so every reduced cost
+    # is below inf.
     inf = 2 * big + 1
     u = [0] * (n + 1)
     v = [0] * (n + 1)
@@ -443,31 +445,17 @@ def _perm_assign(rows):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
+    return hi, big, cost, u[1:], v[1:], [r - 1 for r in p[1:]]
 
-    # The optimal term: zero when it needs a zero entry, ghost when it
-    # uses a ghost one.
-    best = ONE
-    for j in cols:
-        best = best * rows[p[j] - 1][j - 1]
-    if not best.is_tangible():
-        return best
 
-    # Every optimal permutation uses tight edges only, so a second one
-    # exists iff the tight edges (i, j) off the matching, read as
-    # i -> p[j], close a cycle.  No cycle passes through a zero entry:
-    # it would give an optimal permutation through one.  Peel off nodes
-    # of in-degree zero.
-    succ = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    for i in cols:
-        ci = cost[i - 1]
-        ui = u[i]
-        for j in cols:
-            k = p[j]
-            if k != i and ci[j - 1] == ui + v[j]:
-                succ[i].append(k)
-                indeg[k] += 1
-    free = [i for i in cols if not indeg[i]]
+def _cyclic(succ):
+    """Whether the digraph with successor lists ``succ`` has a cycle:
+    peel off nodes of in-degree zero until none is left."""
+    indeg = [0] * len(succ)
+    for out in succ:
+        for k in out:
+            indeg[k] += 1
+    free = [i for i, d in enumerate(indeg) if not d]
     peeled = 0
     while free:
         peeled += 1
@@ -475,7 +463,99 @@ def _perm_assign(rows):
             indeg[k] -= 1
             if not indeg[k]:
                 free.append(k)
-    return best.nu() if peeled < n else best
+    return peeled < len(succ)
+
+
+def _perm_assign(rows):
+    """The permanent as an optimal assignment with a uniqueness test."""
+    sol = _assign(rows)
+    if sol is None:
+        return ZERO
+    _, _, cost, u, v, p = sol
+    # The optimal term: zero when it needs a zero entry, ghost when it
+    # uses a ghost one.
+    best = ONE
+    for c, r in enumerate(p):
+        best = best * rows[r][c]
+    if not best.is_tangible():
+        return best
+    # Every optimal permutation uses tight edges only, so a second one
+    # exists iff the tight edges (r, c) off the matching, read as
+    # r -> p[c], close a cycle.  No cycle passes through a zero entry:
+    # it would give an optimal permutation through one.
+    succ = [[] for _ in p]
+    for r, cr in enumerate(cost):
+        for c, k in enumerate(p):
+            if k != r and cr[c] == u[r] + v[c]:
+                succ[r].append(k)
+    return best.nu() if _cyclic(succ) else best
+
+
+def _adjoint_assign(rows):
+    """All minors from one optimal assignment: ``out[i][j]`` is the
+    permanent without row j and column i.  Its optimum flips the shortest
+    path, in reduced costs ``rc``, from the row r0 matched to column i to
+    the column s matched to row j, and costs ``C* - u[j] - v[i] + d(s)``;
+    one Dijkstra from r0 per column i gives d for every j."""
+    n = len(rows)
+    sol = _assign(rows)
+    if sol is None:
+        return [[ZERO] * n for _ in range(n)]
+    hi, big, cost, u, v, p = sol
+    col = sorted(range(n), key=p.__getitem__)  # col[r]: column matched to r
+    rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
+    # off: the entry is ghost or zero; bad counts them on a matching.
+    off = [[not x.is_tangible() for x in r] for r in rows]
+    off_p = sum(off[r][c] for c, r in enumerate(p))
+    base = sum(u) + sum(v)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        # dist[c]: shortest path from r0 to column c, which leads on to
+        # row p[c]; dist[i] = 0 is r0's own label.
+        r0 = p[i]
+        dist = list(rc[r0])
+        pre = [r0] * n
+        others = [c for c in range(n) if c != i]
+        left = list(others)
+        while left:
+            c = min(left, key=dist.__getitem__)
+            left.remove(c)
+            d, r = dist[c], p[c]
+            for c2 in left:
+                if d + rc[r][c2] < dist[c2]:
+                    dist[c2] = d + rc[r][c2]
+                    pre[c2] = r
+        for j in range(n):
+            s = col[j]
+            D = dist[s]
+            m = base - u[j] - v[i] + D
+            if m >= big:
+                out[i][j] = ZERO
+                continue
+            # Flip the path: q is the minor's matching, column to row.
+            q = list(p)
+            bad = off_p - off[j][s]
+            c = s
+            while c != i:
+                r = pre[c]
+                q[c] = r
+                bad += off[r][c] - off[r][col[r]]
+                c = col[r]
+            ghosted = bad > 0
+            if not ghosted:
+                # Potentials u - pi(row), v + pi(column), pi = min(dist, D); a
+                # second optimum closes a cycle of tight edges off q.  No edge
+                # enters row j, so it lies on no cycle.
+                pc = [x if x < D else D for x in dist]
+                pr = [pc[c] for c in col]
+                succ = [[] for _ in q]
+                for r, rr in enumerate(rc):
+                    for c in others:
+                        if q[c] != r and rr[c] + pr[r] == pc[c]:
+                            succ[r].append(q[c])
+                ghosted = _cyclic(succ)
+            out[i][j] = Scalar((n - 1) * hi - m, ghosted)
+    return out
 
 
 def _perm_rows(rows):
@@ -510,6 +590,8 @@ def adjoint(A):
     if n == 1:
         return Mat([[ONE]])
     rows = A.row_tuples
+    if n > 4:
+        return Mat(_adjoint_assign(rows))
     out = [[None] * n for _ in range(n)]
     for j in range(n):
         kept = [rows[r] for r in range(n) if r != j]

@@ -2,7 +2,8 @@
 pinned cases.
 
 From size 4 on, ``permanent`` solves an optimal assignment and decides
-the layer by a cycle test on the tight edges.  ``oracles.dp_permanent``
+the layer by a cycle test on the tight edges; from size 5 on, ``adjoint``
+takes every minor from one assignment of the whole matrix.  ``oracles.dp_permanent``
 (the memoized row expansion) and ``oracles.brute_permanent`` (the literal
 permutation sum) share no code with it.
 """
@@ -71,15 +72,21 @@ def test_matches_brute_oracle():
             assert permanent(A) == brute_permanent(A), A
 
 
+def _checked_adjoint(A):
+    """``adjoint(A)``, checked entry by entry against the DP oracle."""
+    adj = adjoint(A)
+    n = A.rows
+    for i in range(n):
+        for j in range(n):
+            assert adj.entry(i, j) == dp_permanent(_minor(A, j, i)), (A, i, j)
+    return adj
+
+
 def test_adjoint_matches_dp_minors():
     rng = seeded(9)
-    for n in range(2, 9):
-        for k in range(6 if n <= 6 else 2):
-            A = _draw(rng, n, POPULATIONS[k % len(POPULATIONS)])
-            adj = adjoint(A)
-            for i in range(n):
-                for j in range(n):
-                    assert adj.entry(i, j) == dp_permanent(_minor(A, j, i)), (A, i, j)
+    for n in range(2, 13):
+        for k in range(6 if n <= 4 else 10):
+            _checked_adjoint(_draw(rng, n, POPULATIONS[k % len(POPULATIONS)]))
 
 
 def _diagonal_heavy(n, off=0):
@@ -136,6 +143,73 @@ class TestLayer:
 
     def test_all_zero(self, n):
         assert permanent(Mat.zeros(n, n)) == ZERO
+
+
+@pytest.mark.parametrize("n", [5, 6])
+class TestAdjointFromOneAssignment:
+    """From size 5 on, every minor of the adjoint comes from one optimal
+    assignment of the whole matrix and a shortest path per minor.  Entry
+    (i, j) is the minor without row j and column i."""
+
+    def test_unique_minor_inside_a_ghost_permanent(self, n):
+        # The identity and the swap of rows 0 and 1 are both optimal.
+        rows = _diagonal_heavy(n)
+        rows[0][1] = rows[1][0] = T(10)
+        A = Mat(rows)
+        assert permanent(A) == G(10 * n)
+        adj = _checked_adjoint(A)
+        assert adj.entry(0, 0) == T(10 * (n - 1))
+        assert adj.entry(1, 0) == T(10 * (n - 1))
+        assert adj.entry(n - 1, n - 1) == G(10 * (n - 1))
+
+    def test_tied_paths_inside_a_minor_give_a_ghost(self, n):
+        # The identity is the unique optimum, but without row 0 and
+        # column 1, row 1 reaches column 0 directly or through row 2 at
+        # the same cost.
+        rows = _diagonal_heavy(n)
+        rows[1][0] = rows[1][2] = T(5)
+        rows[2][0] = T(10)
+        A = Mat(rows)
+        assert permanent(A) == T(10 * n)
+        adj = _checked_adjoint(A)
+        assert adj.entry(1, 0) == G(10 * n - 15)
+
+    def test_minor_without_a_matched_pair(self, n):
+        # Row j and the column matched to it: the minor keeps the rest of
+        # the optimal permutation and the full potentials.  Rows 0 and
+        # n - 1 keep the diagonal in every optimum.
+        rows = _diagonal_heavy(n)
+        rows[1][2] = rows[2][1] = T(10)
+        adj = _checked_adjoint(Mat(rows))
+        assert adj.entry(0, 0) == G(10 * (n - 1))
+        assert adj.entry(n - 1, n - 1) == G(10 * (n - 1))
+        rows = _diagonal_heavy(n)
+        rows[n - 1][n - 1] = G(10)
+        adj = _checked_adjoint(Mat(rows))
+        assert adj.entry(0, 0) == G(10 * (n - 1))
+        assert adj.entry(n - 1, n - 1) == T(10 * (n - 1))
+
+    def test_minor_that_needs_a_zero_entry(self, n):
+        # Upper triangular: the identity is the only finite permutation.
+        # Without row 0 and column 1, column 0 has no finite entry left.
+        rows = [[T(i + j) if j >= i else ZERO for j in range(n)] for i in range(n)]
+        adj = _checked_adjoint(Mat(rows))
+        assert adj.entry(1, 0) == ZERO
+        assert adj.entry(0, 1) == T(sum(2 * k for k in range(2, n)) + 1)
+        assert adj.entry(2, 2) == T(sum(2 * k for k in range(n)) - 4)
+
+    def test_zero_permanent_with_finite_minors(self, n):
+        rows = _diagonal_heavy(n, off=1)
+        rows[2] = [ZERO] * n
+        A = Mat(rows)
+        assert permanent(A) == ZERO
+        adj = _checked_adjoint(A)
+        assert adj.entry(2, 2) == T(10 * (n - 1))
+        assert adj.entry(0, 2) == T(10 * (n - 2) + 1)
+        assert adj.entry(2, 0) == ZERO
+
+    def test_all_zero(self, n):
+        assert adjoint(Mat.zeros(n, n)) == Mat.zeros(n, n)
 
 
 def _known_optimum_50():

@@ -1,0 +1,162 @@
+"""Run stbench on two checkouts in alternating pairs and summarize.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \\
+        --workloads dense,small_batch,witness,cli --seeds 3001-3010 \\
+        --seconds 10 [--traced dense --trace-seed 3011] --out BENCH_N.json
+
+``--parent`` and ``--change`` are roots of two checkouts, for example a
+``git clone`` of the repository with the parent commit checked out and
+one with the change.  Pair i runs every workload with the i-th seed on
+both sides, each workload's two runs back to back: odd pairs run the
+parent first, even pairs the change first.  Each run is
+
+    python3 stbench/run.py --workload W --seed S --seconds T --trace 0
+
+in the checkout's root, and its last line of standard output is kept as
+it is.  After the pairs, each ``--traced`` workload runs once per side
+with ``--trace 1`` and ``--trace-seed``.
+
+The output file holds every result line, and per workload and
+end-to-end metric of ``BENCHMARK.json`` (read from the parent) each
+side's median and quartiles (``statistics.quantiles(n=4,
+method='inclusive')``), the change's median over the parent's, the
+parent's quartile spread, whether the change's median is within the
+metric's bound, and the pairs the change won (ties count for neither).
+The file is rewritten after every run, so an interrupted session keeps
+what it measured.  Nothing in either checkout is modified; stbench writes
+its own result files under its ``out/`` directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+SIDES = ("parent", "change")
+
+
+def _seeds(text):
+    """``3001-3010`` or ``3001,3005,3007``."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def _commit(root):
+    out = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def _run(root, workload, seed, seconds, trace):
+    cmd = [sys.executable, "stbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    if trace:
+        result["trace_lines"] = lines[:-1]
+    return result
+
+
+def _quartiles(xs):
+    if len(xs) < 2:
+        return {"q1": xs[0], "median": xs[0], "q3": xs[0]}
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def _summary(runs, metrics):
+    """Per-side counts and, per end-to-end metric, quartiles and wins."""
+    done = [r for r in runs if all("metrics" in r[s] for s in SIDES)]
+    out = {key: {s: [r[s][key] for r in done] for s in SIDES}
+           for key in ("attempted", "failed", "correct")}
+    out["pairs"] = len(done)
+    if not done:
+        return out
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        vals = {s: [r[s]["metrics"][name]["value"] for r in done] for s in SIDES}
+        q = {s: _quartiles(vals[s]) for s in SIDES}
+        p, c = q["parent"]["median"], q["change"]["median"]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(vals["parent"], vals["change"]))
+        limit = p * (1 + m["bound"]) if lower else p * (1 - m["bound"])
+        out[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            **q,
+            "change_over_parent": c / p if p else None,
+            "change_wins": f"{wins}/{len(done)}",
+            "parent_iqr": q["parent"]["q3"] - q["parent"]["q1"],
+            "within_bound": c <= limit if lower else c >= limit,
+        }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--workloads", required=True)
+    ap.add_argument("--seeds", required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--traced", default="")
+    ap.add_argument("--trace-seed", type=int)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent, "change": args.change}
+    workloads = args.workloads.split(",")
+    traced = [w for w in args.traced.split(",") if w]
+    if traced and args.trace_seed is None:
+        ap.error("--traced needs --trace-seed")
+    with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    doc = {
+        "command": f"python3 stbench/run.py --workload <w> --seed <seed> "
+                   f"--seconds {args.seconds:g} --trace 0, run from the root of each checkout",
+        "host": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
+        "commits": {s: _commit(roots[s]) for s in SIDES},
+        "order": "pair i uses the i-th seed on both sides; odd pairs run the parent "
+                 "first, even pairs the change; each workload's two runs are back to back",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs of a side",
+        "summary": {},
+        "runs": {w: [] for w in workloads},
+        "traced": {},
+    }
+
+    def save():
+        doc["summary"] = {w: _summary(doc["runs"][w], metrics) for w in workloads}
+        with open(args.out, "w") as f:
+            json.dump(doc, f, indent=1)
+            f.write("\n")
+
+    for k, seed in enumerate(_seeds(args.seeds), 1):
+        order = SIDES if k % 2 else SIDES[::-1]
+        for w in workloads:
+            row = {"pair": k, "seed": seed, "order": ", ".join(order)}
+            for side in order:
+                row[side] = _run(roots[side], w, seed, args.seconds, 0)
+                got = row[side].get("metrics", {}).get("ops_per_s", {}).get("value")
+                print(f"pair {k} seed {seed} {w} {side}: ops_per_s {got}", file=sys.stderr)
+            doc["runs"][w].append(row)
+            save()
+    for w in traced:
+        doc["traced"][w] = {"seed": args.trace_seed}
+        for side in SIDES:
+            doc["traced"][w][side] = _run(roots[side], w, args.trace_seed, args.seconds, 1)
+            save()
+    save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
