@@ -281,10 +281,14 @@ def _symmetry_scan(F, budget, rng, require_nu_match):
     if budget and rng is None:
         rng = random.Random(0)
     grid, extra = _candidate_args(G, rng, budget)
+    Gt = G.transpose()
+    if G == Gt:
+        # x'Gy and y'Gx are the same sum of terms, so no pair can differ;
+        # the samples are still drawn, so the caller's rng ends the same
+        return SymmetryVerdict(True, None, True, len(extra))
     allargs = grid + extra
     # each argument x with its row x'G, so that both evaluation orders of
     # a pair reduce to one dot product each; the pair loop reads tuples
-    Gt = G.transpose()
     args = [x.entries for x in allargs]
     left = [Gt.apply(x).entries for x in allargs]
     m = len(args)

@@ -26,6 +26,18 @@ here is therefore closed under difference chains up to length k-1, which
 is enough because a witness can always be normalized so that its tie graph
 is a forest of depth at most k-1 hanging off the anchors.
 
+The grid is walked depth first, one support member per level, in
+lexicographic tuple order.  Each node carries the prefix sum (the target
+plus the members chosen so far) per coordinate as a value and a ghost
+flag, so a child costs one pass over the coordinates.  In a max-plus sum
+the maximum only grows along a prefix, so a coordinate whose prefix is
+tangible can still turn ghost only if a later member reaches its value.
+A child is dropped when some tangible coordinate lies above the largest
+value the remaining members can put there with their largest candidates;
+at a leaf no member remains, and the same rule is the validity test.
+Only prefixes without a valid completion are dropped, so the solutions
+and their order are those of the full grid.
+
 Saturation raises the coefficients of a dependence as far as validity
 allows.  The constructive route classifies each component of the target as
 either still essential (the target's own value is needed there to make the
@@ -40,7 +52,7 @@ them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .exceptions import InvalidInputError, ShapeError
 from .matrices import (
@@ -53,6 +65,11 @@ from .matrices import (
     solve_max,
 )
 from .scalars import ONE, ZERO, Scalar
+
+# unbound accessors, so that whole vectors are read with map()
+_value = Scalar.value.fget
+_tangible = Scalar.is_tangible
+_ghost = Scalar.is_ghost
 
 __all__ = [
     "DepWitness",
@@ -143,8 +160,19 @@ def projective_normalize(v):
 def _has_nonsingular_minor(rows, k):
     """Whether some k by k submatrix of the row tuples has a tangible
     permanent, trying row sets and then column sets in lexicographic
-    order."""
-    cols = range(len(rows[0]))
+    order.
+
+    A row or column with no tangible entry makes every permanent through
+    it ghost or zero, so such rows go first, then such columns of the
+    rows that are left."""
+    if len(rows[0]) < k:
+        return False
+    rows = [r for r in rows if any(map(_tangible, r))]
+    if len(rows) < k:
+        return False
+    cols = [j for j, col in enumerate(zip(*rows)) if any(map(_tangible, col))]
+    if len(cols) < k:
+        return False
     for picked in combinations(rows, k):
         for ci in combinations(cols, k):
             if _perm_rows([tuple(r[j] for j in ci) for r in picked]).is_tangible():
@@ -178,7 +206,7 @@ def max_rank(S):
 
 
 def _value_rows(vectors, idx):
-    return {i: tuple(x.value for x in vectors[i]) for i in idx}
+    return {i: tuple(map(_value, vectors[i])) for i in idx}
 
 
 def _chain_candidates(rows, target_vals, support):
@@ -249,14 +277,63 @@ def _valid_on_support(vectors, target, support, coeff_scalars):
 
 def _grid_solutions(vectors, target, support):
     """The valid coefficient lists for one support, in candidate-grid
-    (lexicographic tuple) order."""
+    (lexicographic tuple) order: the pruned prefix-sum walk of the module
+    docstring, with an explicit stack so that tiny grids pay little for
+    set-up."""
     rows = _value_rows(vectors, support)
-    tvals = tuple(x.value for x in target) if target is not None else None
+    tvals = tuple(map(_value, target)) if target is not None else None
     cand = _chain_candidates(rows, tvals, support)
-    for tup in product(*(cand[i] for i in support)):
-        cs = [Scalar(v) for v in tup]
-        if _valid_on_support(vectors, target, support, cs):
-            yield cs
+    # per depth: the member's candidates, entry values and ghost flags
+    levels = [(cand[i], rows[i], list(map(_ghost, vectors[i]))) for i in support]
+    s, n = len(levels), len(rows[support[0]])
+    # reach[d][j]: the largest value the members after depth d can give
+    # coordinate j with their largest candidates (None: no entry there)
+    reach = [[None] * n]
+    for dom, row, _ in levels[:0:-1]:
+        here = reach[-1][:]
+        for j, x in enumerate(row):
+            if x is not None and (here[j] is None or x + dom[-1] > here[j]):
+                here[j] = x + dom[-1]
+        reach.append(here)
+    reach.reverse()
+    # the stack, per depth: the prefix sum before the member (values and
+    # ghost flags), the iterator over its candidates and the one chosen
+    maxes, ghosts, its, chosen = [None] * s, [None] * s, [None] * s, [None] * s
+    if target is None:
+        maxes[0], ghosts[0] = [None] * n, [False] * n
+    else:
+        maxes[0], ghosts[0] = list(tvals), list(map(_ghost, target))
+    its[0] = iter(levels[0][0])
+    d = 0
+    while d >= 0:
+        _, row, grow = levels[d]
+        pmx, pgh, nxt = maxes[d], ghosts[d], reach[d]
+        for c in its[d]:
+            mx, gh = pmx[:], pgh[:]
+            for j in range(n):
+                x = row[j]
+                if x is not None:
+                    x += c
+                    m = mx[j]
+                    if m is None or x > m:
+                        mx[j] = m = x
+                        gh[j] = grow[j]
+                    elif x == m:
+                        gh[j] = True
+                else:
+                    m = mx[j]
+                if m is not None and not gh[j] and (nxt[j] is None or nxt[j] < m):
+                    break
+            else:
+                chosen[d] = c
+                if d + 1 == s:
+                    yield [Scalar(v) for v in chosen]
+                else:
+                    d += 1
+                    maxes[d], ghosts[d], its[d] = mx, gh, iter(levels[d][0])
+                    break
+        else:
+            d -= 1
 
 
 def _search_witness(vectors, target, supports=None):

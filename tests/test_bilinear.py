@@ -1,6 +1,8 @@
 """Bilinear form tests: Gram matrices, evaluation, radicals, the
 Gram dependence criterion, and the two symmetry scans."""
 
+import random
+
 import pytest
 
 from supertropical import (
@@ -18,7 +20,13 @@ from supertropical import (
     radical_and_nondegenerate,
     spans,
 )
-from supertropical.bilinear import GramForm, gram_of_dot, gram_of_form
+from supertropical.bilinear import (
+    GramForm,
+    SymmetryVerdict,
+    _candidate_args,
+    gram_of_dot,
+    gram_of_form,
+)
 from supertropical.exceptions import (
     DegenerateSpaceError,
     InvalidInputError,
@@ -235,6 +243,33 @@ class TestGramDependence:
         assert hits >= 40
 
 
+def _full_pair_scan(F, budget, rng, require_nu_match):
+    """Reference symmetry scan: every pair of the library's arguments,
+    both evaluation orders computed with scalar arithmetic."""
+    G_ = F.G
+    for i in range(G_.rows):
+        for j in range(G_.rows):
+            a, b = G_.entry(i, j), G_.entry(j, i)
+            if a.is_ghost0() != b.is_ghost0() or (
+                require_nu_match and not a.is_ghost0() and a.value != b.value
+            ):
+                unit = Mat.identity(G_.rows)
+                return SymmetryVerdict(False, (unit.row(i), unit.row(j)), True, 0)
+    grid, extra = _candidate_args(G_, rng, budget)
+    args = grid + extra
+    applied = [G_.apply(x) for x in args]
+    for a in range(len(args)):
+        for b in range(a, len(args)):
+            e1, e2 = args[a].dot(applied[b]), args[b].dot(applied[a])
+            if (
+                e1.is_zero() != e2.is_zero()
+                or e1.is_ghost() != e2.is_ghost()
+                or (require_nu_match and e1.is_tangible() and e1.value != e2.value)
+            ):
+                return SymmetryVerdict(False, (args[a], args[b]), b < len(grid), len(extra))
+    return SymmetryVerdict(True, None, True, len(extra))
+
+
 class TestSymmetryScans:
     def test_tangible_asymmetric_form_fails(self):
         F = GramForm(mat("0 1\n3 0"))
@@ -285,6 +320,25 @@ class TestSymmetryScans:
                 hits += 1
                 assert is_orthogonal_symmetric(F).consistent
         assert hits >= 20
+
+    def test_symmetric_gram_verdict_matches_full_scan(self):
+        # A symmetric Gram matrix returns without scanning pairs; the
+        # full scan over the same arguments agrees, and a caller's rng
+        # ends in the same state as if the samples were scanned.
+        rng = random.Random(14)
+        for t in range(3000):
+            k = rng.randint(1, 3)
+            lo, hi = (-1, 1) if k == 3 else (-2, 2)
+            A = rand_mat(rng, k, k, lo=lo, hi=hi, zero_p=0.15, ghost_p=0.3)
+            Gm = Mat([[A.entry(min(i, j), max(i, j)) for j in range(k)] for i in range(k)])
+            F = GramForm(Gm)
+            budget, nu = (0, 5)[t % 2], t % 4 >= 2
+            scan = is_supertropically_symmetric if nu else is_orthogonal_symmetric
+            mine = random.Random(t)
+            got = scan(F, budget=budget, rng=mine)
+            ref_rng = random.Random(t)
+            assert got == _full_pair_scan(F, budget, ref_rng, nu), Gm
+            assert mine.getstate() == ref_rng.getstate()
 
     def test_orthogonal_implies_supertropical(self, rng):
         # The surprising converse; the acceptance sweep hits this

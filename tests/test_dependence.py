@@ -24,11 +24,15 @@ from supertropical import (
     sum_saturated,
     sup_witness,
 )
+from supertropical.oracles import brute_permanent
+from supertropical.dependence import _chain_candidates, _grid_solutions, _value_rows
+from supertropical.scalars import Scalar
 from helpers import (
     G,
     T,
     Z,
     mat,
+    rand_mat,
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
@@ -130,6 +134,37 @@ def test_max_rank_bounded_by_dim(rng):
     for _ in range(20):
         S = [rand_vec(rng, 2) for _ in range(rng.randint(1, 4))]
         assert max_rank(S) <= 2
+
+
+def _oracle_rank(A):
+    """Largest k with a k by k submatrix of tangible brute permanent."""
+    for k in range(min(A.shape), 0, -1):
+        for ri in itertools.combinations(range(A.rows), k):
+            for ci in itertools.combinations(range(A.cols), k):
+                if brute_permanent(A.submatrix(ri, ci)).is_tangible():
+                    return k
+    return 0
+
+
+def test_rank_matches_oracle_minors():
+    # ghost-heavy draws exercise the dropped rows and columns
+    rng = seeded(12)
+    for t in range(400):
+        A = rand_mat(rng, rng.randint(1, 4), rng.randint(1, 5),
+                     zero_p=0.15, ghost_p=(0.3, 0.8)[t % 2])
+        r = _oracle_rank(A)
+        assert rank(A) == r, A
+        assert (is_dependent(A.row_list()) is None) == (r == A.rows), A
+
+
+def test_rank_of_ghost_heavy_matrices():
+    ghosts = Mat([[G(i - j) for j in range(9)] for i in range(9)])
+    assert rank(ghosts) == 0
+    one = Mat([[T(4) if (i, j) == (3, 5) else G(i + j) for j in range(9)]
+               for i in range(9)])
+    assert rank(one) == 1
+    # the rows left after the drop still hold ghost-only columns
+    assert rank(mat("0 1v 2v\n1v 2v 3v\n-inf 0v 0")) == 2
 
 
 # -- d-bases -----------------------------------------------------------
@@ -460,3 +495,71 @@ def test_scaling_invariance(rng):
 def test_projective_normalize():
     assert projective_normalize(vec("2 5 -inf")) == vec("0 3 -inf")
     assert projective_normalize(vec("-inf 3v 1")) == vec("-inf 0v -2")
+
+
+# -- the pruned grid walk ----------------------------------------------
+
+def _flat_grid_solutions(vectors, target, support):
+    """Reference for ``_grid_solutions``: the whole candidate grid in
+    product order, each tuple checked with scalar arithmetic."""
+    rows_ = _value_rows(vectors, support)
+    tvals = tuple(x.value for x in target) if target is not None else None
+    cand = _chain_candidates(rows_, tvals, support)
+    out = []
+    for tup in itertools.product(*(cand[i] for i in support)):
+        cs = [Scalar(v) for v in tup]
+        for j in range(vectors[support[0]].dim):
+            acc = target[j] if target is not None else ZERO
+            for i, c in zip(support, cs):
+                acc = acc + c * vectors[i][j]
+            if not acc.is_ghost0():
+                break
+        else:
+            out.append(cs)
+    return out
+
+
+def _walk_matches_flat(S, target):
+    for size in range(1, len(S) + 1):
+        for support in itertools.combinations(range(len(S)), size):
+            got = list(_grid_solutions(S, target, support))
+            assert got == _flat_grid_solutions(S, target, support), (S, target, support)
+
+
+def test_grid_walk_matches_flat_product_small():
+    rng = seeded(9)
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        S = [rand_vec(rng, n, lo=-2, hi=2, zero_p=0.15, ghost_p=0.3)
+             for _ in range(rng.randint(1, 3))]
+        target = rand_vec(rng, n, lo=-2, hi=2) if rng.random() < 0.5 else None
+        _walk_matches_flat(S, target)
+
+
+def test_grid_walk_matches_flat_product_tangible_3x3():
+    # full supports here have grids of hundreds of tuples, where the
+    # pruning drops most prefixes
+    rng = seeded(10)
+    hits = 0
+    for _ in range(12):
+        S = [rand_tangible_vec(rng, 3, lo=-3, hi=5) for _ in range(3)]
+        target = rand_tangible_vec(rng, 3, lo=-3, hi=5) if rng.random() < 0.7 else None
+        _walk_matches_flat(S, target)
+        hits += bool(list(_grid_solutions(S, target, (0, 1, 2))))
+    assert hits >= 3
+
+
+def test_grid_walk_matches_flat_product_halves():
+    rng = seeded(11)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        S = [rand_vec(rng, n, lo=-4, hi=4, denom=2) for _ in range(rng.randint(1, 3))]
+        target = rand_vec(rng, n, lo=-4, hi=4, denom=2) if rng.random() < 0.5 else None
+        _walk_matches_flat(S, target)
+
+
+def test_grid_walk_prunes_a_hopeless_target():
+    # the target's tangible 9 is above anything the member can reach
+    S = [vec("0 0")]
+    assert list(_grid_solutions(S, vec("9 -inf"), (0,))) == []
+    assert list(_grid_solutions(S, vec("9v 0"), (0,))) == [[T(0)]]

@@ -13,15 +13,19 @@ parent first, even pairs the change first.  Each run is
     python3 stbench/run.py --workload W --seed S --seconds T --trace 0
 
 in the checkout's root, and its last line of standard output is kept as
-it is.  After the pairs, each ``--traced`` workload runs once per side
-with ``--trace 1`` and ``--trace-seed``.
+it is, together with the ``sum_s`` and ``median_ms`` of each operation
+class from the run's ``stbench/out/result-<w>-<seed>-trace<t>.json``.
+After the pairs, each ``--traced`` workload runs once per side with
+``--trace 1`` and ``--trace-seed``.
 
 The output file holds every result line, and per workload and
 end-to-end metric of ``BENCHMARK.json`` (read from the parent) each
 side's median and quartiles (``statistics.quantiles(n=4,
 method='inclusive')``), the change's median over the parent's, the
 parent's quartile spread, whether the change's median is within the
-metric's bound, and the pairs the change won (ties count for neither).
+metric's bound, and the pairs the change won (ties count for neither);
+per operation class, each side's median ``sum_s`` and ``median_ms`` over
+its runs, which shows where a workload's time went.
 The file is rewritten after every run, so an interrupted session keeps
 what it measured.  Nothing in either checkout is modified; stbench writes
 its own result files under its ``out/`` directory.
@@ -38,6 +42,7 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+CLASS_KEYS = ("sum_s", "median_ms")
 
 
 def _seeds(text):
@@ -65,6 +70,13 @@ def _run(root, workload, seed, seconds, trace):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     if trace:
         result["trace_lines"] = lines[:-1]
+    path = os.path.join(root, "stbench", "out", f"result-{workload}-{seed}-trace{trace}.json")
+    try:
+        with open(path) as f:
+            classes = json.load(f)["classes"]
+    except (OSError, KeyError, json.JSONDecodeError):
+        return result
+    result["classes"] = {c: {k: row[k] for k in CLASS_KEYS} for c, row in classes.items()}
     return result
 
 
@@ -75,6 +87,16 @@ def _quartiles(xs):
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def _class_medians(rows):
+    """Median of each ``CLASS_KEYS`` value over the runs that have one (a
+    class whose operations all failed has no ``median_ms``)."""
+    out = {}
+    for k in CLASS_KEYS:
+        xs = [row[k] for row in rows if row[k] is not None]
+        out[k] = statistics.median(xs) if xs else None
+    return out
+
+
 def _summary(runs, metrics):
     """Per-side counts and, per end-to-end metric, quartiles and wins."""
     done = [r for r in runs if all("metrics" in r[s] for s in SIDES)]
@@ -83,6 +105,10 @@ def _summary(runs, metrics):
     out["pairs"] = len(done)
     if not done:
         return out
+    rows = {s: [r[s].get("classes", {}) for r in done] for s in SIDES}
+    names = sorted({c for s in SIDES for t in rows[s] for c in t})
+    out["classes"] = {c: {s: _class_medians([t[c] for t in rows[s] if c in t])
+                          for s in SIDES} for c in names}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         vals = {s: [r[s]["metrics"][name]["value"] for r in done] for s in SIDES}

@@ -15,8 +15,12 @@ values -2..2, zero 0.15, ghost 0.3).  The matrix draws come after them,
 from their own seed, so adding them left the family lines as they were:
 square matrices of size 1 to 10, half with tie-heavy values -2..2
 (zero 0.15, ghost 0.3) and half tangible with values -20..20 (zero
-0.05), some of them with halves and thirds.  The whole run takes about
-a minute.
+0.05), some of them with halves and thirds.  The wide draws come last,
+from a third seed: `depends_on`, `saturate` and `saturate_by_sup` on
+tangible 3x3 families with values -3..5 and targets built on all three
+members, and `is_dependent` on four tangible vectors in three
+coordinates, whose candidate grids run to thousands of tuples.  The
+whole run takes one to two minutes.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ DRAWS = 4000
 MATRIX_SEED = 20261019
 MATRIX_DRAWS = 12  # per size
 MATRIX_SIZES = range(1, 11)
+WIDE_SEED = 20261020
+WIDE_DRAWS = 150
 
 
 def scalar(rng, tangible_only=False):
@@ -192,6 +198,25 @@ def matrix_draw(rng, n, out):
     out.append(("rank", lambda: rank(A)))
 
 
+def wide_draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded draw on wider grids:
+    a tangible 3x3 family with values -3..5 and a target built on all
+    three members, and four tangible vectors in three coordinates."""
+    def wide(k):
+        return [Vec([tangible(rng.randint(-3, 5)) for _ in range(3)]) for _ in range(k)]
+
+    S = wide(3)
+    c = [tangible(rng.randint(-3, 5)) for _ in range(3)]
+    v = Vec([(c[0] * S[0][j] + c[1] * S[1][j] + c[2] * S[2][j]).nu_hat() for j in range(3)])
+    w = depends_on(v, S)
+    out.append(("depends_on", lambda: w))
+    if w is not None:
+        out.append(("saturate", lambda: saturate(v, S, w)))
+        out.append(("saturate_by_sup", lambda: saturate_by_sup(v, S, w)))
+    F = wide(4)
+    out.append(("is_dependent 4x3", lambda: is_dependent(F)))
+
+
 def _raise(exc):
     raise exc
 
@@ -214,6 +239,9 @@ def draws():
     for n in MATRIX_SIZES:
         for d in range(MATRIX_DRAWS):
             yield f"m{n}.{d}", lambda out, n=n: matrix_draw(mrng, n, out)
+    wrng = random.Random(WIDE_SEED)
+    for d in range(WIDE_DRAWS):
+        yield f"w{d}", lambda out: wide_draw(wrng, out)
 
 
 def main():
