@@ -164,12 +164,15 @@ def _has_nonsingular_minor(rows, k):
 
     A row or column with no tangible entry makes every permanent through
     it ghost or zero, so such rows go first, then such columns of the
-    rows that are left."""
+    rows that are left.  A kept row's tangible entry is a nonsingular
+    1 by 1 minor."""
     if len(rows[0]) < k:
         return False
     rows = [r for r in rows if any(map(_tangible, r))]
     if len(rows) < k:
         return False
+    if k == 1:
+        return True
     cols = [j for j, col in enumerate(zip(*rows)) if any(map(_tangible, col))]
     if len(cols) < k:
         return False

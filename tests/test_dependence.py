@@ -24,8 +24,8 @@ from supertropical import (
     sum_saturated,
     sup_witness,
 )
-from supertropical.oracles import brute_permanent
 from supertropical.dependence import _chain_candidates, _grid_solutions, _value_rows
+from supertropical.oracles import brute_permanent
 from supertropical.scalars import Scalar
 from helpers import (
     G,
