@@ -292,7 +292,7 @@ def _grid_solutions(vectors, target, support):
     # reach[d][j]: the largest value the members after depth d can give
     # coordinate j with their largest candidates (None: no entry there)
     reach = [[None] * n]
-    for dom, row, _ in levels[:0:-1]:
+    for dom, row, _ in reversed(levels[1:]):
         here = reach[-1][:]
         for j, x in enumerate(row):
             if x is not None and (here[j] is None or x + dom[-1] > here[j]):
