@@ -33,10 +33,17 @@ flag, so a child costs one pass over the coordinates.  In a max-plus sum
 the maximum only grows along a prefix, so a coordinate whose prefix is
 tangible can still turn ghost only if a later member reaches its value.
 A child is dropped when some tangible coordinate lies above the largest
-value the remaining members can put there with their largest candidates;
-at a leaf no member remains, and the same rule is the validity test.
+value the remaining members can put there with their largest candidates.
+The last member is not tried candidate by candidate: with m the prefix
+value and x its entry at a coordinate, a tangible prefix forces the tie
+c = m - x under a tangible entry and needs c >= m - x under a ghost one,
+a ghost prefix needs c <= m - x under a tangible entry, and a tangible
+prefix with no entry or a zero prefix under a tangible entry leaves
+nothing.  So its valid values are one slice of its sorted candidates.
 Only prefixes without a valid completion are dropped, so the solutions
-and their order are those of the full grid.
+and their order are those of the full grid; the walk can also take
+each member's candidates largest first, which gives the same solutions
+in reverse order.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows.  The constructive route classifies each component of the target as
@@ -44,13 +51,18 @@ either still essential (the target's own value is needed there to make the
 sum ghost) or dominated, takes the valid grid assignments minimizing the
 number of essential components, folds their pointwise supremum into the
 target for the coefficients it pins down, and recurses on the rest.  A
-second, independent route simply takes the pointwise supremum of every
-valid same-support grid assignment; the two must agree and tests hold
-them to that.
+second, independent route takes the greatest valid same-support grid
+assignment.  Valid assignments are closed under the coordinatewise join
+(``sup_witness``), and the coordinatewise maximum of grid values is a
+grid value, so the supremum of every valid grid assignment is itself
+one: the greatest, and so the lexicographic maximum, which the walk
+taken largest first meets before any other.  The two routes must agree
+and tests hold them to that.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -212,6 +224,17 @@ def _value_rows(vectors, idx):
     return {i: tuple(map(_value, vectors[i])) for i in idx}
 
 
+def _grid_tables(vectors, target, idx):
+    """What the grid walk reads of a family: the entry values and ghost
+    flags of the members in ``idx`` (dicts by index), and the target's
+    values and ghost flags (None without a target)."""
+    rows = _value_rows(vectors, idx)
+    flags = {i: tuple(map(_ghost, vectors[i])) for i in idx}
+    if target is None:
+        return rows, flags, None, None
+    return rows, flags, list(map(_value, target)), list(map(_ghost, target))
+
+
 def _chain_candidates(rows, target_vals, support):
     """Per-index candidate coefficient values for one support.
 
@@ -278,17 +301,57 @@ def _valid_on_support(vectors, target, support, coeff_scalars):
     return True
 
 
-def _grid_solutions(vectors, target, support):
+def _last_values(dom, row, grow, mx, gh):
+    """The slice of the sorted candidates ``dom`` that completes the prefix
+    sum (values ``mx``, ghost flags ``gh``) to a ghost or zero sum, for a
+    last member with entry values ``row`` and ghost flags ``grow``.
+
+    Per coordinate, with m the prefix value and x the entry: a tangible
+    prefix and a tangible entry force c = m - x, a tangible prefix and a
+    ghost entry need c >= m - x, a ghost prefix and a tangible entry need
+    c <= m - x, and a tangible prefix with no entry or a zero prefix with a
+    tangible entry allow nothing."""
+    lo = hi = None
+    for x, g, m, mg in zip(row, grow, mx, gh):
+        if x is None:
+            if m is not None and not mg:
+                return []
+        elif not g:
+            if m is None:
+                return []
+            t = m - x
+            if hi is None or t < hi:
+                hi = t
+            if not mg and (lo is None or t > lo):
+                lo = t
+        elif m is not None and not mg and (lo is None or m - x > lo):
+            lo = m - x
+    return dom[
+        0 if lo is None else bisect_left(dom, lo):
+        len(dom) if hi is None else bisect_right(dom, hi)
+    ]
+
+
+def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
     """The valid coefficient lists for one support, in candidate-grid
-    (lexicographic tuple) order: the pruned prefix-sum walk of the module
-    docstring, with an explicit stack so that tiny grids pay little for
-    set-up."""
-    rows = _value_rows(vectors, support)
-    tvals = tuple(map(_value, target)) if target is not None else None
+    (lexicographic tuple) order, or in the reverse order when
+    ``descending``: the pruned prefix-sum walk of the module docstring,
+    with an explicit stack so that tiny grids pay little for set-up, and
+    the last member's values read off the prefix sum by ``_last_values``.
+    ``tables`` is ``_grid_tables`` of the family, for a caller that walks
+    several supports of it."""
+    rows, flags, tvals, tflags = tables or _grid_tables(vectors, target, support)
     cand = _chain_candidates(rows, tvals, support)
     # per depth: the member's candidates, entry values and ghost flags
-    levels = [(cand[i], rows[i], list(map(_ghost, vectors[i]))) for i in support]
-    s, n = len(levels), len(rows[support[0]])
+    levels = [(cand[i], rows[i], flags[i]) for i in support]
+    last, n = len(levels) - 1, len(rows[support[0]])
+    start = ([None] * n, [False] * n) if tvals is None else (tvals, tflags)
+    if not last:
+        found = _last_values(*levels[0], *start)
+        for c in found[::-1] if descending else found:
+            yield [Scalar(c)]
+        return
+    order = reversed if descending else iter
     # reach[d][j]: the largest value the members after depth d can give
     # coordinate j with their largest candidates (None: no entry there)
     reach = [[None] * n]
@@ -299,14 +362,12 @@ def _grid_solutions(vectors, target, support):
                 here[j] = x + dom[-1]
         reach.append(here)
     reach.reverse()
-    # the stack, per depth: the prefix sum before the member (values and
-    # ghost flags), the iterator over its candidates and the one chosen
-    maxes, ghosts, its, chosen = [None] * s, [None] * s, [None] * s, [None] * s
-    if target is None:
-        maxes[0], ghosts[0] = [None] * n, [False] * n
-    else:
-        maxes[0], ghosts[0] = list(tvals), list(map(_ghost, target))
-    its[0] = iter(levels[0][0])
+    # the stack over the members before the last, per depth: the prefix
+    # sum before the member (values and ghost flags), the iterator over
+    # its candidates and the one chosen
+    maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
+    maxes[0], ghosts[0] = start
+    its[0] = order(levels[0][0])
     d = 0
     while d >= 0:
         _, row, grow = levels[d]
@@ -329,12 +390,15 @@ def _grid_solutions(vectors, target, support):
                     break
             else:
                 chosen[d] = c
-                if d + 1 == s:
-                    yield [Scalar(v) for v in chosen]
-                else:
+                if d + 1 < last:
                     d += 1
-                    maxes[d], ghosts[d], its[d] = mx, gh, iter(levels[d][0])
+                    maxes[d], ghosts[d], its[d] = mx, gh, order(levels[d][0])
                     break
+                found = _last_values(*levels[last], mx, gh)
+                if found:
+                    head = [Scalar(v) for v in chosen]
+                    for t in found[::-1] if descending else found:
+                        yield head + [Scalar(t)]
         else:
             d -= 1
 
@@ -345,8 +409,9 @@ def _search_witness(vectors, target, supports=None):
     support is always irredundant: every proper sub-support was already
     tried and failed."""
     k = len(vectors)
+    tables = _grid_tables(vectors, target, range(k))
     for support in supports if supports is not None else _iter_supports(k):
-        for cs in _grid_solutions(vectors, target, support):
+        for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
     return None
 
@@ -577,15 +642,19 @@ def _saturate_fast(v, S):
 
 
 def saturate_by_sup(v, S, w):
-    """Independent second route to the saturated witness: the pointwise
-    supremum of every valid same-support assignment on the candidate
-    grid."""
+    """Independent second route to the saturated witness: the greatest
+    valid same-support assignment on the candidate grid.
+
+    Valid assignments are closed under the coordinatewise join, so the
+    pointwise supremum of all of them is valid and is the greatest one;
+    it is the first solution of the grid walk taken largest first, and
+    no other assignment is listed."""
     S = _family(S, v)
     _check_saturate_inputs(v, S, w)
-    assignments = list(_grid_solutions(S, v, w.support))
-    if not assignments:
+    sup = next(_grid_solutions(S, v, w.support, descending=True), None)
+    if sup is None:
         raise AssertionError("a valid witness must exist on the grid")
-    out = _witness_of(len(S), w.support, _sup_assignment(assignments), v)
+    out = _witness_of(len(S), w.support, sup, v)
     if not out.is_valid(S):
         raise AssertionError("supremum witness failed re-verification")
     return out

@@ -24,7 +24,12 @@ from supertropical import (
     sum_saturated,
     sup_witness,
 )
-from supertropical.dependence import _chain_candidates, _grid_solutions, _value_rows
+from supertropical.dependence import (
+    _chain_candidates,
+    _grid_solutions,
+    _sup_assignment,
+    _value_rows,
+)
 from supertropical.oracles import brute_permanent
 from supertropical.scalars import Scalar
 from helpers import (
@@ -563,3 +568,45 @@ def test_grid_walk_prunes_a_hopeless_target():
     S = [vec("0 0")]
     assert list(_grid_solutions(S, vec("9 -inf"), (0,))) == []
     assert list(_grid_solutions(S, vec("9v 0"), (0,))) == [[T(0)]]
+
+
+def test_descending_walk_starts_at_the_supremum():
+    # valid assignments on one support are closed under the coordinatewise
+    # join, so the supremum of all of them is the greatest one and the
+    # descending walk meets it first
+    rng = seeded(12)
+    hits = 0
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        denom = rng.choice((1, 2))
+        S = [rand_vec(rng, n, lo=-3, hi=3, denom=denom) for _ in range(rng.randint(1, 3))]
+        target = rand_vec(rng, n, lo=-3, hi=3, denom=denom) if rng.random() < 0.7 else None
+        for size in range(1, len(S) + 1):
+            for support in itertools.combinations(range(len(S)), size):
+                up = list(_grid_solutions(S, target, support))
+                down = list(_grid_solutions(S, target, support, descending=True))
+                assert down == up[::-1], (S, target, support)
+                flat = _flat_grid_solutions(S, target, support)
+                if flat:
+                    hits += 1
+                    assert down[0] == _sup_assignment(flat), (S, target, support)
+    assert hits > 1000, hits
+
+
+@pytest.mark.parametrize("member, target, want", [
+    # tangible target, tangible entry: the tie value only
+    ("0 0", "3 5v", [3]),
+    # tangible target, ghost entry: the tie value or more
+    ("0v 0v", "2 4v", [2, 4]),
+    # ghost target, tangible entry: the tie value or less
+    ("0 0v", "2v 4v", [0, 2]),
+    # a tangible target where the member has no entry, and a zero target
+    # over a tangible entry: nothing
+    ("-inf 0v", "1 3v", []),
+    ("0 1v", "-inf 3", []),
+])
+def test_last_member_values_in_closed_form(member, target, want):
+    S, t = [vec(member)], vec(target)
+    assert _flat_grid_solutions(S, t, (0,)) == [[T(c)] for c in want]
+    assert list(_grid_solutions(S, t, (0,))) == [[T(c)] for c in want]
+    assert list(_grid_solutions(S, t, (0,), descending=True)) == [[T(c)] for c in want[::-1]]
