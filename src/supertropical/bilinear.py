@@ -27,6 +27,7 @@ from .exceptions import DegenerateSpaceError, InvalidInputError, ShapeError
 from .matrices import (
     Mat,
     Vec,
+    _dot_value_ghost,
     _family,
     _tagged_combinations,
     is_nonsingular,
@@ -218,22 +219,6 @@ def _entry_diff_values(G):
         vals.add(0)
     vals.add(min(vals) - 1)
     return sorted(vals)
-
-
-def _dot_value_ghost(row, x):
-    """Value and ghostness of row . x without building a Scalar."""
-    best = None
-    best_ghost = False
-    for r, c in zip(row, x):
-        if r.is_zero() or c.is_zero():
-            continue
-        v = r.value + c.value
-        g = r.is_ghost() or c.is_ghost()
-        if best is None or v > best:
-            best, best_ghost = v, g
-        elif v == best:
-            best_ghost = True
-    return best, best_ghost
 
 
 def _candidate_args(G, rng, budget):

@@ -117,11 +117,9 @@ def dual_base(B):
     if not _is_closed(A, nb):
         raise InvalidInputError("base is not closed; run close_base first")
     E = nb @ A @ nb
-    n = A.rows
-    for i in range(n):
-        row = E.row(i)
-        for j in range(n):
-            val = row.dot(A.col(j))
+    # Functional i evaluated on column j of A is entry (i, j) of E A.
+    for i, evals in enumerate((E @ A).row_tuples):
+        for j, val in enumerate(evals):
             if i == j:
                 if not val.is_tangible0():
                     raise AssertionError(
@@ -131,7 +129,7 @@ def dual_base(B):
                 raise AssertionError(
                     f"functional {i} is tangible on foreign vector {j}"
                 )
-    return [Functional(E.row(i)) for i in range(n)]
+    return [Functional(row) for row in E.row_list()]
 
 
 def reconstruct(B, v):

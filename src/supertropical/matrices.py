@@ -17,6 +17,32 @@ and is the only optimal one.  Every optimal permutation uses only
 tight edges, where the potentials sum to the weight, so a second one
 exists exactly when the tight edges off the optimal permutation close a
 cycle.
+
+Products go through one kernel, ``_dot_value_ghost``, which works on the
+values and ghost flags of the entries and builds no Scalar: the result
+is the largest sum of two values, ghost when a ghost term reaches it or
+two terms tie at it, and zero when no term is finite.  ``_dot`` makes
+the one Scalar of an output entry from it, with a Fraction of
+denominator 1 turned into an int as in Scalar multiplication.
+``Mat @ Mat``, ``Mat.apply`` and ``Vec.dot`` use ``_dot``, and the
+symmetry scan of :mod:`supertropical.bilinear` uses the kernel itself.
+Results the library built itself become a Mat or Vec through ``_mat``
+and ``_vec``, which skip the entry checks of the public constructors.
+
+``adjoint``, ``nabla`` and ``quasi_identity`` get the permanent and the
+adjoint from one helper, ``_perm_adjoint``.  From size 5 on it solves
+one assignment: the permanent's cycle test and every minor come from
+it, and nabla's entries are built already divided by the permanent.
+The minor without row j and column i flips a shortest path that starts
+at the row matched to column i.  One Dijkstra per column i gives the
+distances ``dist``, and the minor's potentials are those of the whole
+matrix shifted by ``min(dist, D)``, where D is the distance of the
+column matched to row j.  For an edge from a row at distance a to a
+column at distance b with reduced cost rc, Dijkstra leaves
+``b <= a + rc``, so the edge is tight in the minor exactly when
+``rc == 0`` and ``D <= b``, or ``rc + a == b`` and ``D >= b``.  Both
+lists are built once per column i, and each minor reads its tight edges
+off them for the cycle test.
 """
 
 from __future__ import annotations
@@ -24,7 +50,9 @@ from __future__ import annotations
 from itertools import product
 
 from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _made
+
+_new = object.__new__
 
 __all__ = [
     "Vec",
@@ -43,12 +71,31 @@ __all__ = [
 ]
 
 
-def _dot(row, col):
-    """The max-plus dot product of two scalar tuples of equal length."""
-    acc = ZERO
+def _dot_value_ghost(row, col):
+    """Value and ghost flag of the max-plus dot product of two scalar
+    sequences, without building a Scalar: the largest ``a + b`` of the
+    values, ghost when a ghost term reaches it or two terms tie at it;
+    ``(None, False)`` when no term is finite."""
+    best = None
+    ghost = False
     for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+        av = a._v
+        bv = b._v
+        if av is None or bv is None:
+            continue
+        v = av + bv
+        if best is None or v > best:
+            best = v
+            ghost = a._g or b._g
+        elif v == best:
+            ghost = True
+    return best, ghost
+
+
+def _dot(row, col):
+    """The max-plus dot product of two scalar sequences of equal length."""
+    v, g = _dot_value_ghost(row, col)
+    return ZERO if v is None else _made(v, g)
 
 
 def _as_scalar_tuple(entries):
@@ -57,6 +104,22 @@ def _as_scalar_tuple(entries):
         if not isinstance(x, Scalar):
             raise TypeError(f"expected Scalar entries, got {type(x).__name__}")
     return t
+
+
+def _vec(entries):
+    """A Vec of a nonempty scalar tuple the library built itself, unchecked."""
+    w = _new(Vec)
+    w._e = entries
+    return w
+
+
+def _mat(rows):
+    """A Mat of nonempty, equally long scalar row tuples the library built
+    itself, unchecked."""
+    m = _new(Mat)
+    m._r = rows
+    m._shape = (len(rows), len(rows[0]))
+    return m
 
 
 class Vec:
@@ -96,10 +159,10 @@ class Vec:
     def __rmul__(self, alpha):
         if not isinstance(alpha, Scalar):
             return NotImplemented
-        return Vec(alpha * x for x in self._e)
+        return self.scale(alpha)
 
     def scale(self, alpha):
-        return Vec(alpha * x for x in self._e)
+        return _vec(tuple([alpha * x for x in self._e]))
 
     def dot(self, other):
         if len(self._e) != len(other._e):
@@ -226,13 +289,13 @@ class Mat:
         return self._r[i][j]
 
     def row(self, i):
-        return Vec(self._r[i])
+        return _vec(self._r[i])
 
     def col(self, j):
-        return Vec(r[j] for r in self._r)
+        return _vec(tuple([r[j] for r in self._r]))
 
     def row_list(self):
-        return [Vec(r) for r in self._r]
+        return [_vec(r) for r in self._r]
 
     def col_list(self):
         return [self.col(j) for j in range(self.cols)]
@@ -244,7 +307,7 @@ class Mat:
         return Mat([[self._r[i][j] for j in col_idx] for i in row_idx])
 
     def transpose(self):
-        return Mat(list(zip(*self._r)))
+        return _mat(tuple(zip(*self._r)))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -270,7 +333,7 @@ class Mat:
                 f"cannot multiply {self._shape} by {other._shape}"
             )
         bt = tuple(zip(*other._r))
-        return Mat([[_dot(ra, cb) for cb in bt] for ra in self._r])
+        return _mat(tuple([tuple([_dot(ra, cb) for cb in bt]) for ra in self._r]))
 
     def __rmul__(self, alpha):
         if not isinstance(alpha, Scalar):
@@ -278,7 +341,7 @@ class Mat:
         return self.scale(alpha)
 
     def scale(self, alpha):
-        return Mat([[alpha * x for x in r] for r in self._r])
+        return _mat(tuple([tuple([alpha * x for x in r]) for r in self._r]))
 
     def apply(self, v):
         """Matrix times column vector."""
@@ -288,7 +351,7 @@ class Mat:
             ve = _as_scalar_tuple(v)
         if self.cols != len(ve):
             raise ShapeError(f"cannot apply {self._shape} to a {len(ve)}-vector")
-        return Vec([_dot(r, ve) for r in self._r])
+        return _vec(tuple([_dot(r, ve) for r in self._r]))
 
     def nu(self):
         return Mat([[x.nu() for x in r] for r in self._r])
@@ -466,9 +529,9 @@ def _cyclic(succ):
     return peeled < len(succ)
 
 
-def _perm_assign(rows):
-    """The permanent as an optimal assignment with a uniqueness test."""
-    sol = _assign(rows)
+def _perm_of(rows, sol):
+    """The permanent of ``rows`` from their optimal assignment
+    ``sol = _assign(rows)``, with a uniqueness test."""
     if sol is None:
         return ZERO
     _, _, cost, u, v, p = sol
@@ -491,23 +554,25 @@ def _perm_assign(rows):
     return best.nu() if _cyclic(succ) else best
 
 
-def _adjoint_assign(rows):
-    """All minors from one optimal assignment: ``out[i][j]`` is the
-    permanent without row j and column i.  Its optimum flips the shortest
-    path, in reduced costs ``rc``, from the row r0 matched to column i to
-    the column s matched to row j, and costs ``C* - u[j] - v[i] + d(s)``;
-    one Dijkstra from r0 per column i gives d for every j."""
+def _adjoint_assign(rows, sol, shift):
+    """All minors from one optimal assignment ``sol = _assign(rows)``,
+    each less ``shift``: ``out[i][j]`` is the permanent without row j and
+    column i.  Its optimum flips the shortest path, in reduced costs
+    ``rc``, from the row r0 matched to column i to the column s matched
+    to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
+    per column i gives d for every j."""
     n = len(rows)
-    sol = _assign(rows)
     if sol is None:
-        return [[ZERO] * n for _ in range(n)]
+        return ((ZERO,) * n,) * n
     hi, big, cost, u, v, p = sol
     col = sorted(range(n), key=p.__getitem__)  # col[r]: column matched to r
     rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
+    zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
     # off: the entry is ghost or zero; bad counts them on a matching.
     off = [[not x.is_tangible() for x in r] for r in rows]
     off_p = sum(off[r][c] for c, r in enumerate(p))
     base = sum(u) + sum(v)
+    top = (n - 1) * hi - shift
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         # dist[c]: shortest path from r0 to column c, which leads on to
@@ -525,6 +590,17 @@ def _adjoint_assign(rows):
                 if d + rc[r][c2] < dist[c2]:
                     dist[c2] = d + rc[r][c2]
                     pre[c2] = r
+        # The minor without row j has potentials u - pi(row), v + pi(column),
+        # pi = min(dist, D) with D = dist[col[j]], so edge (r, c) is tight
+        # when min(a, D) + rc == min(b, D), for a = dist[col[r]] and
+        # b = dist[c].  Dijkstra leaves b <= a + rc, so that holds exactly
+        # when rc == 0 and D <= min(a, b) = b (flat), or rc + a == b and
+        # D >= b (path).  An edge on both lists is tight for every D.
+        flat = [(dist[c], r, c) for r, c in zeros if c != i]
+        path = []
+        for r, rr in enumerate(rc):
+            a = dist[col[r]]
+            path += [(dist[c], r, c) for c in others if rr[c] + a == dist[c]]
         for j in range(n):
             s = col[j]
             D = dist[s]
@@ -543,19 +619,18 @@ def _adjoint_assign(rows):
                 c = col[r]
             ghosted = bad > 0
             if not ghosted:
-                # Potentials u - pi(row), v + pi(column), pi = min(dist, D); a
-                # second optimum closes a cycle of tight edges off q.  No edge
-                # enters row j, so it lies on no cycle.
-                pc = [x if x < D else D for x in dist]
-                pr = [pc[c] for c in col]
+                # A second optimum closes a cycle of tight edges off q.  No
+                # edge enters row j, so it lies on no cycle.
                 succ = [[] for _ in q]
-                for r, rr in enumerate(rc):
-                    for c in others:
-                        if q[c] != r and rr[c] + pr[r] == pc[c]:
-                            succ[r].append(q[c])
+                for b, r, c in flat:
+                    if D <= b and q[c] != r:
+                        succ[r].append(q[c])
+                for b, r, c in path:
+                    if D >= b and q[c] != r:
+                        succ[r].append(q[c])
                 ghosted = _cyclic(succ)
-            out[i][j] = Scalar((n - 1) * hi - m, ghosted)
-    return out
+            out[i][j] = _made(top - m, ghosted)
+    return tuple(map(tuple, out))
 
 
 def _perm_rows(rows):
@@ -566,7 +641,41 @@ def _perm_rows(rows):
         return _perm2(*rows)
     if n == 3:
         return _perm3(*rows)
-    return _perm_assign(rows)
+    return _perm_of(rows, _assign(rows))
+
+
+def _perm_adjoint(rows, divide=False):
+    """``(per, adj)`` for square ``rows``: the permanent, and the adjoint
+    as row tuples.  With ``divide`` every adjoint entry comes divided by
+    the permanent, which gives nabla, and ``adj`` is None when the
+    permanent is not tangible.
+
+    From size 5 on both come from one optimal assignment.  Below that
+    the minors are unrolled permanents, and the permanent is their
+    Laplace expansion along row 0."""
+    n = len(rows)
+    if n > 4:
+        sol = _assign(rows)
+        per = _perm_of(rows, sol)
+        if divide and not per.is_tangible():
+            return per, None
+        return per, _adjoint_assign(rows, sol, per._v if divide else 0)
+    if n == 1:
+        adj = ((ONE,),)
+    else:
+        out = [[None] * n for _ in range(n)]
+        for j in range(n):
+            kept = [rows[r] for r in range(n) if r != j]
+            for i in range(n):
+                minor = [tuple(x for c, x in enumerate(r) if c != i) for r in kept]
+                out[i][j] = _perm_rows(minor)
+        adj = tuple(map(tuple, out))
+    per = _dot(rows[0], [r[0] for r in adj])
+    if not divide:
+        return per, adj
+    if not per.is_tangible():
+        return per, None
+    return per, tuple(tuple([x / per for x in r]) for r in adj)
 
 
 def permanent(A):
@@ -586,19 +695,7 @@ def adjoint(A):
     row j and column i removed.  For a 1x1 matrix this is [[one]]."""
     if not A.is_square():
         raise ShapeError("adjoint requires a square matrix")
-    n = A.rows
-    if n == 1:
-        return Mat([[ONE]])
-    rows = A.row_tuples
-    if n > 4:
-        return Mat(_adjoint_assign(rows))
-    out = [[None] * n for _ in range(n)]
-    for j in range(n):
-        kept = [rows[r] for r in range(n) if r != j]
-        for i in range(n):
-            minor = [tuple(x for c, x in enumerate(r) if c != i) for r in kept]
-            out[i][j] = _perm_rows(minor)
-    return Mat(out)
+    return _mat(_perm_adjoint(A.row_tuples)[1])
 
 
 def nabla(A):
@@ -607,10 +704,12 @@ def nabla(A):
     Only defined when the permanent is tangible (the matrix is
     nonsingular); otherwise raises SingularMatrixError.
     """
-    p = permanent(A)
-    if not p.is_tangible():
+    if not A.is_square():
+        raise ShapeError("permanent requires a square matrix")
+    p, nb = _perm_adjoint(A.row_tuples, divide=True)
+    if nb is None:
         raise SingularMatrixError(f"permanent is {p}, not tangible")
-    return adjoint(A).scale(ONE / p)
+    return _mat(nb)
 
 
 def quasi_identity(A):

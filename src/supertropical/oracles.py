@@ -30,11 +30,12 @@ def brute_permanent(A):
     if n > _MAX_PERM:
         raise InvalidInputError(f"brute permanent capped at n={_MAX_PERM}")
     total = ZERO
-    for pi in permutations(range(n)):
-        term = None
-        for i in range(n):
-            x = A.entry(pi[i], i)
-            term = x if term is None else term * x
+    cols = range(1, n)
+    for picked in permutations(A.row_tuples):
+        # picked[c] is the row whose entry in column c joins the term
+        term = picked[0][0]
+        for c in cols:
+            term = term * picked[c][c]
         total = total + term
     return total
 

@@ -306,6 +306,18 @@ class Scalar:
         return str(self)
 
 
+def _made(v, g):
+    """The nonzero scalar of a value the library computed itself, with
+    ghost flag ``g``: no checks, and a Fraction with denominator 1 becomes
+    an int, as in :meth:`Scalar.__mul__`."""
+    if type(v) is not int and v.denominator == 1:
+        v = int(v)
+    s = _new(Scalar)
+    s._v = v
+    s._g = g
+    return s
+
+
 ZERO = Scalar()
 ONE = Scalar(0)
 E = Scalar(0, True)

@@ -49,6 +49,19 @@ def rows(text):
 
 # -- random generation -------------------------------------------------
 
+# (lo, hi, zero_p, ghost_p, denom) for ``rand_scalar``: tie-heavy, sparse,
+# ghost-heavy and fractional populations.
+POPULATIONS = [
+    (-1, 1, 0.0, 0.0, 1),
+    (-1, 1, 0.2, 0.2, 1),
+    (-3, 5, 0.1, 0.3, 1),
+    (-3, 5, 0.5, 0.0, 1),
+    (0, 2, 0.3, 0.1, 1),
+    (-4, 4, 0.1, 0.1, 2),
+    (-6, 6, 0.2, 0.2, 3),
+]
+
+
 def rand_scalar(rng, lo=-3, hi=5, zero_p=0.15, ghost_p=0.3, denom=1):
     if rng.random() < zero_p:
         return ZERO

@@ -16,19 +16,7 @@ from supertropical import ZERO, Mat, adjoint, nabla, permanent, quasi_identity
 from supertropical.exceptions import InvalidInputError, ShapeError
 from supertropical.oracles import brute_permanent, dp_permanent
 
-from helpers import G, T, rand_mat, rand_scalar, seeded
-
-# (lo, hi, zero_p, ghost_p, denom): tie-heavy, sparse, ghost-heavy and
-# fractional populations.
-POPULATIONS = [
-    (-1, 1, 0.0, 0.0, 1),
-    (-1, 1, 0.2, 0.2, 1),
-    (-3, 5, 0.1, 0.3, 1),
-    (-3, 5, 0.5, 0.0, 1),
-    (0, 2, 0.3, 0.1, 1),
-    (-4, 4, 0.1, 0.1, 2),
-    (-6, 6, 0.2, 0.2, 3),
-]
+from helpers import POPULATIONS, G, T, mat, rand_mat, rand_scalar, seeded
 
 
 def _draw(rng, n, population):
@@ -210,6 +198,36 @@ class TestAdjointFromOneAssignment:
 
     def test_all_zero(self, n):
         assert adjoint(Mat.zeros(n, n)) == Mat.zeros(n, n)
+
+
+class TestAdjointTightEdges:
+    """The minor without row j and column i shifts the potentials of the
+    whole matrix by pi = min(dist, D), where dist comes from the shortest
+    paths out of column i and D is the distance of the column matched to
+    row j.  An edge with reduced cost rc, from a row at distance a to a
+    column at distance b, is then tight exactly when rc == 0 and D <= b,
+    or rc + a == b and D >= b."""
+
+    def test_zero_reduced_cost_edge_cut_by_the_cap(self):
+        # Entry (1, 4): D = 1, and the zero-cost edges out of rows 3 and 4
+        # into columns at distance 0 are slack in the minor.  Counting
+        # them closes a cycle that no second optimum has.
+        A = mat("0 0 1 3 3\n2 1 3 3 1\n1 3 3 2 0\n0 0 2 2 3\n1 0 1 0 2")
+        adj = _checked_adjoint(A)
+        assert adj.entry(1, 4) == T(11)
+        assert adj.entry(2, 4) == T(11)
+
+    def test_shortest_path_edge_tight_only_from_its_distance(self):
+        # Entry (0, 0): D = 1, and the edges of reduced cost 1 out of row
+        # 3 reach columns 2 and 3 at distance b = 1 = D, so they are tight
+        # and close the cycle of the minor's second optimum.  Entry (0, 3)
+        # has D = 0, where they are slack, and the cycle of its second
+        # optimum needs the zero-cost edges.
+        A = mat("0 -inf 1 1 0\n1 0 1 0 0\n0 -inf 0 1 1\n2 -inf 1 1 -inf\n-inf 1 1 2 0")
+        adj = _checked_adjoint(A)
+        assert adj.entry(0, 0) == G(4)
+        assert adj.entry(0, 3) == G(4)
+        assert adj.entry(4, 2) == G(5)
 
 
 def _known_optimum_50():

@@ -1,6 +1,8 @@
 """Matrix layer: products, permanents, adjoints, quasi-identities,
 annihilation, and the maximal ghost-solver."""
 
+from fractions import Fraction
+
 import pytest
 
 from supertropical import (
@@ -21,12 +23,14 @@ from supertropical import (
 )
 from supertropical.matrices import (
     _combine,
+    _dot,
     _tagged_combinations,
     ann_membership,
     geq_nu_vec,
     surpasses_vec,
 )
 from helpers import (
+    POPULATIONS,
     G,
     T,
     Z,
@@ -105,6 +109,84 @@ def test_shape_errors():
         mat("1 2") @ mat("1 2")
     with pytest.raises(ShapeError):
         mat("1 2\n3 4").apply(vec("1 2 3"))
+
+
+# -- product kernel ----------------------------------------------------
+
+def _fold(row, col):
+    """The dot product as a plain Scalar fold, the reference for _dot."""
+    acc = Z
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
+def _same(got, want):
+    # Scalar equality does not see an int against an equal Fraction.
+    return got == want and type(got.value) is type(want.value)
+
+
+def _kernel_case(row, col, want):
+    """``_dot``, ``Vec.dot``, ``@`` and ``apply`` all give ``want``."""
+    r, c = vec(row), vec(col)
+    assert _same(_dot(r.entries, c.entries), want)
+    assert _same(r.dot(c), want)
+    assert _same((Mat([r]) @ Mat.from_cols([c])).entry(0, 0), want)
+    assert _same(Mat([r]).apply(c)[0], want)
+
+
+def test_dot_two_tangible_terms_tied_at_the_maximum_give_a_ghost():
+    _kernel_case("1 2 -4", "2 1 0", G(3))
+
+
+def test_dot_ghost_term_at_the_maximum_gives_a_ghost():
+    _kernel_case("2v 0", "1 0", G(3))
+    _kernel_case("0 2", "1 1v", G(3))
+
+
+def test_dot_ghost_term_below_a_tangible_maximum_gives_a_tangible():
+    _kernel_case("0v 2", "0 1", T(3))
+    _kernel_case("5v 2", "-3 1", T(3))
+
+
+def test_dot_halves_summing_to_an_integer_give_an_int_value():
+    _kernel_case("1/2 -inf", "3/2 4", T(2))
+    _kernel_case("-1/2 1/2", "1/2 -1/2", G(0))
+    assert type(_dot(vec("1/3").entries, vec("1/3").entries).value) is Fraction
+
+
+def test_dot_with_no_finite_term_is_zero():
+    _kernel_case("-inf -inf", "1 2v", Z)
+    _kernel_case("1 -inf", "-inf 2", Z)
+
+
+def test_rectangular_products():
+    A = mat("0 1 -inf\n2v 0 1")
+    B = mat("1 0\n0 -inf\n-inf 3")
+    assert A @ B == mat("1v 0\n3v 4")
+    assert B @ A == mat("2v 2 1\n0 1 -inf\n5v 3 4")
+    assert A.apply(vec("0 -1 -2")) == vec("0v 2v")
+    assert mat("1 2 3").apply(vec("0 -1 -2")) == vec("1v")
+    assert mat("1\n2v").apply(vec("3")) == vec("4 5v")
+    assert (mat("1\n2v") @ mat("0 1 -inf")).shape == (2, 3)
+
+
+def test_products_match_a_scalar_fold():
+    rng = seeded(31)
+    for k in range(700):
+        lo, hi, zero_p, ghost_p, denom = POPULATIONS[k % len(POPULATIONS)]
+        kw = dict(lo=lo, hi=hi, zero_p=zero_p, ghost_p=ghost_p, denom=denom)
+        m, n, l = (rng.randint(1, 6) for _ in range(3))
+        A, B = rand_mat(rng, m, n, **kw), rand_mat(rng, n, l, **kw)
+        v, w = rand_vec(rng, n, **kw), rand_vec(rng, n, **kw)
+        P = A @ B
+        assert P.shape == (m, l)
+        for i, ra in enumerate(A.row_tuples):
+            for j in range(l):
+                assert _same(P.entry(i, j), _fold(ra, B.col(j))), (A, B, i, j)
+        Av = A.apply(v)
+        assert all(_same(x, _fold(ra, v)) for x, ra in zip(Av, A.row_tuples))
+        assert _same(v.dot(w), _fold(v, w))
 
 
 # -- permanent ---------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Print the results of the family-taking library calls and of the
-permanent-based matrix calls on seeded inputs, one line each, and a
-sha256 over all of them.
+"""Print the results of the family-taking library calls, of the
+permanent-based matrix calls and of the matrix products on seeded
+inputs, one line each, and a sha256 over all of them.
 
 Two checkouts that print the same final hash give the same results on
 these inputs.  The script imports only the public API, so it runs
@@ -20,7 +20,13 @@ from a third seed: `depends_on`, `saturate` and `saturate_by_sup` on
 tangible 3x3 families with values -3..5 and targets built on all three
 members, and `is_dependent` on four tangible vectors in three
 coordinates, whose candidate grids run to thousands of tuples.  The
-whole run takes one to two minutes.
+product draws follow, from a fourth seed: a rectangular ``A @ B`` and
+``A.apply(x)`` with sides 1 to 6, and ``dual_base`` and ``reconstruct``
+on the closure of a nonsingular square base of size 2 to 6 (entries with
+halves, zero 0.15, ghost 0.3 for the products and tangible for the
+base).  Each seed's draws come after all earlier ones, so the lines of
+the earlier draws stay as they were.  The whole run takes one to two
+minutes.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from supertropical import (
     close_base,
     d_base,
     depends_on,
+    dual_base,
     extend_with_tangible,
     ghost,
     gram_dependence,
@@ -59,6 +66,7 @@ from supertropical import (
     permanent,
     quasi_identity,
     rank,
+    reconstruct,
     s_base,
     saturate,
     saturate_by_sup,
@@ -75,6 +83,8 @@ MATRIX_DRAWS = 12  # per size
 MATRIX_SIZES = range(1, 11)
 WIDE_SEED = 20261020
 WIDE_DRAWS = 150
+PRODUCT_SEED = 20261021
+PRODUCT_DRAWS = 300
 
 
 def scalar(rng, tangible_only=False):
@@ -217,6 +227,39 @@ def wide_draw(rng, out):
     out.append(("is_dependent 4x3", lambda: is_dependent(F)))
 
 
+def product_draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded draw of the matrix
+    products: a rectangular product and application, and the dual base
+    and reconstruction of a closed base."""
+    def entry(tangible_only=False):
+        if rng.random() < 0.15:
+            return ZERO
+        v = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+        if not tangible_only and rng.random() < 0.3:
+            return ghost(v)
+        return tangible(v)
+
+    def rows(m, n, tangible_only=False):
+        return [[entry(tangible_only) for _ in range(n)] for _ in range(m)]
+
+    m, k, l = (rng.randint(1, 6) for _ in range(3))
+    A, B = Mat(rows(m, k)), Mat(rows(k, l))
+    x = Vec(rows(1, k)[0])
+    out.append(("A @ B", lambda: A @ B))
+    out.append(("A.apply", lambda: A.apply(x)))
+    n = rng.randint(2, 6)
+    for _ in range(20):
+        S = [Vec(r) for r in rows(n, n, tangible_only=True)]
+        if is_nonsingular(Mat(S)):
+            break
+    closed = close_base(S)[1]
+    v = Mat(closed).apply(Vec(rows(1, n, tangible_only=True)[0]))
+    y = Vec(rows(1, n)[0])
+    out.append(("dual_base", lambda: dual_base(closed)))
+    out.append(("reconstruct", lambda: reconstruct(closed, v)))
+    out.append(("reconstruct other", lambda: reconstruct(closed, y)))
+
+
 def _raise(exc):
     raise exc
 
@@ -231,7 +274,8 @@ def line(label, thunk):
 
 def draws():
     """``(label, fill)`` for every draw, where ``fill(out)`` appends its
-    calls; the matrix draws use their own generator."""
+    calls; the matrix, wide and product draws each use their own
+    generator."""
     rng = random.Random(SEED)
     for d in range(DRAWS):
         yield str(d), lambda out: draw(rng, out)
@@ -242,6 +286,9 @@ def draws():
     wrng = random.Random(WIDE_SEED)
     for d in range(WIDE_DRAWS):
         yield f"w{d}", lambda out: wide_draw(wrng, out)
+    prng = random.Random(PRODUCT_SEED)
+    for d in range(PRODUCT_DRAWS):
+        yield f"p{d}", lambda out: product_draw(prng, out)
 
 
 def main():
