@@ -180,13 +180,7 @@ class Scalar:
             raise ValueError("exponent must be at least 1")
         if self._v is None:
             return self
-        v = self._v * m
-        if type(v) is not int and v.denominator == 1:
-            v = int(v)
-        s = _new(Scalar)
-        s._v = v
-        s._g = self._g
-        return s
+        return _made(self._v * m, self._g)
 
     def __truediv__(self, other):
         """Multiply by the inverse of a tangible.
@@ -202,13 +196,7 @@ class Scalar:
             raise ValueError("ghost scalars have no multiplicative inverse")
         if self._v is None:
             return ZERO
-        v = self._v - other._v
-        if type(v) is not int and v.denominator == 1:
-            v = int(v)
-        s = _new(Scalar)
-        s._v = v
-        s._g = self._g
-        return s
+        return _made(self._v - other._v, self._g)
 
     # -- ghost map and lift --------------------------------------------
 

@@ -202,9 +202,9 @@ class TestAdjointFromOneAssignment:
 
 class TestAdjointTightEdges:
     """The minor without row j and column i shifts the potentials of the
-    whole matrix by pi = min(dist, D), where dist comes from the shortest
-    paths out of column i and D is the distance of the column matched to
-    row j.  An edge with reduced cost rc, from a row at distance a to a
+    whole matrix by pi = min(dist, D), where dist holds the shortest paths
+    from the row matched to column i and D is the distance of the column
+    matched to row j.  An edge with reduced cost rc, from a row at distance a to a
     column at distance b, is then tight exactly when rc == 0 and D <= b,
     or rc + a == b and D >= b."""
 
