@@ -226,22 +226,27 @@ def _value_rows(vectors, idx):
 
 def _grid_tables(vectors, target, idx):
     """What the grid walk reads of a family: the entry values and ghost
-    flags of the members in ``idx`` (dicts by index), and the target's
-    values and ghost flags (None without a target)."""
+    flags of the members in ``idx`` (dicts by index), the target's
+    values and ghost flags (None without a target), and an empty cache
+    for the pair deltas of ``_chain_candidates``, which the supports of
+    one family share."""
     rows = _value_rows(vectors, idx)
     flags = {i: tuple(map(_ghost, vectors[i])) for i in idx}
-    if target is None:
-        return rows, flags, None, None
-    return rows, flags, list(map(_value, target)), list(map(_ghost, target))
+    tvals = tflags = None
+    if target is not None:
+        tvals, tflags = list(map(_value, target)), list(map(_ghost, target))
+    return rows, flags, tvals, tflags, {}
 
 
-def _chain_candidates(rows, target_vals, support):
+def _chain_candidates(rows, target_vals, support, deltas=None):
     """Per-index candidate coefficient values for one support.
 
     Seeds are the unit value (a member may be normalized to the unit) and,
     with a target, the differences that tie a member directly to the
     target.  Propagation then closes the seeds under tie equations between
-    members, to chain depth len(support) - 1.
+    members, to chain depth len(support) - 1.  ``deltas`` caches the
+    entry differences of member pairs, filled as pairs come up, for a
+    caller that walks several supports of one family.
     """
     cand = {i: {0} for i in support}
     frontier = {i: set(cand[i]) for i in support}
@@ -254,21 +259,23 @@ def _chain_candidates(rows, target_vals, support):
                     extra.add(tv - row[j])
             frontier[i] |= extra - cand[i]
             cand[i] |= extra
-    deltas = {}
+    if deltas is None:
+        deltas = {}
+    pairs = []
     for a in support:
-        ra = rows[a]
         for b in support:
             if a == b:
                 continue
-            rb = rows[b]
-            ds = {ra[j] - rb[j] for j in range(len(ra))
-                  if ra[j] is not None and rb[j] is not None}
+            ds = deltas.get((a, b))
+            if ds is None:
+                ds = deltas[a, b] = {x - y for x, y in zip(rows[a], rows[b])
+                                     if x is not None and y is not None}
             if ds:
-                deltas[(a, b)] = ds
+                pairs.append((a, b, ds))
     for _ in range(max(0, len(support) - 1)):
         moved = False
         new_frontier = {i: set() for i in support}
-        for (a, b), ds in deltas.items():
+        for a, b, ds in pairs:
             fa = frontier[a]
             if not fa:
                 continue
@@ -340,8 +347,10 @@ def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
     the last member's values read off the prefix sum by ``_last_values``.
     ``tables`` is ``_grid_tables`` of the family, for a caller that walks
     several supports of it."""
-    rows, flags, tvals, tflags = tables or _grid_tables(vectors, target, support)
-    cand = _chain_candidates(rows, tvals, support)
+    rows, flags, tvals, tflags, deltas = (
+        tables or _grid_tables(vectors, target, support)
+    )
+    cand = _chain_candidates(rows, tvals, support, deltas)
     # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], flags[i]) for i in support]
     last, n = len(levels) - 1, len(rows[support[0]])

@@ -31,8 +31,10 @@ and ``_vec``, which skip the entry checks of the public constructors.
 
 ``adjoint``, ``nabla`` and ``quasi_identity`` get the permanent and the
 adjoint from one helper, ``_perm_adjoint``.  From size 5 on it solves
-one assignment: the permanent's cycle test and every minor come from
-it, and nabla's entries are built already divided by the permanent.
+one assignment: every minor and, for nabla, the permanent's cycle test
+come from it, and nabla's entries are built already divided by the
+permanent.  ``adjoint`` does not read the permanent, so it skips the
+cycle test.
 The minor without row j and column i flips a shortest path that starts
 at the row matched to column i.  One Dijkstra per column i gives the
 distances ``dist``, and the minor's potentials are those of the whole
@@ -650,16 +652,19 @@ def _perm_adjoint(rows, divide=False):
     the permanent, which gives nabla, and ``adj`` is None when the
     permanent is not tangible.
 
-    From size 5 on both come from one optimal assignment.  Below that
-    the minors are unrolled permanents, and the permanent is their
+    From size 5 on both come from one optimal assignment, and without
+    ``divide`` the permanent, which nothing then reads, is None.  Below
+    that the minors are unrolled permanents, and the permanent is their
     Laplace expansion along row 0."""
     n = len(rows)
     if n > 4:
         sol = _assign(rows)
+        if not divide:
+            return None, _adjoint_assign(rows, sol, 0)
         per = _perm_of(rows, sol)
-        if divide and not per.is_tangible():
+        if not per.is_tangible():
             return per, None
-        return per, _adjoint_assign(rows, sol, per._v if divide else 0)
+        return per, _adjoint_assign(rows, sol, per._v)
     if n == 1:
         adj = ((ONE,),)
     else:

@@ -27,17 +27,37 @@ tie a component value, hence equals a residual of the touched component,
 and a term below the maximum everywhere can be dropped).  So a three-way
 tag per member, tangible residual, ghost residual, or absent, decides
 internal spanning completely.
+
+Both searches walk bitmasks over the coordinates, not vectors.  Every
+coefficient sits at or below its member's residual, so no term exceeds
+the target anywhere, and a sum matches the target at a coordinate
+exactly when some term reaches the target's value there.  The sum is
+then ghost when two terms reach it or one ghost term does.  A choice of
+coefficient is therefore summed up by two masks, the coordinates its
+term reaches and those it reaches as a ghost, and ``_mask_walk`` chooses
+one option per member depth first, carrying the coordinates reached
+once and those reached twice or as a ghost.  Both sets only grow, so a
+prefix is dropped when a coordinate that must end tangible is already
+ghost, when a coordinate still to be reached is out of reach of the
+remaining members, or when no tangible coefficient is left to choose;
+a prefix state that failed once is not walked again.  Internal spanning
+needs every nonzero coordinate of the target reached, and ghost exactly
+on its ghost ones.  ``spans`` needs only the target's tangible
+coordinates reached, each by one tangible term, since a ghost
+coordinate of the target surpasses whatever reaches it; the walk takes
+each member's candidates largest first, so its first hit is the first
+tuple of the full grid, and that one combination is rebuilt and checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .exceptions import InvalidInputError, NoChangeOfBaseError
 from .dependence import BaseReport, max_rank, projective_normalize
 from .matrices import Mat, Vec, _combine, _family, _tagged_combinations
-from .scalars import ONE, ZERO, ghost, tangible
+from .scalars import ONE, ZERO, Scalar, ghost, tangible
 
 __all__ = [
     "SpanWitness",
@@ -139,6 +159,65 @@ def _ghost_surplus(v, comb):
     return Vec(parts)
 
 
+def _reach(v, w, c, keep):
+    """Bitmasks of the coordinates in the mask ``keep`` where the term
+    c * w reaches the value of v: all of them, and those under a ghost
+    entry of w."""
+    hit = ghost_hit = 0
+    for j, (vj, x) in enumerate(zip(v, w)):
+        if x._v is not None and c + x._v == vj._v:
+            hit |= 1 << j
+            if x._g:
+                ghost_hit |= 1 << j
+    return hit & keep, ghost_hit & keep
+
+
+def _mask_walk(levels, full, ghosts):
+    """The first choice of one option per level, in level and option
+    order, whose terms reach every coordinate of the mask ``full`` and
+    are ghost at it exactly on ``ghosts``, with at least one tangible
+    option; None when there is none.
+
+    An option is ``(hit, ghost_hit, is_tangible, payload)``: the masks
+    of the coordinates its term reaches and reaches as a ghost.  The
+    result is the list of the chosen payloads."""
+    k = len(levels)
+    reach, tangible_left = [0] * (k + 1), [False] * (k + 1)
+    for d in range(k - 1, -1, -1):
+        reach[d], tangible_left[d] = reach[d + 1], tangible_left[d + 1]
+        for hit, _, tg, _ in levels[d]:
+            reach[d] |= hit
+            tangible_left[d] = tangible_left[d] or tg
+    exact = full & ~ghosts
+    failed = set()
+    chosen = []
+
+    def walk(d, once, twice, used):
+        if d == k:
+            return once == full and twice == ghosts and used
+        key = (d, once, twice, used)
+        if key in failed:
+            return False
+        rest, rest_tangible = reach[d + 1], tangible_left[d + 1]
+        for hit, ghost_hit, tg, payload in levels[d]:
+            o, t, u = once | hit, twice | (once & hit) | ghost_hit, used or tg
+            if t & exact or full & ~(o | rest) or not (u or rest_tangible):
+                continue
+            chosen.append(payload)
+            if walk(d + 1, o, t, u):
+                return True
+            chosen.pop()
+        failed.add(key)
+        return False
+
+    return chosen if walk(0, 0, 0, False) else None
+
+
+def _mask(v, keep):
+    """The bitmask of the coordinates of v whose entries pass ``keep``."""
+    return sum(1 << j for j, x in enumerate(v) if keep(x))
+
+
 def spans(S, v):
     """First witness that v surpasses a tangible combination of S, with
     supports in lexicographic order and greatest coefficients first, or
@@ -152,24 +231,42 @@ def spans(S, v):
                 coeffs[i] = ONE
                 return SpanWitness(tuple(coeffs), (i,), v)
         return None
+    full = _mask(v, Scalar.is_tangible)
+    options = {}
+
+    def member_options(i):
+        """Member i's candidates as walk options, built when a support
+        first needs them: the tangible coordinates of v that the term
+        reaches, and those it reaches as a ghost, which no later term
+        can repair; None for an unusable member."""
+        if i not in options:
+            w = S[i]
+            cands = None if w.is_zero() else _span_candidates(S, v, (i,))
+            if cands is not None:
+                cands = [(*_reach(v, w, c, full), True, c) for c in cands[0]]
+            options[i] = cands
+        return options[i]
+
     supports = sorted(
         (s for size in range(1, k + 1) for s in combinations(range(k), size))
     )
     for support in supports:
-        if any(S[i].is_zero() for i in support):
+        levels = [member_options(i) for i in support]
+        if None in levels:
             continue
-        cands = _span_candidates(S, v, support)
-        if cands is None:
+        found = _mask_walk(levels, full, 0)
+        if found is None:
             continue
-        members = [S[i] for i in support]
-        for tup in product(*cands):
-            cs = [tangible(x) for x in tup]
-            g = _ghost_surplus(v, _combine(cs, members))
-            if g is not None:
-                coeffs = [ZERO] * k
-                for c, i in zip(cs, support):
-                    coeffs[i] = c
-                return SpanWitness(tuple(coeffs), support, g)
+        cs = [tangible(x) for x in found]
+        g = _ghost_surplus(v, _combine(cs, [S[i] for i in support]))
+        if g is None:
+            raise AssertionError(
+                "span walk accepted a combination that v does not surpass"
+            )
+        coeffs = [ZERO] * k
+        for c, i in zip(cs, support):
+            coeffs[i] = c
+        return SpanWitness(tuple(coeffs), support, g)
     return None
 
 
@@ -231,15 +328,19 @@ def _internal_spanned(v, S, excluded):
     """
     k = len(S)
     excluded = set(excluded)
-    for tags in product(*_residual_tags(v, S, excluded)):
-        # checking for a tangible tag is much cheaper than combining
-        if not any(
-            t is not None and t.is_tangible() and i not in excluded
-            for i, t in enumerate(tags)
-        ):
-            continue
-        if _combine(tags, S) == v:
-            return True
+    full = _mask(v, bool)
+    levels = []
+    for i, w in enumerate(S):
+        r = _residual(v, w)
+        options = [(0, 0, False, None)]
+        if r is not None:
+            hit, ghost_hit = _reach(v, w, r, full)
+            options.append((hit, hit, False, None))
+            if i not in excluded:
+                options.append((hit, ghost_hit, True, None))
+        levels.append(options)
+    if _mask_walk(levels, full, _mask(v, Scalar.is_ghost)) is not None:
+        return True
     if v.is_ghost():
         # the target itself is the surplus; any small tangible multiple
         # of a usable outside member hides underneath it

@@ -7,6 +7,7 @@ matrices read much better as strings than as nested constructor calls.
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 from supertropical import (
     Mat,
@@ -18,6 +19,14 @@ from supertropical import (
     parse_scalar,
     parse_vector,
     tangible,
+)
+from supertropical.matrices import _combine, _family
+from supertropical.span import (
+    SpanWitness,
+    _ghost_surplus,
+    _residual,
+    _residual_tags,
+    _span_candidates,
 )
 
 Z = ZERO
@@ -97,3 +106,62 @@ def rand_nonsingular(rng, n, tries=500, **kw):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+# -- slow-path references ----------------------------------------------
+
+def spans_reference(S, v):
+    """Reference for ``span.spans``: every support in lexicographic order,
+    and on each the whole candidate grid in product order, each tuple
+    combined with scalar arithmetic."""
+    S = _family(S, v)
+    k = len(S)
+    if v.is_zero():
+        for i, w in enumerate(S):
+            if w.is_zero():
+                coeffs = [ZERO] * k
+                coeffs[i] = tangible(0)
+                return SpanWitness(tuple(coeffs), (i,), v)
+        return None
+    supports = sorted(
+        (s for size in range(1, k + 1) for s in combinations(range(k), size))
+    )
+    for support in supports:
+        if any(S[i].is_zero() for i in support):
+            continue
+        cands = _span_candidates(S, v, support)
+        if cands is None:
+            continue
+        members = [S[i] for i in support]
+        for tup in product(*cands):
+            cs = [tangible(x) for x in tup]
+            g = _ghost_surplus(v, _combine(cs, members))
+            if g is not None:
+                coeffs = [ZERO] * k
+                for c, i in zip(cs, support):
+                    coeffs[i] = c
+                return SpanWitness(tuple(coeffs), support, g)
+    return None
+
+
+def internal_spanned_reference(v, S, excluded):
+    """Reference for ``span._internal_spanned``: the whole residual-tag
+    grid in product order, each tuple combined with scalar arithmetic."""
+    k = len(S)
+    excluded = set(excluded)
+    for tags in product(*_residual_tags(v, S, excluded)):
+        if not any(
+            t is not None and t.is_tangible() and i not in excluded
+            for i, t in enumerate(tags)
+        ):
+            continue
+        if _combine(tags, S) == v:
+            return True
+    if v.is_ghost():
+        return any(
+            i not in excluded
+            and not S[i].is_zero()
+            and _residual(v, S[i]) is not None
+            for i in range(k)
+        )
+    return False

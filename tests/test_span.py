@@ -23,15 +23,19 @@ from supertropical import (
     spans,
     spans_set,
 )
+from supertropical.span import _class_indices
 from helpers import (
     G,
     T,
     Z,
+    internal_spanned_reference,
     mat,
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
     rows,
+    seeded,
+    spans_reference,
     vec,
 )
 
@@ -237,6 +241,57 @@ def test_span_closure_is_a_subspace(rng):
         assert spans(S, u) is not None
         assert spans(S, v + u) is not None
         assert spans(S, rand_tangible(rng) * v) is not None
+
+
+# -- mask walks against the full grids ---------------------------------
+
+def _walk_families(seed, count=2000):
+    """Families of 2 to 6 members in 2 to 4 coordinates (values -3..5,
+    zero 0.15, ghost 0.3); every tenth gets two ghost members, the class
+    of the strict xfail above."""
+    rng = seeded(seed)
+    for d in range(count):
+        k, n = rng.randint(2, 6), rng.randint(2, 4)
+        S = [rand_vec(rng, n) for _ in range(k)]
+        if d % 10 == 0:
+            for i in rng.sample(range(k), 2):
+                S[i] = rand_vec(rng, n, zero_p=0.1, ghost_p=1.0)
+        yield rng, S
+
+
+def _all_ghost(w):
+    return w.is_ghost() and not w.is_zero()
+
+
+def test_critical_walk_matches_tag_grid():
+    ghost_pairs = critical = 0
+    for _, S in _walk_families(1201):
+        ghost_pairs += sum(map(_all_ghost, S)) >= 2
+        for i, w in enumerate(S):
+            want = not w.is_zero() and not internal_spanned_reference(
+                w, S, _class_indices(S, i)
+            )
+            assert is_critical(i, S) == want, (S, i)
+            critical += want
+    assert ghost_pairs >= 150 and critical >= 2000
+
+
+def test_span_walk_matches_candidate_grid():
+    spanned = tried = 0
+    for rng, S in _walk_families(1202):
+        if len(S) > 4:
+            continue
+        n = S[0].dim
+        built = Vec([ZERO] * n)
+        for w in S:
+            if rng.random() < 0.7:
+                built = built + rand_tangible(rng, -2, 2) * w
+        for v in (built, rand_vec(rng, n)):
+            got = spans(S, v)
+            assert got == spans_reference(S, v), (S, v)
+            spanned += got is not None
+            tried += 1
+    assert tried >= 2000 and spanned >= tried // 3
 
 
 # -- thickness ---------------------------------------------------------

@@ -24,9 +24,12 @@ product draws follow, from a fourth seed: a rectangular ``A @ B`` and
 ``A.apply(x)`` with sides 1 to 6, and ``dual_base`` and ``reconstruct``
 on the closure of a nonsingular square base of size 2 to 6 (entries with
 halves, zero 0.15, ghost 0.3 for the products and tangible for the
-base).  Each seed's draws come after all earlier ones, so the lines of
-the earlier draws stay as they were.  The whole run takes one to two
-minutes.
+base).  The span draws come last, from a fifth seed: ``spans`` on a
+target built from the members and on a free one, ``is_critical`` of
+every member and ``s_base``, on families of 4 to 6 members in 3 or 4
+coordinates (values -3..5, zero 0.15, ghost 0.3).  Each seed's draws
+come after all earlier ones, so the lines of the earlier draws stay as
+they were.  The whole run takes under a minute.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ WIDE_SEED = 20261020
 WIDE_DRAWS = 150
 PRODUCT_SEED = 20261021
 PRODUCT_DRAWS = 300
+SPAN_SEED = 20261022
+SPAN_DRAWS = 300
 
 
 def scalar(rng, tangible_only=False):
@@ -260,6 +265,29 @@ def product_draw(rng, out):
     out.append(("reconstruct other", lambda: reconstruct(closed, y)))
 
 
+def span_draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded draw of the spanning
+    calls on a family of 4 to 6 members in 3 or 4 coordinates."""
+    def entry():
+        if rng.random() < 0.15:
+            return ZERO
+        v = rng.randint(-3, 5)
+        return ghost(v) if rng.random() < 0.3 else tangible(v)
+
+    k, n = rng.randint(4, 6), rng.randint(3, 4)
+    S = [Vec([entry() for _ in range(n)]) for _ in range(k)]
+    built = Vec([ZERO] * n)
+    for w in S:
+        if rng.random() < 0.7:
+            built = built + tangible(rng.randint(-2, 2)) * w
+    free = Vec([entry() for _ in range(n)])
+    out.append(("spans built", lambda: spans(S, built)))
+    out.append(("spans free", lambda: spans(S, free)))
+    for i in range(k):
+        out.append((f"is_critical {i}", lambda i=i: is_critical(i, S)))
+    out.append(("s_base", lambda: s_base(S)))
+
+
 def _raise(exc):
     raise exc
 
@@ -274,7 +302,7 @@ def line(label, thunk):
 
 def draws():
     """``(label, fill)`` for every draw, where ``fill(out)`` appends its
-    calls; the matrix, wide and product draws each use their own
+    calls; the matrix, wide, product and span draws each use their own
     generator."""
     rng = random.Random(SEED)
     for d in range(DRAWS):
@@ -289,6 +317,9 @@ def draws():
     prng = random.Random(PRODUCT_SEED)
     for d in range(PRODUCT_DRAWS):
         yield f"p{d}", lambda out: product_draw(prng, out)
+    srng = random.Random(SPAN_SEED)
+    for d in range(SPAN_DRAWS):
+        yield f"s{d}", lambda out: span_draw(srng, out)
 
 
 def main():
