@@ -11,7 +11,10 @@ exactly when some k by k column submatrix of their row matrix is
 nonsingular, and more than n vectors are always dependent.  Producing a
 witness is the interesting part.  The search enumerates supports (smallest
 first, then lexicographic) and, per support, a finite candidate grid of
-coefficient values.
+coefficient values.  Without a target, one member alone is a dependence
+exactly when it is ghost or zero everywhere, with the unit as its only
+candidate, so the one-member supports are read off the ghost flags and
+the grid search starts at two members.
 
 The candidate grid deserves a comment, because the obvious one is too
 small.  In any ghost-producing combination each essential term ties some
@@ -290,8 +293,8 @@ def _chain_candidates(rows, target_vals, support, deltas=None):
     return {i: sorted(cand[i]) for i in support}
 
 
-def _iter_supports(k):
-    for size in range(1, k + 1):
+def _iter_supports(k, smallest=1):
+    for size in range(smallest, k + 1):
         yield from combinations(range(k), size)
 
 
@@ -416,10 +419,21 @@ def _search_witness(vectors, target, supports=None):
     """First valid witness in (support size, support, coefficient tuple)
     order, or None.  Enumerating small supports first means the returned
     support is always irredundant: every proper sub-support was already
-    tried and failed."""
+    tried and failed.
+
+    Without a target or given supports, the one-member supports are read
+    off ghost flags: a member alone is a dependence exactly when it is
+    ghost or zero everywhere, and then with the unit, its only candidate.
+    The walk starts at two members."""
     k = len(vectors)
+    if supports is None:
+        if target is None:
+            for i, w in enumerate(vectors):
+                if w.is_ghost():
+                    return _witness_of(k, (i,), (ONE,), None)
+        supports = _iter_supports(k, 1 if target is not None else 2)
     tables = _grid_tables(vectors, target, range(k))
-    for support in supports if supports is not None else _iter_supports(k):
+    for support in supports:
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
     return None
@@ -452,8 +466,10 @@ def is_dependent(S):
         raise AssertionError(
             "submatrix decision says dependent but no grid witness exists"
         )
-    inv = ONE / w.coeffs[w.support[0]]
-    w = DepWitness(tuple(c * inv for c in w.coeffs), w.support, None)
+    lead = w.coeffs[w.support[0]]
+    if lead != ONE:
+        inv = ONE / lead
+        w = DepWitness(tuple(c * inv for c in w.coeffs), w.support, None)
     if not w.is_valid(S):
         raise AssertionError("witness failed re-verification")
     return w

@@ -8,15 +8,19 @@ get the adjoint (transposed grid of minors), the scaled adjoint ``nabla``,
 and the pair of quasi-identities ``A @ nabla(A)`` and ``nabla(A) @ A`` that
 stand in for the identity matrix in cancellation arguments.
 
-The permanent has one route per size.  Sizes up to 3 are unrolled.  From
-size 4 on, an exact optimal-assignment solver (shortest augmenting paths
-with row and column potentials, in int and Fraction arithmetic) finds the
-value in ``O(n^3)``.  The layer comes from the same run: the result is
-tangible exactly when the optimal permutation uses only tangible entries
-and is the only optimal one.  Every optimal permutation uses only
-tight edges, where the potentials sum to the weight, so a second one
-exists exactly when the tight edges off the optimal permutation close a
-cycle.
+The permanent has one route per size.  Sizes 2 to 4 work on the values
+and ghost flags of the entries, like the product kernel below, and
+build one Scalar: size 2 is a dot product, size 3 an unrolled list of
+its six terms, and size 4 walks a table of its 24 permutations built at
+import.  From size 5 on, an exact optimal-assignment solver (shortest
+augmenting paths with row and column potentials, in int and Fraction
+arithmetic) finds the value in ``O(n^3)``; at size 5 the table walk is
+already slower than the assignment.  The layer comes from the same run:
+the result is tangible exactly when the optimal permutation uses only
+tangible entries and is the only optimal one.  Every optimal permutation
+uses only tight edges, where the potentials sum to the weight, so a
+second one exists exactly when the tight edges off the optimal
+permutation close a cycle.
 
 Products go through one kernel, ``_dot_value_ghost``, which works on the
 values and ghost flags of the entries and builds no Scalar: the result
@@ -49,7 +53,7 @@ off them for the cycle test.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar, _made
@@ -441,14 +445,54 @@ def _tagged_combinations(options, vectors):
 
 
 def _perm2(r0, r1):
-    return r0[0] * r1[1] + r0[1] * r1[0]
+    """The 2x2 permanent: the dot product of row 0 with row 1 reversed."""
+    return _dot(r0, (r1[1], r1[0]))
 
 
 def _perm3(r0, r1, r2):
-    m0 = r1[1] * r2[2] + r1[2] * r2[1]
-    m1 = r1[0] * r2[2] + r1[2] * r2[0]
-    m2 = r1[0] * r2[1] + r1[1] * r2[0]
-    return r0[0] * m0 + r0[1] * m1 + r0[2] * m2
+    """The 3x3 permanent on values and ghost flags, term by term as in
+    ``_dot_value_ghost``: a term through a zero entry is skipped, the
+    best term is ghost when one of its entries is, and a tie at the
+    maximum is ghost."""
+    (a, b, c), (d, e, f), (g, h, i) = r0, r1, r2
+    best = None
+    ghost = False
+    for x, y, z in ((a, e, i), (a, f, h), (b, d, i), (b, f, g), (c, d, h), (c, e, g)):
+        xv, yv, zv = x._v, y._v, z._v
+        if xv is None or yv is None or zv is None:
+            continue
+        v = xv + yv + zv
+        if best is None or v > best:
+            best = v
+            ghost = x._g or y._g or z._g
+        elif v == best:
+            ghost = True
+    return ZERO if best is None else _made(best, ghost)
+
+
+# The 24 permutations of size 4 as positions in the row-major entries.
+_PERMS4 = tuple(
+    tuple(4 * r + c for r, c in enumerate(p)) for p in permutations(range(4))
+)
+
+
+def _perm4(r0, r1, r2, r3):
+    """The 4x4 permanent, as ``_perm3`` but over the table ``_PERMS4``."""
+    flat = r0 + r1 + r2 + r3
+    vals = [x._v for x in flat]
+    best = None
+    ghost = False
+    for i, j, k, l in _PERMS4:
+        a, b, c, d = vals[i], vals[j], vals[k], vals[l]
+        if a is None or b is None or c is None or d is None:
+            continue
+        v = a + b + c + d
+        if best is None or v > best:
+            best = v
+            ghost = flat[i]._g or flat[j]._g or flat[k]._g or flat[l]._g
+        elif v == best:
+            ghost = True
+    return ZERO if best is None else _made(best, ghost)
 
 
 def _assign(rows):
@@ -643,6 +687,8 @@ def _perm_rows(rows):
         return _perm2(*rows)
     if n == 3:
         return _perm3(*rows)
+    if n == 4:
+        return _perm4(*rows)
     return _perm_of(rows, _assign(rows))
 
 
@@ -654,7 +700,8 @@ def _perm_adjoint(rows, divide=False):
 
     From size 5 on both come from one optimal assignment, and without
     ``divide`` the permanent, which nothing then reads, is None.  Below
-    that the minors are unrolled permanents, and the permanent is their
+    that each minor is a permanent of size at most 3 from the value and
+    ghost-flag kernels of ``_perm_rows``, and the permanent is their
     Laplace expansion along row 0."""
     n = len(rows)
     if n > 4:
@@ -710,7 +757,7 @@ def nabla(A):
     nonsingular); otherwise raises SingularMatrixError.
     """
     if not A.is_square():
-        raise ShapeError("permanent requires a square matrix")
+        raise ShapeError("nabla requires a square matrix")
     p, nb = _perm_adjoint(A.row_tuples, divide=True)
     if nb is None:
         raise SingularMatrixError(f"permanent is {p}, not tangible")

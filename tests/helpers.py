@@ -20,6 +20,12 @@ from supertropical import (
     parse_vector,
     tangible,
 )
+from supertropical.dependence import (
+    _grid_solutions,
+    _grid_tables,
+    _iter_supports,
+    _witness_of,
+)
 from supertropical.matrices import _combine, _family
 from supertropical.span import (
     SpanWitness,
@@ -165,3 +171,14 @@ def internal_spanned_reference(v, S, excluded):
             for i in range(k)
         )
     return False
+
+
+def search_witness_reference(vectors, target, supports=None):
+    """Reference for ``dependence._search_witness``: every support from
+    one member up, one-member supports included, through the grid walk."""
+    k = len(vectors)
+    tables = _grid_tables(vectors, target, range(k))
+    for support in supports if supports is not None else _iter_supports(k):
+        for cs in _grid_solutions(vectors, target, support, tables=tables):
+            return _witness_of(k, support, cs, target)
+    return None

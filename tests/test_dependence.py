@@ -24,9 +24,11 @@ from supertropical import (
     sum_saturated,
     sup_witness,
 )
+from supertropical import dependence
 from supertropical.dependence import (
     _chain_candidates,
     _grid_solutions,
+    _search_witness,
     _sup_assignment,
     _value_rows,
 )
@@ -42,6 +44,7 @@ from helpers import (
     rand_tangible_vec,
     rand_vec,
     rows,
+    search_witness_reference,
     seeded,
     vec,
 )
@@ -485,6 +488,55 @@ def test_annihilator_set_generated(rng):
             assert g_annihilates(A, v)
         if anns:
             assert is_dependent(anns) is None
+
+
+def _witness_key(w):
+    # DepWitness equality does not see an int against an equal Fraction.
+    if w is None:
+        return None
+    return w.support, w.target, [(c, type(c.value)) for c in w.coeffs]
+
+
+def _one_member_families():
+    """Seeded families of 1-4 members in 1-3 coordinates, halves included,
+    with zero and all-ghost members mixed in."""
+    rng = seeded(1313)
+    for _ in range(500):
+        n, denom = rng.randint(1, 3), rng.choice([1, 2])
+        S = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.random()
+            if r < 0.1:
+                S.append(Vec([ZERO] * n))
+            elif r < 0.3:
+                S.append(rand_vec(rng, n, lo=-2, hi=3, zero_p=0.3, ghost_p=1.0, denom=denom))
+            else:
+                S.append(rand_vec(rng, n, lo=-2, hi=3, zero_p=0.2, ghost_p=0.2, denom=denom))
+        yield S
+
+
+def test_one_member_route_matches_the_walk(monkeypatch):
+    """``_search_witness`` reads one-member dependences off ghost flags;
+    ``is_dependent`` and ``annihilator_set`` give what the walk over every
+    support from one member up gives."""
+    fams = list(_one_member_families())
+    singles = 0
+    for S in fams:
+        w = _search_witness(S, None)
+        assert _witness_key(w) == _witness_key(search_witness_reference(S, None)), S
+        singles += w is not None and len(w.support) == 1
+    assert singles > 100, singles
+
+    def results():
+        out = []
+        for S in fams:
+            anns = annihilator_set(Mat.from_cols(S))
+            out.append((_witness_key(is_dependent(S)), [(v, [type(x.value) for x in v]) for v in anns]))
+        return out
+
+    new = results()
+    monkeypatch.setattr(dependence, "_search_witness", search_witness_reference)
+    assert results() == new
 
 
 # -- invariance properties ---------------------------------------------

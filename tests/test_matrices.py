@@ -22,13 +22,16 @@ from supertropical import (
     solve_raw,
 )
 from supertropical.matrices import (
+    _assign,
     _combine,
     _dot,
+    _perm_of,
     _tagged_combinations,
     ann_membership,
     geq_nu_vec,
     surpasses_vec,
 )
+from supertropical.oracles import dp_permanent
 from helpers import (
     POPULATIONS,
     G,
@@ -203,6 +206,60 @@ def test_permanent_requires_square():
         permanent(mat("1 2 3\n4 5 6"))
 
 
+def _perm_case(text, want):
+    """``permanent`` gives ``want`` for the matrix and for it padded with
+    a unit diagonal up to size 4, so that each small kernel sees it: a
+    permutation that leaves the block meets a zero entry."""
+    A = mat(text)
+    k = A.rows
+    for n in range(k, 5):
+        B = Mat([
+            [A.entry(i, j) if i < k and j < k else ONE if i == j else Z for j in range(n)]
+            for i in range(n)
+        ])
+        assert _same(permanent(B), want), (B, permanent(B), want)
+
+
+def test_permanent_tangible_tie_gives_a_ghost():
+    _perm_case("2 1\n1 0", G(2))
+    _perm_case("0 0 -inf\n0 0 -inf\n-inf -inf 1", G(1))
+
+
+def test_permanent_ghost_entry_on_the_unique_best_term_gives_a_ghost():
+    _perm_case("5v 0\n0 1", G(6))
+    _perm_case("1 -inf 0\n0 2v -inf\n-inf 0 3", G(6))
+
+
+def test_permanent_ghost_term_below_a_tangible_maximum_gives_a_tangible():
+    _perm_case("5 0v\n0 1", T(6))
+    _perm_case("1 0v 0\n0 2 0\n0v 0 3", T(6))
+
+
+def test_permanent_zero_row_gives_zero():
+    _perm_case("-inf -inf\n1 2v", Z)
+    _perm_case("1 2 3\n-inf -inf -inf\n4v 5 6", Z)
+
+
+def test_permanent_halves_summing_to_an_integer_give_an_int_value():
+    _perm_case("1/2 -inf\n-inf 3/2", T(2))
+    _perm_case("1/2 -inf -inf\n-inf 1/2 -inf\n-inf -inf 1/3", T(Fraction(4, 3)))
+    assert type(permanent(mat("1/2 -inf\n-inf 3/2")).value) is int
+
+
+def test_small_permanents_match_the_dp_oracle():
+    rng = seeded(1304)
+    for k in range(1400):
+        lo, hi, zero_p, ghost_p, denom = POPULATIONS[k % len(POPULATIONS)]
+        n = 2 + k % 3
+        A = rand_mat(rng, n, n, lo=lo, hi=hi, zero_p=zero_p, ghost_p=ghost_p, denom=denom)
+        got = permanent(A)
+        assert _same(got, dp_permanent(A)), (A, got)
+        if n == 4:
+            # the assignment route, which takes over from size 5
+            rows = A.row_tuples
+            assert _same(got, _perm_of(rows, _assign(rows))), (A, got)
+
+
 def test_nonsingular_examples():
     assert is_nonsingular(QID)
     assert not is_nonsingular(SUM10_DEP)
@@ -252,6 +309,11 @@ def test_nabla_examples():
     assert nabla(Mat.diagonal([T(2), T(3)])) == Mat.diagonal([T(-2), T(-3)])
     assert nabla(Mat.identity(3)) == Mat.identity(3)
     assert nabla(QID) == QID
+
+
+def test_nabla_requires_square():
+    with pytest.raises(ShapeError, match="nabla requires a square matrix"):
+        nabla(mat("1 2 3\n4 5 6"))
 
 
 def test_nabla_singular_rejected():
