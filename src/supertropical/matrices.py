@@ -10,12 +10,12 @@ stand in for the identity matrix in cancellation arguments.
 
 The permanent has one route per size.  Sizes 2 to 4 work on the values
 and ghost flags of the entries, like the product kernel below, and
-build one Scalar: size 2 is a dot product, size 3 an unrolled list of
-its six terms, and size 4 walks a table of its 24 permutations built at
-import.  From size 5 on, an exact optimal-assignment solver (shortest
-augmenting paths with row and column potentials, in int and Fraction
-arithmetic) finds the value in ``O(n^3)``; at size 5 the table walk is
-already slower than the assignment.  The layer comes from the same run:
+build one Scalar: sizes 2 and 3 loop over unrolled lists of their terms,
+and size 4 walks a table of its 24 permutations built at import.  From
+size 5 on, an exact optimal-assignment solver (shortest augmenting paths
+with row and column potentials, in int and Fraction arithmetic) finds
+the value in ``O(n^3)``; at size 5 the table walk is already slower
+than the assignment.  The layer comes from the same run:
 the result is tangible exactly when the optimal permutation uses only
 tangible entries and is the only optimal one.  Every optimal permutation
 uses only tight edges, where the potentials sum to the weight, so a
@@ -445,15 +445,28 @@ def _tagged_combinations(options, vectors):
 
 
 def _perm2(r0, r1):
-    """The 2x2 permanent: the dot product of row 0 with row 1 reversed."""
-    return _dot(r0, (r1[1], r1[0]))
-
-
-def _perm3(r0, r1, r2):
-    """The 3x3 permanent on values and ghost flags, term by term as in
+    """The 2x2 permanent on values and ghost flags, term by term as in
     ``_dot_value_ghost``: a term through a zero entry is skipped, the
     best term is ghost when one of its entries is, and a tie at the
     maximum is ghost."""
+    (a, b), (c, d) = r0, r1
+    best = None
+    ghost = False
+    for x, y in ((a, d), (b, c)):
+        xv, yv = x._v, y._v
+        if xv is None or yv is None:
+            continue
+        v = xv + yv
+        if best is None or v > best:
+            best = v
+            ghost = x._g or y._g
+        elif v == best:
+            ghost = True
+    return ZERO if best is None else _made(best, ghost)
+
+
+def _perm3(r0, r1, r2):
+    """The 3x3 permanent, as ``_perm2`` over its six terms."""
     (a, b, c), (d, e, f), (g, h, i) = r0, r1, r2
     best = None
     ghost = False

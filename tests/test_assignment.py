@@ -3,8 +3,8 @@ pinned cases.
 
 From size 5 on, ``permanent`` solves an optimal assignment and decides
 the layer by a cycle test on the tight edges (sizes 2 to 4 walk their
-permutations on values and ghost flags); from size 5 on, ``adjoint``
-takes every minor from one assignment of the whole matrix.  ``oracles.dp_permanent``
+permutations on values and ghost flags), and ``adjoint`` takes every
+minor from one assignment of the whole matrix.  ``oracles.dp_permanent``
 (the memoized row expansion) and ``oracles.brute_permanent`` (the literal
 permutation sum) share no code with it.
 """

@@ -531,7 +531,8 @@ def test_one_member_route_matches_the_walk(monkeypatch):
         out = []
         for S in fams:
             anns = annihilator_set(Mat.from_cols(S))
-            out.append((_witness_key(is_dependent(S)), [(v, [type(x.value) for x in v]) for v in anns]))
+            typed = [(v, [type(x.value) for x in v]) for v in anns]
+            out.append((_witness_key(is_dependent(S)), typed))
         return out
 
     new = results()
