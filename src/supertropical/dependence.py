@@ -431,7 +431,7 @@ def _search_witness(vectors, target, supports=None):
             for i, w in enumerate(vectors):
                 if w.is_ghost():
                     return _witness_of(k, (i,), (ONE,), None)
-        supports = _iter_supports(k, 1 if target is not None else 2)
+        supports = _iter_supports(k, 2 if target is None else 1)
     tables = _grid_tables(vectors, target, range(k))
     for support in supports:
         for cs in _grid_solutions(vectors, target, support, tables=tables):
