@@ -74,6 +74,7 @@ from .matrices import (
     Mat,
     Vec,
     _combine,
+    _dot_value_ghost,
     _family,
     _perm_rows,
     is_nonsingular,
@@ -146,7 +147,21 @@ class DepWitness:
         return _combine(self.coeffs, _family(vectors, self.target), self.target)
 
     def is_valid(self, vectors):
-        return self.combination(vectors).is_ghost()
+        """Whether :meth:`combination` is ghost or zero in every
+        coordinate, read off entry values and ghost flags: the target
+        enters as a term with unit coefficient."""
+        S = _family(vectors, self.target)
+        coeffs = self.coeffs
+        if len(coeffs) != len(S):
+            raise ShapeError("coefficient count does not match the family")
+        if self.target is not None:
+            coeffs = (ONE, *coeffs)
+            S = [self.target, *S]
+        for col in zip(*[w.entries for w in S]):
+            v, g = _dot_value_ghost(coeffs, col)
+            if v is not None and not g:
+                return False
+        return True
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ parsing one scalar in isolation (``- inf`` and ``-inf v`` are accepted and
 canonicalize), but matrix files are tokenized by whitespace first, so
 entries there must be written without internal spaces.  Printing always
 produces the canonical space-free form, and parse(print(x)) == x exactly.
+
+A matrix file is read in one pass: lines split on whitespace, integers
+read with ``int`` (``Fraction`` only for ``p/q``), entries and rows built
+unchecked.  Positions are computed only on error, by scanning the failing
+line again, so a ``ParseError`` still carries its line and column.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import re
 from fractions import Fraction
 
 from .exceptions import ParseError
-from .matrices import Mat
-from .scalars import Scalar, ZERO
+from .matrices import _mat
+from .scalars import ZERO, _made
 
 __all__ = [
     "parse_scalar",
@@ -34,26 +39,26 @@ __all__ = [
     "print_vector",
 ]
 
-_RAT = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_INT = re.compile(r"[+-]?\d+")
+_RAT = re.compile(r"[+-]?\d+/\d+")
 
 
 def _scalar_from_token(token, line=None, column=None):
-    ghost = False
-    body = token
-    if body.endswith("v"):
-        ghost = True
-        body = body[:-1]
+    ghost = token.endswith("v")
+    body = token[:-1] if ghost else token
+    if _INT.fullmatch(body):
+        return _made(int(body), ghost)
     if body in ("-inf", "-Inf", "-INF"):
         # the ghost marker on zero is accepted and dropped: there is only
         # one zero
         return ZERO
-    if not _RAT.match(body):
+    if not _RAT.fullmatch(body):
         raise ParseError(f"bad scalar token {token!r}", line, column)
     try:
         q = Fraction(body)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {token!r}", line, column)
-    return Scalar(q, ghost)
+    return _made(q, ghost)
 
 
 def parse_scalar(text):
@@ -70,25 +75,27 @@ def print_scalar(s):
 
 def parse_matrix(text):
     """Parse a matrix file; raises ParseError with line and column info."""
-    grid = []
-    first_width = None
+    rows = []
+    width = None
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        row = []
-        for m in re.finditer(r"\S+", line):
-            row.append(_scalar_from_token(m.group(), ln, m.start() + 1))
-        if first_width is None:
-            first_width = len(row)
-        elif len(row) != first_width:
-            raise ParseError(
-                f"row has {len(row)} entries, expected {first_width}", ln, 1
-            )
-        grid.append(row)
-    if not grid:
+        try:
+            row = tuple([_scalar_from_token(t) for t in tokens])
+        except ParseError:
+            # the same tokens again, with their columns, to place the error
+            for m in re.finditer(r"\S+", line):
+                _scalar_from_token(m.group(), ln, m.start() + 1)
+            raise
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"row has {len(row)} entries, expected {width}", ln, 1)
+        rows.append(row)
+    if not rows:
         raise ParseError("no rows found")
-    return Mat(grid)
+    return _mat(tuple(rows))
 
 
 def print_matrix(A):

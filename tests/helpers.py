@@ -6,11 +6,14 @@ matrices read much better as strings than as nested constructor calls.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 from supertropical import (
     Mat,
+    ParseError,
+    Scalar,
     Vec,
     ZERO,
     ghost,
@@ -182,3 +185,49 @@ def search_witness_reference(vectors, target, supports=None):
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
     return None
+
+
+_RAT_REFERENCE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def scalar_from_token_reference(token, line=None, column=None):
+    """Reference for ``textio._scalar_from_token``: every rational read
+    with ``Fraction`` and built with the validating ``Scalar``."""
+    ghost = False
+    body = token
+    if body.endswith("v"):
+        ghost = True
+        body = body[:-1]
+    if body in ("-inf", "-Inf", "-INF"):
+        return ZERO
+    if not _RAT_REFERENCE.match(body):
+        raise ParseError(f"bad scalar token {token!r}", line, column)
+    try:
+        q = Fraction(body)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {token!r}", line, column)
+    return Scalar(q, ghost)
+
+
+def parse_matrix_reference(text):
+    """Reference for ``textio.parse_matrix``: every token located with a
+    regex scan and the matrix built with the validating ``Mat``."""
+    grid = []
+    first_width = None
+    for ln, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        row = []
+        for m in re.finditer(r"\S+", line):
+            row.append(scalar_from_token_reference(m.group(), ln, m.start() + 1))
+        if first_width is None:
+            first_width = len(row)
+        elif len(row) != first_width:
+            raise ParseError(
+                f"row has {len(row)} entries, expected {first_width}", ln, 1
+            )
+        grid.append(row)
+    if not grid:
+        raise ParseError("no rows found")
+    return Mat(grid)

@@ -8,6 +8,7 @@ from supertropical import (
     DepWitness,
     InvalidInputError,
     Mat,
+    ShapeError,
     Vec,
     ZERO,
     annihilator_set,
@@ -69,6 +70,55 @@ def test_witness_combination_includes_target():
     w = DepWitness(coeffs=(T(0),), support=(0,), target=vec("1 2"))
     assert w.combination([vec("1 2")]) == vec("1v 2v")
     assert w.is_valid([vec("1 2")])
+
+
+@pytest.mark.parametrize(
+    "coeffs,members,target,valid",
+    [
+        # a ghost target is ghost where no term passes it tangibly
+        ((T(0),), "0 1", "3v 1", True),
+        ((T(0),), "5 1", "3v 1", False),
+        # a tie at the maximum ghosts the sum, a tie below it does not
+        ((T(0), T(1)), "2 0\n1 -1", None, True),
+        ((T(0), T(0), T(0)), "1\n1\n2", None, False),
+        # a coordinate no term reaches stays zero, which is ghost enough
+        ((T(0), T(0)), "1 -inf\n1 -inf", None, True),
+        ((T(0), Z), "1 -inf\n4 4", "1v -inf", True),
+        ((T(0), Z), "1 -inf\n4 4", "-inf 2", False),
+    ],
+)
+def test_is_valid_pinned(coeffs, members, target, valid):
+    S = rows(members)
+    t = None if target is None else vec(target)
+    support = tuple(i for i, c in enumerate(coeffs) if not c.is_zero())
+    w = DepWitness(coeffs=coeffs, support=support, target=t)
+    assert w.is_valid(S) is valid
+    assert w.combination(S).is_ghost() is valid
+
+
+def test_is_valid_rejects_bad_families():
+    w = DepWitness(coeffs=(T(0), Z), support=(0,), target=vec("1 2"))
+    with pytest.raises(ShapeError, match="mixed dimensions"):
+        w.is_valid(rows("1 2 3\n4 5 6"))
+    with pytest.raises(ShapeError, match="mixed dimensions"):
+        w.is_valid([vec("1 2"), vec("1")])
+    with pytest.raises(ShapeError, match="coefficient count"):
+        w.is_valid([vec("1 2")])
+    with pytest.raises(InvalidInputError, match="empty family"):
+        w.is_valid([])
+
+
+def test_is_valid_matches_the_scalar_combination():
+    rng = seeded(1401)
+    for _ in range(2000):
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        S = [rand_vec(rng, n, lo=-2, hi=2) for _ in range(k)]
+        support = tuple(i for i in range(k) if rng.random() < 0.6) or (0,)
+        coeffs = tuple(rand_tangible(rng, -2, 2) if i in support else Z
+                       for i in range(k))
+        target = rand_vec(rng, n, lo=-2, hi=2) if rng.random() < 0.6 else None
+        w = DepWitness(coeffs=coeffs, support=support, target=target)
+        assert w.is_valid(S) == w.combination(S).is_ghost()
 
 
 # -- dependence decision -----------------------------------------------

@@ -21,7 +21,15 @@ from supertropical import (
     print_scalar,
     print_vector,
 )
-from helpers import G, T, rand_mat, rand_scalar, seeded
+from helpers import (
+    G,
+    T,
+    parse_matrix_reference,
+    rand_mat,
+    rand_scalar,
+    scalar_from_token_reference,
+    seeded,
+)
 
 
 @pytest.mark.parametrize(
@@ -96,8 +104,11 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_ragged_rows_rejected():
-    with pytest.raises(ParseError):
-        parse_matrix("1 2\n3")
+    with pytest.raises(ParseError) as exc:
+        parse_matrix("1 2\n\n3 4 5\n")
+    err = exc.value
+    assert (err.line, err.column) == (3, 1)
+    assert str(err) == "line 3, column 1: row has 3 entries, expected 2"
 
 
 def test_empty_input_rejected():
@@ -143,3 +154,100 @@ def test_print_is_canonical():
 def test_print_vector_round_trip():
     v = parse_vector("1 2v -inf")
     assert parse_vector(print_vector(v)) == v
+
+
+# -- pinned positions and value types ----------------------------------
+
+def test_bad_token_after_tab_reports_its_column():
+    with pytest.raises(ParseError) as exc:
+        parse_matrix("1 2 3\n4\t5 1.5\n")
+    err = exc.value
+    assert (err.line, err.column) == (2, 5)
+    assert str(err) == "line 2, column 5: bad scalar token '1.5'"
+
+
+def test_zero_denominator_with_ghost_marker_reports_position():
+    with pytest.raises(ParseError) as exc:
+        parse_matrix("# header\n  3/0v 1\n")
+    err = exc.value
+    assert (err.line, err.column) == (2, 3)
+    assert str(err) == "line 2, column 3: zero denominator in '3/0v'"
+
+
+@pytest.mark.parametrize("text,value", [("4/2", 2), ("-0", 0), ("-0v", 0)])
+def test_integral_values_parse_to_int(text, value):
+    x = parse_matrix(text).entry(0, 0)
+    assert x.value == value and type(x.value) is int
+    assert type(parse_scalar(text).value) is int
+
+
+# -- differential check against the validating reference parser ---------
+
+# Arabic-Indic 3 and Devanagari 12 are decimal digits to ``int`` and
+# ``Fraction`` alike; U+3000 is an ideographic space.
+_GOOD = ["0", "3", "-4", "+5", "-0", "007", "4/2", "3/6", "-7/3", "12",
+         "\u0663", "\u0967\u0968", "-inf", "-Inf", "-INF"]
+_BAD = ["3/0", "1_0", "1.5", "1/", "v", "x", "--4", "inf", "3w", "1//2"]
+_GAPS = [" ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
+_ENDS = ["\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e"]
+
+
+def _random_token(rng, bad_p):
+    if rng.random() < bad_p:
+        return rng.choice(_BAD) + rng.choice(["", "v"])
+    return rng.choice(_GOOD) + ("v" if rng.random() < 0.3 else "")
+
+
+def _random_text(rng):
+    bad_p = rng.choice([0, 0, 0.02, 0.1])
+    width = rng.randint(1, 4)
+    lines = []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(["", " ", "\t"]))
+            continue
+        if r < 0.2:
+            lines.append(rng.choice(["", "  ", "\t"]) + "# " + _random_token(rng, 0))
+            continue
+        n = width if rng.random() < 0.9 else rng.randint(1, 5)
+        gaps = [rng.choice(_GAPS) for _ in range(n + 1)]
+        lead = gaps[0] if rng.random() < 0.3 else ""
+        tail = gaps[-1] if rng.random() < 0.3 else ""
+        body = "".join(
+            (gaps[i] if i else "") + _random_token(rng, bad_p) for i in range(n)
+        )
+        lines.append(lead + body + tail)
+    return "".join(line + rng.choice(_ENDS) for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        x = parse(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    entries = [e for row in x.row_tuples for e in row] if isinstance(x, Mat) else [x]
+    return ("ok", getattr(x, "shape", None),
+            [(e.value, type(e.value), e.is_ghost()) for e in entries])
+
+
+def test_parser_matches_reference_on_seeded_texts():
+    rng = seeded(1414)
+    errors = 0
+    for _ in range(6000):
+        text = _random_text(rng)
+        got = _outcome(parse_matrix, text)
+        assert got == _outcome(parse_matrix_reference, text), repr(text)
+        if got[0] == "error":
+            errors += 1
+        else:
+            A = parse_matrix(text)
+            B = Mat(A.row_list())
+            assert A == B and hash(A) == hash(B)
+        token = _random_token(rng, 0.3)
+        assert _outcome(parse_scalar, token) == _outcome(
+            scalar_from_token_reference, token
+        ), repr(token)
+    # both outcomes are well represented
+    assert 1000 < errors < 5000

@@ -27,9 +27,16 @@ halves, zero 0.15, ghost 0.3 for the products and tangible for the
 base).  The span draws come last, from a fifth seed: ``spans`` on a
 target built from the members and on a free one, ``is_critical`` of
 every member and ``s_base``, on families of 4 to 6 members in 3 or 4
-coordinates (values -3..5, zero 0.15, ghost 0.3).  Each seed's draws
-come after all earlier ones, so the lines of the earlier draws stay as
-they were.  The whole run takes under a minute.
+coordinates (values -3..5, zero 0.15, ghost 0.3).  The text draws come
+last, from a sixth seed: ``parse_matrix`` and ``parse_vector`` on a
+seeded matrix text of 0 to 5 lines (tabs, ``\r\n``, no-break spaces,
+the separators ``\x1c``-``\x1f``, comments, blank lines, the zero
+spellings, signs, leading zeros, ``p/q``, Unicode digits, an
+occasional bad token or ragged row) and ``parse_scalar`` on one token;
+each prints the value types of the entries, or the ``ParseError`` with
+its line and column.  Each seed's draws come after all earlier ones, so
+the lines of the earlier draws stay as they were.  The whole run takes
+under a minute.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from supertropical import (
     DepWitness,
     GramForm,
     Mat,
+    ParseError,
     Vec,
     adjoint,
     annihilator_set,
@@ -66,6 +74,9 @@ from supertropical import (
     is_thick,
     max_rank,
     nabla,
+    parse_matrix,
+    parse_scalar,
+    parse_vector,
     permanent,
     quasi_identity,
     rank,
@@ -90,6 +101,13 @@ PRODUCT_SEED = 20261021
 PRODUCT_DRAWS = 300
 SPAN_SEED = 20261022
 SPAN_DRAWS = 300
+TEXT_SEED = 20261023
+TEXT_DRAWS = 400
+TEXT_TOKENS = ("0", "3", "-4", "+5", "-0", "007", "4/2", "3/6", "-7/3",
+               "\u0663", "-inf", "-Inf", "-INF")
+TEXT_BAD = ("3/0", "1_0", "1.5", "v", "1/", "x")
+TEXT_GAPS = (" ", "  ", "\t", "\xa0", "\x1f")
+TEXT_ENDS = ("\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e")
 
 
 def scalar(rng, tangible_only=False):
@@ -288,6 +306,57 @@ def span_draw(rng, out):
     out.append(("s_base", lambda: s_base(S)))
 
 
+def text_draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded text: a matrix text
+    read as a matrix and as a vector, and one token read as a scalar."""
+    def token(bad_p):
+        pool = TEXT_BAD if rng.random() < bad_p else TEXT_TOKENS
+        return rng.choice(pool) + ("v" if rng.random() < 0.3 else "")
+
+    def row(n, bad_p):
+        gaps = [rng.choice(TEXT_GAPS) for _ in range(n)]
+        lead = rng.choice(("", "", " ", "\t"))
+        return lead + "".join(
+            (gaps[i] if i else "") + token(bad_p) for i in range(n))
+
+    bad_p = rng.choice((0, 0, 0.05))
+    width = rng.randint(1, 4)
+    lines = []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(("", " ", "\t")))
+        elif r < 0.2:
+            lines.append(rng.choice(("", "  ")) + "# " + token(0))
+        else:
+            n = width if rng.random() < 0.9 else rng.randint(1, 5)
+            lines.append(row(n, bad_p))
+    text = "".join(line + rng.choice(TEXT_ENDS) for line in lines)
+    tok = token(0.3)
+    out.append(("parse_matrix", lambda: parsed(parse_matrix, text)))
+    out.append(("parse_vector", lambda: parsed(parse_vector, text)))
+    out.append(("parse_scalar", lambda: parsed(parse_scalar, tok)))
+
+
+def parsed(parse, text):
+    """The text, then what ``parse`` made of it: the result and the value
+    type of each entry (``i`` int, ``F`` Fraction, ``z`` zero), or the
+    ``ParseError`` with its line and column."""
+    try:
+        x = parse(text)
+    except ParseError as exc:
+        return f"{text!r} -> ParseError line={exc.line} column={exc.column}: {exc}"
+    if isinstance(x, Mat):
+        rows = x.row_tuples
+    else:
+        rows = [x.entries] if isinstance(x, Vec) else [[x]]
+    types = "/".join(
+        "".join("z" if e.value is None else "i" if type(e.value) is int else "F"
+                for e in r)
+        for r in rows)
+    return f"{text!r} -> {x!r} {types}"
+
+
 def _raise(exc):
     raise exc
 
@@ -302,8 +371,8 @@ def line(label, thunk):
 
 def draws():
     """``(label, fill)`` for every draw, where ``fill(out)`` appends its
-    calls; the matrix, wide, product and span draws each use their own
-    generator."""
+    calls; the matrix, wide, product, span and text draws each use their
+    own generator."""
     rng = random.Random(SEED)
     for d in range(DRAWS):
         yield str(d), lambda out: draw(rng, out)
@@ -320,6 +389,9 @@ def draws():
     srng = random.Random(SPAN_SEED)
     for d in range(SPAN_DRAWS):
         yield f"s{d}", lambda out: span_draw(srng, out)
+    trng = random.Random(TEXT_SEED)
+    for d in range(TEXT_DRAWS):
+        yield f"t{d}", lambda out: text_draw(trng, out)
 
 
 def main():
