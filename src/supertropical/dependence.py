@@ -37,16 +37,25 @@ the maximum only grows along a prefix, so a coordinate whose prefix is
 tangible can still turn ghost only if a later member reaches its value.
 A child is dropped when some tangible coordinate lies above the largest
 value the remaining members can put there with their largest candidates.
-The last member is not tried candidate by candidate: with m the prefix
-value and x its entry at a coordinate, a tangible prefix forces the tie
-c = m - x under a tangible entry and needs c >= m - x under a ghost one,
-a ghost prefix needs c <= m - x under a tangible entry, and a tangible
-prefix with no entry or a zero prefix under a tangible entry leaves
-nothing.  So its valid values are one slice of its sorted candidates.
-Only prefixes without a valid completion are dropped, so the solutions
-and their order are those of the full grid; the walk can also take
-each member's candidates largest first, which gives the same solutions
-in reverse order.
+The last two members are not tried candidate by candidate.  With m the
+prefix value and x the last member's entry at a coordinate, a tangible
+prefix forces the last value c = m - x under a tangible entry and needs
+c >= m - x under a ghost one, a ghost prefix needs c <= m - x under a
+tangible entry, and a tangible prefix with no entry or a zero prefix
+under a tangible entry leaves nothing; so for a fixed prefix the valid
+last values are one slice of the sorted candidates.  The member before
+it, with entry a and value b, changes the prefix at a coordinate only
+where a + b ties m (the coordinate turns ghost) or passes it (a + b
+leads, and the bounds above become b plus a constant).  So its
+candidates fall into runs between the breakpoints m - a, each
+breakpoint a run of its own, on which every bound is a constant or b
+plus a constant; the valid b of a run are one ``bisect`` range, and
+each of them gives one slice of the last member's candidates.  Only
+values without a valid completion are skipped, so the solutions and
+their order are those of the full grid, and only grid values are ever
+produced; the walk can also take each member's candidates largest
+first, which gives the same solutions in reverse order.  A one-member
+support is the pair of a member with no entries and itself.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows.  The constructive route classifies each component of the target as
@@ -326,57 +335,115 @@ def _valid_on_support(vectors, target, support, coeff_scalars):
     return True
 
 
-def _last_values(dom, row, grow, mx, gh):
-    """The slice of the sorted candidates ``dom`` that completes the prefix
-    sum (values ``mx``, ghost flags ``gh``) to a ghost or zero sum, for a
-    last member with entry values ``row`` and ghost flags ``grow``.
+def _pair_values(first, last, mx, gh):
+    """The completions of the prefix sum (values ``mx``, ghost flags
+    ``gh``) to a ghost or zero sum by the last two members, as pairs
+    ``(c, values)`` in ascending order of c: c a candidate of the first
+    member and ``values`` the ascending slice of the last member's
+    candidates that completes the sum after it.  ``first`` and ``last``
+    are a member's sorted candidates, entry values and ghost flags.
 
-    Per coordinate, with m the prefix value and x the entry: a tangible
-    prefix and a tangible entry force c = m - x, a tangible prefix and a
-    ghost entry need c >= m - x, a ghost prefix and a tangible entry need
-    c <= m - x, and a tangible prefix with no entry or a zero prefix with a
-    tangible entry allow nothing."""
-    lo = hi = None
-    for x, g, m, mg in zip(row, grow, mx, gh):
-        if x is None:
-            if m is not None and not mg:
-                return []
-        elif not g:
-            if m is None:
-                return []
-            t = m - x
-            if hi is None or t < hi:
-                hi = t
-            if not mg and (lo is None or t > lo):
-                lo = t
-        elif m is not None and not mg and (lo is None or m - x > lo):
-            lo = m - x
-    return dom[
-        0 if lo is None else bisect_left(dom, lo):
-        len(dom) if hi is None else bisect_right(dom, hi)
-    ]
+    Per coordinate, with m the prefix value and x the last member's entry:
+    a tangible prefix and a tangible entry force the last value to be
+    m - x, a tangible prefix and a ghost entry need at least m - x, a
+    ghost prefix and a tangible entry need at most m - x, and a tangible
+    prefix with no entry or a zero prefix with a tangible entry allow
+    nothing.  The first member's entry a, raised by c, changes the prefix
+    only where it ties or passes m, so the breakpoints m - a cut its
+    candidates into runs (each breakpoint a run of its own) on which every
+    coordinate keeps one case: with the prefix as it is, turned ghost by
+    the tie, or led by a + c, where the bounds are c plus a constant.
+    Over a run the last value thus lies between max(lo, c + klo) and
+    min(hi, c + khi), which leaves the c of one ``bisect`` range."""
+    dom, row, grow = first
+    ldom, lrow, lgrow = last
+    ts = sorted({m - a for a, m in zip(row, mx) if a is not None and m is not None})
+    out = []
+    i, size = 0, len(dom)
+    while i < size:
+        c = dom[i]
+        k = bisect_left(ts, c)
+        if k == len(ts):
+            end = size
+        elif ts[k] == c:
+            end = i + 1
+        else:
+            end = bisect_left(dom, ts[k], i)
+        # the last value's bounds over the run: constants (the ends of
+        # its candidates at first) and offsets from c (None: no bound)
+        lo, hi, klo, khi = ldom[0], ldom[-1], None, None
+        for a, ga, x, g, m, mg in zip(row, grow, lrow, lgrow, mx, gh):
+            if a is not None:
+                if m is None or a + c > m:
+                    if x is None:
+                        if not ga:
+                            break
+                    else:
+                        d = a - x
+                        if not g and (khi is None or d < khi):
+                            khi = d
+                        if not ga and (klo is None or d > klo):
+                            klo = d
+                    continue
+                if a + c == m:
+                    mg = True
+            if x is None:
+                if m is not None and not mg:
+                    break
+            elif not g:
+                if m is None:
+                    break
+                t = m - x
+                if t < hi:
+                    hi = t
+                if not mg and t > lo:
+                    lo = t
+            elif m is not None and not mg and m - x > lo:
+                lo = m - x
+        else:
+            if lo <= hi and (klo is None or khi is None or klo <= khi):
+                # c + khi >= lo and c + klo <= hi
+                start = i if khi is None else bisect_left(dom, lo - khi, i, end)
+                stop = end if klo is None else bisect_right(dom, hi - klo, i, end)
+                for c in dom[start:stop]:
+                    low = lo if klo is None or c + klo < lo else c + klo
+                    high = hi if khi is None or c + khi > hi else c + khi
+                    values = ldom[bisect_left(ldom, low):bisect_right(ldom, high)]
+                    if values:
+                        out.append((c, values))
+        i = end
+    return out
 
 
 def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
     """The valid coefficient lists for one support, in candidate-grid
     (lexicographic tuple) order, or in the reverse order when
-    ``descending``: the pruned prefix-sum walk of the module docstring,
-    with an explicit stack so that tiny grids pay little for set-up, and
-    the last member's values read off the prefix sum by ``_last_values``.
-    ``tables`` is ``_grid_tables`` of the family, for a caller that walks
-    several supports of it."""
+    ``descending``: the pruned prefix-sum walk of the module docstring
+    over the members before the last two, with an explicit stack so that
+    tiny grids pay little for set-up, and the last two members' values
+    read off each prefix sum by ``_pair_values``.  ``tables`` is
+    ``_grid_tables`` of the family, for a caller that walks several
+    supports of it."""
     rows, flags, tvals, tflags, deltas = (
         tables or _grid_tables(vectors, target, support)
     )
     cand = _chain_candidates(rows, tvals, support, deltas)
     # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], flags[i]) for i in support]
-    last, n = len(levels) - 1, len(rows[support[0]])
+    n = len(rows[support[0]])
     start = ([None] * n, [False] * n) if tvals is None else (tvals, tflags)
-    if not last:
-        found = _last_values(*levels[0], *start)
+    if len(levels) == 1:
+        # a member alone completes the start sum as the second of a pair
+        # whose first member has no entries and only the unit
+        pairs = _pair_values(([0], [None] * n, [False] * n), levels[0], *start)
+        found = pairs[0][1] if pairs else []
         for c in found[::-1] if descending else found:
             yield [Scalar(c)]
+        return
+    last = len(levels) - 2
+    pair = levels[last:]
+    if not last:
+        yield from _pair_lists([], _pair_values(*pair, *start), descending)
         return
     order = reversed if descending else iter
     # reach[d][j]: the largest value the members after depth d can give
@@ -389,9 +456,9 @@ def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
                 here[j] = x + dom[-1]
         reach.append(here)
     reach.reverse()
-    # the stack over the members before the last, per depth: the prefix
-    # sum before the member (values and ghost flags), the iterator over
-    # its candidates and the one chosen
+    # the stack over the members before the last two, per depth: the
+    # prefix sum before the member (values and ghost flags), the iterator
+    # over its candidates and the one chosen
     maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
     maxes[0], ghosts[0] = start
     its[0] = order(levels[0][0])
@@ -421,13 +488,22 @@ def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
                     d += 1
                     maxes[d], ghosts[d], its[d] = mx, gh, order(levels[d][0])
                     break
-                found = _last_values(*levels[last], mx, gh)
-                if found:
-                    head = [Scalar(v) for v in chosen]
-                    for t in found[::-1] if descending else found:
-                        yield head + [Scalar(t)]
+                pairs = _pair_values(*pair, mx, gh)
+                if pairs:
+                    yield from _pair_lists(
+                        [Scalar(v) for v in chosen], pairs, descending
+                    )
         else:
             d -= 1
+
+
+def _pair_lists(head, pairs, descending):
+    """The coefficient lists ``head`` plus each pair of ``_pair_values``,
+    in its order or the reverse."""
+    for c, values in reversed(pairs) if descending else pairs:
+        head_c = head + [Scalar(c)]
+        for t in reversed(values) if descending else values:
+            yield head_c + [Scalar(t)]
 
 
 def _search_witness(vectors, target, supports=None):
@@ -455,12 +531,21 @@ def _search_witness(vectors, target, supports=None):
 
 
 def _witness_of(k, support, cs, target):
-    """The witness over k members with the coefficients ``cs`` on the
-    support and zero elsewhere."""
+    """The witness over k members with the tangible coefficients ``cs`` on
+    the sorted support and zero elsewhere."""
     coeffs = [ZERO] * k
     for i, c in zip(support, cs):
         coeffs[i] = c
-    return DepWitness(tuple(coeffs), support, target)
+    return _witness(tuple(coeffs), support, target)
+
+
+def _witness(coeffs, support, target):
+    """A DepWitness the library built itself, unchecked: a coefficient
+    tuple that is tangible on the sorted, duplicate-free support tuple
+    and zero elsewhere."""
+    w = object.__new__(DepWitness)
+    w.__dict__.update(coeffs=coeffs, support=support, target=target)
+    return w
 
 
 def is_dependent(S):
@@ -484,7 +569,7 @@ def is_dependent(S):
     lead = w.coeffs[w.support[0]]
     if lead != ONE:
         inv = ONE / lead
-        w = DepWitness(tuple(c * inv for c in w.coeffs), w.support, None)
+        w = _witness(tuple(c * inv for c in w.coeffs), w.support, None)
     if not w.is_valid(S):
         raise AssertionError("witness failed re-verification")
     return w

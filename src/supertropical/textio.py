@@ -9,11 +9,10 @@ Matrix files are plain UTF-8: one row per line, entries separated by
 whitespace, lines whose first non-blank character is ``#`` are comments,
 blank lines are skipped.  A vector is a one-line matrix file.
 
-Parsing is forgiving about stray spaces inside a single scalar token when
-parsing one scalar in isolation (``- inf`` and ``-inf v`` are accepted and
-canonicalize), but matrix files are tokenized by whitespace first, so
-entries there must be written without internal spaces.  Printing always
-produces the canonical space-free form, and parse(print(x)) == x exactly.
+A scalar is one token in every format.  On its own it may have blanks
+around it, but not inside it: ``3 v`` and ``1 2`` are rejected, as a
+matrix row reads them as two tokens.  Printing always produces the
+canonical space-free form, and parse(print(x)) == x exactly.
 
 A matrix file is read in one pass: lines split on whitespace, integers
 read with ``int`` (``Fraction`` only for ``p/q``), entries and rows built
@@ -62,11 +61,14 @@ def _scalar_from_token(token, line=None, column=None):
 
 
 def parse_scalar(text):
-    """Parse one scalar, tolerating internal whitespace."""
-    token = "".join(text.split())
-    if not token:
+    """Parse one scalar token; blanks around it are ignored, blanks inside
+    it are a ``ParseError``."""
+    tokens = text.split()
+    if not tokens:
         raise ParseError("empty scalar text")
-    return _scalar_from_token(token)
+    if len(tokens) > 1:
+        raise ParseError(f"whitespace inside scalar text {text!r}")
+    return _scalar_from_token(tokens[0])
 
 
 def print_scalar(s):

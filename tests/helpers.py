@@ -7,6 +7,7 @@ matrices read much better as strings than as nested constructor calls.
 
 import random
 import re
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,6 +25,7 @@ from supertropical import (
     tangible,
 )
 from supertropical.dependence import (
+    _chain_candidates,
     _grid_solutions,
     _grid_tables,
     _iter_supports,
@@ -185,6 +187,108 @@ def search_witness_reference(vectors, target, supports=None):
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
     return None
+
+
+def _last_values_reference(dom, row, grow, mx, gh):
+    """The slice of the sorted candidates ``dom`` that completes the prefix
+    sum (values ``mx``, ghost flags ``gh``) to a ghost or zero sum, for a
+    last member with entry values ``row`` and ghost flags ``grow``.
+
+    Per coordinate, with m the prefix value and x the entry: a tangible
+    prefix and a tangible entry force c = m - x, a tangible prefix and a
+    ghost entry need c >= m - x, a ghost prefix and a tangible entry need
+    c <= m - x, and a tangible prefix with no entry or a zero prefix with a
+    tangible entry allow nothing."""
+    lo = hi = None
+    for x, g, m, mg in zip(row, grow, mx, gh):
+        if x is None:
+            if m is not None and not mg:
+                return []
+        elif not g:
+            if m is None:
+                return []
+            t = m - x
+            if hi is None or t < hi:
+                hi = t
+            if not mg and (lo is None or t > lo):
+                lo = t
+        elif m is not None and not mg and (lo is None or m - x > lo):
+            lo = m - x
+    return dom[
+        0 if lo is None else bisect_left(dom, lo):
+        len(dom) if hi is None else bisect_right(dom, hi)
+    ]
+
+
+def grid_solutions_reference(vectors, target, support, *, descending=False, tables=None):
+    """Reference for ``dependence._grid_solutions``: the same pruned
+    prefix-sum walk (rule (a) at every depth), but with every member
+    before the last on the stack, the second-to-last tried candidate by
+    candidate, and the last member's values read off each prefix sum by
+    ``_last_values_reference``."""
+    rows, flags, tvals, tflags, deltas = (
+        tables or _grid_tables(vectors, target, support)
+    )
+    cand = _chain_candidates(rows, tvals, support, deltas)
+    # per depth: the member's candidates, entry values and ghost flags
+    levels = [(cand[i], rows[i], flags[i]) for i in support]
+    last, n = len(levels) - 1, len(rows[support[0]])
+    start = ([None] * n, [False] * n) if tvals is None else (tvals, tflags)
+    if not last:
+        found = _last_values_reference(*levels[0], *start)
+        for c in found[::-1] if descending else found:
+            yield [Scalar(c)]
+        return
+    order = reversed if descending else iter
+    # reach[d][j]: the largest value the members after depth d can give
+    # coordinate j with their largest candidates (None: no entry there)
+    reach = [[None] * n]
+    for dom, row, _ in reversed(levels[1:]):
+        here = reach[-1][:]
+        for j, x in enumerate(row):
+            if x is not None and (here[j] is None or x + dom[-1] > here[j]):
+                here[j] = x + dom[-1]
+        reach.append(here)
+    reach.reverse()
+    # the stack over the members before the last, per depth: the prefix
+    # sum before the member (values and ghost flags), the iterator over
+    # its candidates and the one chosen
+    maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
+    maxes[0], ghosts[0] = start
+    its[0] = order(levels[0][0])
+    d = 0
+    while d >= 0:
+        _, row, grow = levels[d]
+        pmx, pgh, nxt = maxes[d], ghosts[d], reach[d]
+        for c in its[d]:
+            mx, gh = pmx[:], pgh[:]
+            for j in range(n):
+                x = row[j]
+                if x is not None:
+                    x += c
+                    m = mx[j]
+                    if m is None or x > m:
+                        mx[j] = m = x
+                        gh[j] = grow[j]
+                    elif x == m:
+                        gh[j] = True
+                else:
+                    m = mx[j]
+                if m is not None and not gh[j] and (nxt[j] is None or nxt[j] < m):
+                    break
+            else:
+                chosen[d] = c
+                if d + 1 < last:
+                    d += 1
+                    maxes[d], ghosts[d], its[d] = mx, gh, order(levels[d][0])
+                    break
+                found = _last_values_reference(*levels[last], mx, gh)
+                if found:
+                    head = [Scalar(v) for v in chosen]
+                    for t in found[::-1] if descending else found:
+                        yield head + [Scalar(t)]
+        else:
+            d -= 1
 
 
 _RAT_REFERENCE = re.compile(r"^[+-]?\d+(?:/\d+)?$")

@@ -259,6 +259,14 @@ class TestErrorHandling:
         assert rc == 2
         assert out == ["error: line 2, column 3: bad scalar token 'oops'"]
 
+    def test_coeffs_item_with_inner_blank_is_rejected(self, cli):
+        # "1 2" is two tokens, not the coefficient 12
+        rc, out = cli(
+            ["oracle", "satcheck", "m", "--support", "0,1", "--coeffs", "0,1 2"],
+            m="1 2\n3 4\n",
+        )
+        assert (rc, out) == (2, ["error: whitespace inside scalar text '1 2'"])
+
     def test_missing_file(self, cli):
         rc, out = cli(["det", "no-such-file.txt"])
         assert rc == 2

@@ -44,6 +44,7 @@ from helpers import (
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
+    grid_solutions_reference,
     rows,
     search_witness_reference,
     seeded,
@@ -64,6 +65,28 @@ def test_witness_validation():
         DepWitness(coeffs=(G(1), Z), support=(0,))
     with pytest.raises(InvalidInputError):
         DepWitness(coeffs=(T(1), T(1)), support=(0,))
+    with pytest.raises(InvalidInputError):
+        DepWitness(coeffs=(T(1), Z), support=(0, 0))
+    with pytest.raises(TypeError):
+        DepWitness(coeffs=(1, Z), support=(0,))
+
+
+def test_library_witnesses_equal_their_public_reconstruction():
+    # the library builds its witnesses unchecked; each must still be one
+    # the public constructor accepts and leaves as it is
+    rng = seeded(1515)
+    built = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        S = [rand_vec(rng, n, lo=-2, hi=2) for _ in range(rng.randint(1, 3))]
+        v = rand_vec(rng, n, lo=-2, hi=2)
+        found = [is_dependent(S), depends_on(v, S)]
+        if found[1] is not None and dependence._independent(S):
+            found += [saturate(v, S, found[1]), saturate_by_sup(v, S, found[1])]
+        for w in filter(None, found):
+            built += 1
+            assert DepWitness(w.coeffs, w.support, w.target) == w, w
+    assert built > 300, built
 
 
 def test_witness_combination_includes_target():
@@ -664,6 +687,64 @@ def test_grid_walk_matches_flat_product_halves():
         S = [rand_vec(rng, n, lo=-4, hi=4, denom=2) for _ in range(rng.randint(1, 3))]
         target = rand_vec(rng, n, lo=-4, hi=4, denom=2) if rng.random() < 0.5 else None
         _walk_matches_flat(S, target)
+
+
+def _typed(solutions):
+    return [[(c.value, type(c.value), c.is_ghost()) for c in cs] for cs in solutions]
+
+
+def test_grid_walk_matches_the_candidate_by_candidate_walk():
+    # every support of families of 1-4 members, both orders: the same
+    # lists, values and value types as the walk that tries the
+    # second-to-last member's candidates one by one
+    rng = seeded(1516)
+    walks = 0
+    for _ in range(250):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        # wider values only below four members, where the grids stay small
+        lo, hi = rng.choice(((-1, 1), (-2, 2))) if k < 4 else (-1, 1)
+        kw = dict(lo=lo, hi=hi, zero_p=rng.choice((0, 0.2)),
+                  ghost_p=rng.choice((0, 0.2, 0.3)), denom=rng.choice((1, 2, 3)))
+        S = [rand_vec(rng, n, **kw) for _ in range(k)]
+        target = rand_vec(rng, n, **kw) if rng.random() < 0.5 else None
+        for size in range(1, len(S) + 1):
+            for support in itertools.combinations(range(len(S)), size):
+                for descending in (False, True):
+                    got = _grid_solutions(S, target, support, descending=descending)
+                    want = grid_solutions_reference(
+                        S, target, support, descending=descending
+                    )
+                    assert _typed(got) == _typed(want), (S, target, support, descending)
+                    walks += 1
+    assert walks > 3000, walks
+
+
+@pytest.mark.parametrize("members, target, want", [
+    # the first member's breakpoint 3 - 1 = 2 is one of its candidates:
+    # below it the last member must tie the target's tangible 3, at it
+    # the tie turns the coordinate ghost and the last member need only
+    # stay at or below 3
+    ("1\n0", "3", [[-1, 3], [0, 3], [2, 0], [2, 1], [2, 3]]),
+    # a tangible target coordinate where neither member has an entry
+    ("0 -inf\n0 -inf", "1 2", []),
+    # a ghost target over ghost entries bounds nothing: every pair
+    ("0v\n0v", "1v", [[0, 0], [0, 1], [1, 0], [1, 1]]),
+])
+def test_pair_step_pinned(members, target, want):
+    S, t = rows(members), vec(target)
+    assert list(_grid_solutions(S, t, (0, 1))) == [[T(a), T(b)] for a, b in want]
+    assert _flat_grid_solutions(S, t, (0, 1)) == [[T(a), T(b)] for a, b in want]
+
+
+def test_pair_step_without_stack_levels():
+    # a two-member support goes straight to the pair step: the tie
+    # between the members (c1 = c0 + 1 at both coordinates) is the only
+    # dependence, and every candidate pair on that line is listed
+    S = rows("1 2\n0 1")
+    want = [[T(c), T(c + 1)] for c in (-1, 0)]
+    assert _flat_grid_solutions(S, None, (0, 1)) == want
+    assert list(_grid_solutions(S, None, (0, 1))) == want
+    assert list(_grid_solutions(S, None, (0, 1), descending=True)) == want[::-1]
 
 
 def test_grid_walk_prunes_a_hopeless_target():

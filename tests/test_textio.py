@@ -62,7 +62,9 @@ def test_ghost_marked_zero_canonicalizes():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x", "3w", "v", "1/0", "1//2", "3.5", "--4", "inf"],
+    ["", "x", "3w", "v", "1/0", "1//2", "3.5", "--4", "inf",
+     # a blank inside the text makes two tokens, as in a matrix row
+     "1 2", "3 4v", "1\t2", "-inf v", " 1 2 "],
 )
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ParseError):
