@@ -39,12 +39,12 @@ from helpers import (
     G,
     T,
     Z,
+    grid_solutions_reference,
     mat,
     rand_mat,
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
-    grid_solutions_reference,
     rows,
     search_witness_reference,
     seeded,
