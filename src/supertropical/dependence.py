@@ -58,18 +58,15 @@ first, which gives the same solutions in reverse order.  A one-member
 support is the pair of a member with no entries and itself.
 
 Saturation raises the coefficients of a dependence as far as validity
-allows.  The constructive route classifies each component of the target as
-either still essential (the target's own value is needed there to make the
-sum ghost) or dominated, takes the valid grid assignments minimizing the
-number of essential components, folds their pointwise supremum into the
-target for the coefficients it pins down, and recurses on the rest.  A
-second, independent route takes the greatest valid same-support grid
-assignment.  Valid assignments are closed under the coordinatewise join
-(``sup_witness``), and the coordinatewise maximum of grid values is a
-grid value, so the supremum of every valid grid assignment is itself
-one: the greatest, and so the lexicographic maximum, which the walk
-taken largest first meets before any other.  The two routes must agree
-and tests hold them to that.
+allows on its support.  Valid assignments on one support are closed
+under the coordinatewise join (``sup_witness``), and the coordinatewise
+maximum of grid values is a grid value, so the supremum of every valid
+grid assignment is itself one: the unique greatest, and so the
+lexicographic maximum, which the walk taken largest first meets before
+any other.  That first solution is the saturated witness.  ``saturate``
+also requires the support to be irredundant; a sub-support whose
+members are independent together with the target carries no witness by
+the minor criterion above, so only the other sub-supports are walked.
 """
 
 from __future__ import annotations
@@ -86,8 +83,6 @@ from .matrices import (
     _dot_value_ghost,
     _family,
     _perm_rows,
-    is_nonsingular,
-    solve_max,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -320,19 +315,6 @@ def _chain_candidates(rows, target_vals, support, deltas=None):
 def _iter_supports(k, smallest=1):
     for size in range(smallest, k + 1):
         yield from combinations(range(k), size)
-
-
-def _valid_on_support(vectors, target, support, coeff_scalars):
-    """Check that target plus the weighted members over the support is
-    entirely ghost or zero."""
-    n = vectors[support[0]].dim
-    for j in range(n):
-        acc = target[j] if target is not None else ZERO
-        for i, c in zip(support, coeff_scalars):
-            acc = acc + c * vectors[i].entries[j]
-        if not acc.is_ghost0():
-            return False
-    return True
 
 
 def _pair_values(first, last, mx, gh):
@@ -638,74 +620,6 @@ def extend_with_tangible(S, v):
 # -- saturation --------------------------------------------------------
 
 
-def _classify_components(v, S, support, coeffs):
-    """Split component indices by whether the target's own value is still
-    essential for ghostness there.
-
-    Essential (type one): the target attains the componentwise maximum
-    and either is ghost itself or ties exactly one tangible term.  In all
-    other cases the terms of the support cover the component on their own.
-    ``coeffs`` is aligned with ``support``.
-    """
-    n = v.dim
-    essential = []
-    for j in range(n):
-        vj = v[j]
-        if vj.is_zero():
-            continue
-        terms = [c * S[i].entries[j] for i, c in zip(support, coeffs)]
-        top = vj
-        for t in terms:
-            if t.nu_gt(top):
-                top = t
-        if not vj.nu_matches(top):
-            continue
-        if vj.is_ghost():
-            essential.append(j)
-            continue
-        matching = [t for t in terms if t.nu_matches(top) and not t.is_zero()]
-        if len(matching) == 1 and matching[0].is_tangible():
-            essential.append(j)
-    return essential
-
-
-def _sup_assignment(assignments):
-    """Coefficientwise supremum of support-aligned assignments, lifted to
-    the tangible layer."""
-    return [max(col, key=lambda c: c.value).nu_hat() for col in zip(*assignments)]
-
-
-def _saturate_recursive(v, S, support):
-    """The constructive saturation: pin down the coefficients anchored at
-    essential components, fold them into the target, recurse on the rest.
-    Returns a dict index -> Scalar for every index in support."""
-    if not support:
-        return {}
-    assignments = list(_grid_solutions(S, v, support))
-    if not assignments:
-        raise AssertionError("a valid witness must exist on the grid")
-    counted = [
-        (len(_classify_components(v, S, support, a)), a) for a in assignments
-    ]
-    fewest = min(c for c, _ in counted)
-    sup = _sup_assignment([a for c, a in counted if c == fewest])
-    if not _valid_on_support(S, v, support, sup):
-        raise AssertionError("supremum of valid assignments lost validity")
-    essential = _classify_components(v, S, support, sup)
-    out = {
-        i: c for i, c in zip(support, sup)
-        if any((c * S[i].entries[j]).nu_matches(v[j]) for j in essential)
-    }
-    if not out:
-        # nothing is pinned by the target any more; the remaining
-        # coefficients are already grid-maximal, so they are final
-        return dict(zip(support, sup))
-    folded = _combine([out.get(i) for i in range(len(S))], S, v)
-    rest = tuple(i for i in support if i not in out)
-    out.update(_saturate_recursive(folded, S, rest))
-    return out
-
-
 def _check_saturate_inputs(v, S, w):
     if w.target is None or w.target != v:
         raise InvalidInputError("witness target must be the given vector")
@@ -718,71 +632,55 @@ def _check_saturate_inputs(v, S, w):
 
 
 def _is_irredundant(v, S, support):
+    """Whether no proper sub-support carries a witness.  A sub-support
+    whose members are independent together with v carries none on any
+    grid, so only the others are walked."""
     subs = (
         sub for size in range(1, len(support))
         for sub in combinations(support, size)
+        if not _independent([S[i] for i in sub] + [v])
     )
     return _search_witness(S, v, subs) is None
+
+
+def _greatest(v, S, w):
+    """The greatest valid assignment on the support of w: the first
+    solution of the grid walk taken largest first, re-verified."""
+    sup = next(_grid_solutions(S, v, w.support, descending=True), None)
+    if sup is None:
+        raise AssertionError("a valid witness must exist on the grid")
+    out = _witness_of(len(S), w.support, sup, v)
+    if not out.is_valid(S):
+        raise AssertionError("saturated witness failed re-verification")
+    return out
 
 
 def saturate(v, S, w):
     """The unique coefficientwise largest witness with the same support.
 
     Requires an independent family and a valid, support-irredundant
-    witness.  When the family is square, nonsingular, the target tangible
-    and the support full, the answer drops out of the matrix solver
-    applied to the transposed system; otherwise the constructive
-    recursion runs.
+    witness.  The answer is the greatest valid assignment on the
+    witness's support, as for :func:`saturate_by_sup`.
     """
     S = _family(S, v)
     _check_saturate_inputs(v, S, w)
     if not _is_irredundant(v, S, w.support):
         raise InvalidInputError("witness support is reducible")
-    n = v.dim
-    if (
-        len(S) == n
-        and w.support == tuple(range(n))
-        and v.is_tangible()
-        and not v.is_zero()
-    ):
-        fast = _saturate_fast(v, S)
-        if fast is not None:
-            return fast
-    coeffs = _saturate_recursive(v, S, w.support)
-    out = _witness_of(len(S), w.support, [coeffs[i] for i in w.support], v)
-    if not out.is_valid(S):
-        raise AssertionError("saturated witness failed re-verification")
-    return out
-
-
-def _saturate_fast(v, S):
-    A = Mat(S)
-    if not is_nonsingular(A):
-        return None
-    x = solve_max(A.transpose(), v)
-    if not all(c.is_tangible() for c in x):
-        return None
-    w = DepWitness(tuple(x.entries), tuple(range(len(S))), v)
-    return w if w.is_valid(S) else None
+    return _greatest(v, S, w)
 
 
 def saturate_by_sup(v, S, w):
-    """Independent second route to the saturated witness: the greatest
-    valid same-support assignment on the candidate grid.
+    """The greatest valid same-support assignment on the candidate grid,
+    for any valid witness over an independent family.
 
     Valid assignments are closed under the coordinatewise join, so the
     pointwise supremum of all of them is valid and is the greatest one;
     it is the first solution of the grid walk taken largest first, and
-    no other assignment is listed."""
+    no other assignment is listed.  Unlike :func:`saturate`, the support
+    need not be irredundant."""
     S = _family(S, v)
     _check_saturate_inputs(v, S, w)
-    sup = next(_grid_solutions(S, v, w.support, descending=True), None)
-    if sup is None:
-        raise AssertionError("a valid witness must exist on the grid")
-    out = _witness_of(len(S), w.support, sup, v)
-    if not out.is_valid(S):
-        raise AssertionError("supremum witness failed re-verification")
-    return out
+    return _greatest(v, S, w)
 
 
 def _join(w1, w2):

@@ -22,6 +22,7 @@ from supertropical import (
     parse_matrix,
     parse_scalar,
     parse_vector,
+    solve_max,
     tangible,
 )
 from supertropical.dependence import (
@@ -32,6 +33,7 @@ from supertropical.dependence import (
     _witness_of,
 )
 from supertropical.matrices import _combine, _family
+from supertropical.oracles import check_saturated
 from supertropical.span import (
     SpanWitness,
     _ghost_surplus,
@@ -218,6 +220,31 @@ def _last_values_reference(dom, row, grow, mx, gh):
         0 if lo is None else bisect_left(dom, lo):
         len(dom) if hi is None else bisect_right(dom, hi)
     ]
+
+
+def sup_assignment(assignments):
+    """Coefficientwise supremum of support-aligned assignments, lifted to
+    the tangible layer."""
+    return [max(col, key=lambda c: c.value).nu_hat() for col in zip(*assignments)]
+
+
+def saturation_crosschecks(v, S, s):
+    """Check the saturated witness ``s`` of v over the family S by the
+    routes that apply besides the grid walk, and say which ran: on a
+    square family with full support and a tangible nonzero target its
+    coefficients are ``solve_max`` of the transposed system; on a
+    support of at most two members the brute grid search of
+    ``check_saturated`` finds nothing larger."""
+    solved = (
+        len(S) == v.dim and s.support == tuple(range(len(S)))
+        and v.is_tangible() and not v.is_zero()
+    )
+    if solved:
+        assert s.coeffs == tuple(solve_max(Mat(S).transpose(), v).entries), (v, S, s)
+    brute = len(s.support) <= 2
+    if brute:
+        assert check_saturated(s, S), (v, S, s)
+    return solved, brute
 
 
 def grid_solutions_reference(vectors, target, support, *, descending=False, tables=None):

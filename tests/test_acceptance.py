@@ -60,6 +60,7 @@ from helpers import (
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
+    saturation_crosschecks,
     vec,
 )
 
@@ -183,8 +184,10 @@ def _dependent_target_instance(rng, n, k):
 
 def test_criterion_07():
     """Saturation: the worked example returns the zero pair, bumping
-    any single coefficient invalidates it, and two independent
-    saturation routes agree on 200 generated instances."""
+    any single coefficient invalidates it, and on 200 generated
+    instances ``saturate`` and ``saturate_by_sup`` agree, and the result
+    matches ``solve_max`` on the square full-support draws and the brute
+    grid check on supports of at most two members."""
     v = vec("0 1 3")
     S = mat("1 1 2\n1 1 3").row_list()
     w = saturate(v, S, depends_on(v, S))
@@ -197,7 +200,7 @@ def test_criterion_07():
             assert not DepWitness(tuple(coeffs), w.support, v).is_valid(S)
 
     rng = random.Random(0)
-    hits = 0
+    hits = solved = brute = 0
     while hits < 200:
         n = rng.randint(1, 3)
         v, S = _dependent_target_instance(rng, n, rng.randint(1, n))
@@ -205,7 +208,12 @@ def test_criterion_07():
         if w0 is None:
             continue
         hits += 1
-        assert saturate(v, S, w0) == saturate_by_sup(v, S, w0)
+        s = saturate(v, S, w0)
+        assert s == saturate_by_sup(v, S, w0)
+        ran = saturation_crosschecks(v, S, s)
+        solved += ran[0]
+        brute += ran[1]
+    assert (solved, brute) == (86, 199), (solved, brute)
 
 
 def test_criterion_08():

@@ -4,8 +4,9 @@ Most cases drive ``main`` in process and read captured stdout; one
 runs every subcommand in text and JSON mode against the pinned
 transcript ``tests/cli_golden.out``.  Two smoke tests run the console
 script declared in ``pyproject.toml`` and ``python -m supertropical``
-as subprocesses against the checkout, and a third runs
-``demos/cli_tour.sh`` against its pinned transcript.
+as subprocesses against the checkout, a third runs
+``demos/cli_tour.sh`` against its pinned transcript, and each Python
+demo runs once as a subprocess.
 The math behind each command is covered by the module tests, so these
 focus on wiring: argument handling, formatting, exit codes, JSON shape.
 """
@@ -364,6 +365,19 @@ def test_cli_tour_transcript():
     )
     assert r.returncode == 0, r.stderr.decode()
     assert r.stdout == (demos / "cli_tour.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((SRC_DIR.parent / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_runs(demo):
+    """Each Python demo runs against the checkout without error output."""
+    r = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True,
+        env=_checkout_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
 
 
 def test_module_runner(tmp_path):

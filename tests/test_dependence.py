@@ -30,7 +30,6 @@ from supertropical.dependence import (
     _chain_candidates,
     _grid_solutions,
     _search_witness,
-    _sup_assignment,
     _value_rows,
 )
 from supertropical.oracles import brute_permanent
@@ -47,7 +46,9 @@ from helpers import (
     rand_vec,
     rows,
     search_witness_reference,
+    saturation_crosschecks,
     seeded,
+    sup_assignment,
     vec,
 )
 
@@ -372,17 +373,68 @@ def test_saturate_dominates_input(rng):
 
 
 def test_saturation_routes_agree(rng):
-    # The anchoring recursion and the grid supremum are independent
-    # routes to the same unique maximal witness.
+    # saturate and saturate_by_sup both take the first solution of the
+    # descending walk, so their agreement shows only that the support
+    # checks pass; the saturated witness itself is checked by routes
+    # outside the walk: the brute grid check on these two-member
+    # supports, and solve_max on square tangible families with free
+    # targets, where the support is often full
     hits = 0
     for _ in range(60):
         inst = _random_dependence(rng)
         if inst is None:
             continue
         v, S, w = inst
-        assert saturate(v, S, w) == saturate_by_sup(v, S, w)
+        s = saturate(v, S, w)
+        assert s == saturate_by_sup(v, S, w)
+        assert saturation_crosschecks(v, S, s) == (False, True)
         hits += 1
     assert hits >= 20
+    rng = seeded(1616)
+    solved = 0
+    for _ in range(200):
+        S = [rand_tangible_vec(rng, 3) for _ in range(3)]
+        v = rand_tangible_vec(rng, 3)
+        if is_dependent(S) is not None:
+            continue
+        w = depends_on(v, S)
+        s = saturate(v, S, w)
+        assert s == saturate_by_sup(v, S, w)
+        solved += saturation_crosschecks(v, S, s)[0]
+    assert solved > 80, solved
+
+
+@pytest.mark.parametrize("error, match, v, S, w, by_sup", [
+    (InvalidInputError, "target", SAT_V, SAT_S,
+     DepWitness((T(0), T(0)), (0, 1), vec("0 1 4")), True),
+    (ShapeError, "length", SAT_V, SAT_S,
+     DepWitness((T(0), T(0), Z), (0, 1), SAT_V), True),
+    # a dependent family, with a valid witness on it
+    (InvalidInputError, "independent", vec("0 0"), rows("0 0\n1 1"),
+     DepWitness((T(0), Z), (0,), vec("0 0")), True),
+    # a valid witness whose first member alone already is one: only
+    # saturate requires an irredundant support
+    (InvalidInputError, "reducible", vec("0 0"), rows("0 0\n0 1"),
+     DepWitness((T(0), T(-5)), (0, 1), vec("0 0")), False),
+])
+def test_saturate_rejects_inputs(error, match, v, S, w, by_sup):
+    with pytest.raises(error, match=match):
+        saturate(v, S, w)
+    if by_sup:
+        with pytest.raises(error, match=match):
+            saturate_by_sup(v, S, w)
+    else:
+        assert saturate_by_sup(v, S, w).coeffs == (T(0), T(-1))
+
+
+def test_dependent_family_with_target_need_not_carry_a_witness():
+    # a target that is ghost or zero everywhere is a dependence on its
+    # own, so the family with it appended is dependent although no
+    # witness holds a member: for such targets a dependent T with v does
+    # not promise a witness on T
+    v, S = vec("0v -inf"), [vec("0 0")]
+    assert not dependence._independent(S + [v])
+    assert depends_on(v, S) is None
 
 
 def _random_dependence(rng, n=3, k=2):
@@ -773,7 +825,7 @@ def test_descending_walk_starts_at_the_supremum():
                 flat = _flat_grid_solutions(S, target, support)
                 if flat:
                     hits += 1
-                    assert down[0] == _sup_assignment(flat), (S, target, support)
+                    assert down[0] == sup_assignment(flat), (S, target, support)
     assert hits > 1000, hits
 
 
