@@ -16,6 +16,18 @@ exactly when it is ghost or zero everywhere, with the unit as its only
 candidate, so the one-member supports are read off the ghost flags and
 the grid search starts at two members.
 
+The criterion also decides, before any walk, which supports can hold a
+witness.  A witness on support T is a dependence of T together with the
+target (without one: of T alone), so when those vectors are independent
+the walk on T could only fail, on any grid, and T is skipped.  The first
+support left in the search order is the support of the witness.
+Without a target, its proper subsets came first and are independent, so
+every dependence of it has all of it as support.  With a target, an
+independent family and a target that is not ghost or zero everywhere
+(and so no dependence on its own), every dependence of T with the
+target holds the target and a nonempty part of T, and a smaller part
+would have come first.  A successful search walks one support.
+
 The candidate grid deserves a comment, because the obvious one is too
 small.  In any ghost-producing combination each essential term ties some
 other term (or the target) at some component; writing the tie out gives a
@@ -64,9 +76,10 @@ maximum of grid values is a grid value, so the supremum of every valid
 grid assignment is itself one: the unique greatest, and so the
 lexicographic maximum, which the walk taken largest first meets before
 any other.  That first solution is the saturated witness.  ``saturate``
-also requires the support to be irredundant; a sub-support whose
-members are independent together with the target carries no witness by
-the minor criterion above, so only the other sub-supports are walked.
+also requires the support to be irredundant.  A subset of an independent
+family is independent, so when every sub-support one member short is
+independent together with the target, no proper sub-support carries a
+witness, which takes that many minor tests and no walk.
 """
 
 from __future__ import annotations
@@ -199,7 +212,9 @@ def _has_nonsingular_minor(rows, k):
     A row or column with no tangible entry makes every permanent through
     it ghost or zero, so such rows go first, then such columns of the
     rows that are left.  A kept row's tangible entry is a nonsingular
-    1 by 1 minor."""
+    1 by 1 minor.  Two rows, the test the witness search runs most, are
+    read off values and ghost flags: a 2 by 2 permanent is tangible when
+    one of its two terms lies above the other and has no ghost entry."""
     if len(rows[0]) < k:
         return False
     rows = [r for r in rows if any(map(_tangible, r))]
@@ -207,6 +222,18 @@ def _has_nonsingular_minor(rows, k):
         return False
     if k == 1:
         return True
+    if k == 2:
+        for r0, r1 in combinations(rows, 2):
+            for i, j in combinations(range(len(r0)), 2):
+                a, b, c, d = r0[i], r0[j], r1[i], r1[j]
+                x = None if a._v is None or d._v is None else a._v + d._v
+                y = None if b._v is None or c._v is None else b._v + c._v
+                if x is not None and (y is None or x > y):
+                    if not (a._g or d._g):
+                        return True
+                elif y is not None and (x is None or y > x) and not (b._g or c._g):
+                    return True
+        return False
     cols = [j for j, col in enumerate(zip(*rows)) if any(map(_tangible, col))]
     if len(cols) < k:
         return False
@@ -497,18 +524,35 @@ def _search_witness(vectors, target, supports=None):
     Without a target or given supports, the one-member supports are read
     off ghost flags: a member alone is a dependence exactly when it is
     ghost or zero everywhere, and then with the unit, its only candidate.
-    The walk starts at two members."""
+    The walk starts at two members.
+
+    A support whose members are independent together with the target
+    is skipped without a walk.  On an independent family the first
+    support left carries the witness (module docstring), so in the
+    natural order a failed walk there is an error unless the target is
+    ghost or zero everywhere; the family is tested only once one fails."""
     k = len(vectors)
-    if supports is None:
+    check = supports is None
+    if check:
         if target is None:
             for i, w in enumerate(vectors):
                 if w.is_ghost():
                     return _witness_of(k, (i,), (ONE,), None)
         supports = _iter_supports(k, 2 if target is None else 1)
+    extra = [] if target is None else [target]
     tables = _grid_tables(vectors, target, range(k))
     for support in supports:
+        if _independent([vectors[i] for i in support] + extra):
+            continue
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
+        if check:
+            check = False
+            if (target is None or not target.is_ghost()) and _independent(vectors):
+                raise AssertionError(
+                    "minor criterion says a witness exists on a support "
+                    "whose grid walk found none"
+                )
     return None
 
 
@@ -634,11 +678,20 @@ def _check_saturate_inputs(v, S, w):
 def _is_irredundant(v, S, support):
     """Whether no proper sub-support carries a witness.  A sub-support
     whose members are independent together with v carries none on any
-    grid, so only the others are walked."""
+    grid, and neither does any of its own sub-supports, since a subset
+    of an independent family is independent.  So when every sub-support
+    one member short is independent with v, the support is irredundant
+    after as many minor tests and no walk; otherwise the proper
+    sub-supports go to ``_search_witness``, which walks only those that
+    are dependent with v."""
+    if all(
+        _independent([S[i] for i in sub] + [v])
+        for sub in combinations(support, len(support) - 1)
+    ):
+        return True
     subs = (
         sub for size in range(1, len(support))
         for sub in combinations(support, size)
-        if not _independent([S[i] for i in sub] + [v])
     )
     return _search_witness(S, v, subs) is None
 

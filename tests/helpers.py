@@ -29,6 +29,7 @@ from supertropical.dependence import (
     _chain_candidates,
     _grid_solutions,
     _grid_tables,
+    _independent,
     _iter_supports,
     _witness_of,
 )
@@ -189,6 +190,18 @@ def search_witness_reference(vectors, target, supports=None):
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
     return None
+
+
+def is_irredundant_reference(v, S, support):
+    """Reference for ``dependence._is_irredundant``: the unfiltered search
+    over every proper sub-support whose members are dependent together
+    with v, with no shortcut through the sub-supports one member short."""
+    subs = (
+        sub for size in range(1, len(support))
+        for sub in combinations(support, size)
+        if not _independent([S[i] for i in sub] + [v])
+    )
+    return search_witness_reference(S, v, subs) is None
 
 
 def _last_values_reference(dom, row, grow, mx, gh):

@@ -200,6 +200,14 @@ class TestGramDependence:
         for w in W:
             assert evaluate(AMBIENT, r, w).is_ghost()
 
+    def test_strict_mode_passes_a_nondegenerate_span(self):
+        # The identity form on the standard base: the radical sweep walks
+        # its whole grid without finding a member, and the tangible Gram
+        # permanent then certifies independence.
+        F = GramForm(mat("0 -inf\n-inf 0"))
+        W = [vec("0 -inf"), vec("-inf 0")]
+        assert gram_dependence(W, F, strict=True) is None
+
     def test_tangible_gram_permanent_implies_independence(self, rng):
         # One direction of the Gram criterion, swept over random
         # tangible families of varying size.

@@ -1,6 +1,7 @@
 """Tropical dependence, ranks, d-bases, and saturation."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,8 @@ from supertropical import dependence
 from supertropical.dependence import (
     _chain_candidates,
     _grid_solutions,
+    _is_irredundant,
+    _iter_supports,
     _search_witness,
     _value_rows,
 )
@@ -39,8 +42,10 @@ from helpers import (
     T,
     Z,
     grid_solutions_reference,
+    is_irredundant_reference,
     mat,
     rand_mat,
+    rand_scalar,
     rand_tangible,
     rand_tangible_vec,
     rand_vec,
@@ -237,6 +242,14 @@ def test_rank_matches_oracle_minors():
         r = _oracle_rank(A)
         assert rank(A) == r, A
         assert (is_dependent(A.row_list()) is None) == (r == A.rows), A
+    # two rows with values -1..1: ties at the 2 by 2 terms, which the
+    # minor test reads off values and ghost flags
+    for t in range(400):
+        A = rand_mat(rng, 2, rng.randint(1, 4), lo=-1, hi=1,
+                     zero_p=0.2, ghost_p=(0.0, 0.3)[t % 2])
+        r = _oracle_rank(A)
+        assert rank(A) == r, A
+        assert dependence._independent(A.row_list()) == (r == 2), A
 
 
 def test_rank_of_ghost_heavy_matrices():
@@ -293,6 +306,11 @@ def test_greedy_through_tangible_vector_attains_max(rng):
             for order in itertools.permutations(range(3))
         )
         assert best == m
+
+
+def test_d_base_rejects_an_order_that_is_not_a_permutation():
+    with pytest.raises(InvalidInputError, match="order must be a permutation of the indices"):
+        d_base([E1, E2], order=[0, 0])
 
 
 # -- extension ---------------------------------------------------------
@@ -494,6 +512,11 @@ def test_sup_witness_target_mismatch():
         sup_witness(w1, w2)
 
 
+def test_sup_witness_rejects_different_lengths():
+    with pytest.raises(ShapeError, match="witness lengths differ"):
+        sup_witness(DepWitness((T(0),), (0,)), DepWitness((T(0), Z), (0,)))
+
+
 # -- sums of saturated dependences -------------------------------------
 
 def test_sum_saturated_same_target():
@@ -663,6 +686,102 @@ def test_one_member_route_matches_the_walk(monkeypatch):
     new = results()
     monkeypatch.setattr(dependence, "_search_witness", search_witness_reference)
     assert results() == new
+
+
+# -- the minor filter --------------------------------------------------
+
+def _digest_shaped_searches():
+    """Seeded (family, target) pairs of the digest's shapes: 1-3 members
+    in 1-3 coordinates with values -2..2 (zero 0.15, ghost 0.3 unless the
+    family is tangible), with a free target and without one; tangible
+    3x3 families with values -3..5 and a target built on all three
+    members; and four tangible vectors in three coordinates."""
+    rng = seeded(1717)
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        ghost_p = 0.0 if rng.random() < 0.4 else 0.3
+        S = [rand_vec(rng, n, lo=-2, hi=2, zero_p=0.15, ghost_p=ghost_p)
+             for _ in range(rng.randint(1, 3))]
+        yield S, None
+        yield S, rand_vec(rng, n, lo=-2, hi=2, zero_p=0.15, ghost_p=0.3)
+    for _ in range(60):
+        S = [rand_tangible_vec(rng, 3) for _ in range(3)]
+        cs = [rand_tangible(rng) for _ in range(3)]
+        v = Vec([(cs[0] * S[0][j] + cs[1] * S[1][j] + cs[2] * S[2][j]).nu_hat()
+                 for j in range(3)])
+        yield S, v
+        yield [*S, rand_tangible_vec(rng, 3)], None
+
+
+def test_filtered_search_matches_the_unfiltered_one():
+    """Skipping the supports that are independent together with the
+    target changes no witness, on independent and dependent families."""
+    kinds = Counter()
+    for S, target in _digest_shaped_searches():
+        got = _search_witness(S, target)
+        want = search_witness_reference(S, target)
+        assert _witness_key(got) == _witness_key(want), (S, target)
+        kinds[target is None, dependence._independent(S), got is None] += 1
+    # (no target, independent, none found), ..., one count per kind that
+    # can occur: without a target a family has a witness iff dependent
+    assert len(kinds) == 6, kinds
+    assert min(kinds.values()) > 20, kinds
+
+
+def test_a_failed_walk_on_a_dependent_support_raises(monkeypatch):
+    """On an independent family, the first support that is dependent
+    together with the target carries the witness; a walk that finds none
+    there is an error, unless the target is ghost or zero everywhere."""
+    walk = dependence._grid_solutions
+
+    def gap_at_01(vectors, target, support, **kw):
+        return iter(()) if support == (0, 1) else walk(vectors, target, support, **kw)
+
+    S, v = [E1, E2], vec("0 0")
+    assert _witness_key(depends_on(v, S)) == _witness_key(
+        DepWitness((T(0), T(0)), (0, 1), v))
+    monkeypatch.setattr(dependence, "_grid_solutions", gap_at_01)
+    with pytest.raises(AssertionError, match="minor criterion"):
+        depends_on(v, S)
+    # given supports are not checked
+    assert _search_witness(S, v, [(0, 1)]) is None
+    monkeypatch.setattr(dependence, "_grid_solutions", lambda *a, **kw: iter(()))
+    # a target that is a dependence on its own, and a dependent family
+    assert depends_on(vec("0v 0v"), S) is None
+    assert depends_on(v, [E1, E1, E2]) is None
+
+
+def test_irredundance_matches_the_walk_over_every_sub_support():
+    """Deciding irredundance by the sub-supports one member short agrees
+    with walking every dependent proper sub-support, on valid witnesses
+    over independent families, irredundant and reducible."""
+    rng = seeded(1718)
+    kinds = Counter()
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 4)
+        S = [rand_tangible_vec(rng, n, lo=-2, hi=3) for _ in range(k)]
+        if not dependence._independent(S):
+            continue
+        r = rng.random()
+        if r < 0.1:
+            v = Vec([rand_scalar(rng, lo=-2, hi=3, zero_p=0.3, ghost_p=1.0) for _ in range(n)])
+        elif r < 0.4:
+            v = rand_vec(rng, n, lo=-2, hi=3, zero_p=0.2, ghost_p=0.3)
+        else:
+            acc = Vec([ZERO] * n)
+            for s in S:
+                if rng.random() < 0.8:
+                    acc = acc + rand_tangible(rng, lo=-2, hi=2) * s
+            v = acc.nu_hat()
+        for support in _iter_supports(k):
+            if next(_grid_solutions(S, v, support), None) is None:
+                continue
+            got = _is_irredundant(v, S, support)
+            assert got == is_irredundant_reference(v, S, support), (v, S, support)
+            kinds[v.is_ghost(), got] += 1
+    assert kinds[False, True] > 200 and kinds[False, False] > 150, kinds
+    assert kinds[True, True] > 30 and kinds[True, False] > 15, kinds
 
 
 # -- invariance properties ---------------------------------------------

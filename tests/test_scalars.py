@@ -16,6 +16,7 @@ from supertropical import (
     E,
     ONE,
     ZERO,
+    Scalar,
     add,
     ghost,
     ghost_surpasses,
@@ -65,6 +66,21 @@ def test_layer_predicates():
 def test_values_are_exact_rationals():
     assert T("1/3").value == Fraction(1, 3)
     assert (T("1/3") * T("2/3")).value == Fraction(1, 1)
+
+
+def test_scalar_from_a_string_is_exact():
+    s = Scalar("3/4")
+    assert s.is_tangible()
+    assert s.value == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("value, match", [
+    (1.5, "not float"),
+    (True, "not bool"),
+])
+def test_scalar_rejects_floats_and_bools(value, match):
+    with pytest.raises(TypeError, match=match):
+        Scalar(value)
 
 
 # -- addition ----------------------------------------------------------
