@@ -530,7 +530,9 @@ def _search_witness(vectors, target, supports=None):
     is skipped without a walk.  On an independent family the first
     support left carries the witness (module docstring), so in the
     natural order a failed walk there is an error unless the target is
-    ghost or zero everywhere; the family is tested only once one fails."""
+    ghost or zero everywhere; the family is tested only once one fails.
+    The walk's tables are built at the first support walked, so a search
+    whose supports are all skipped builds none."""
     k = len(vectors)
     check = supports is None
     if check:
@@ -540,10 +542,12 @@ def _search_witness(vectors, target, supports=None):
                     return _witness_of(k, (i,), (ONE,), None)
         supports = _iter_supports(k, 2 if target is None else 1)
     extra = [] if target is None else [target]
-    tables = _grid_tables(vectors, target, range(k))
+    tables = None  # built at the first walk: the filter may skip every support
     for support in supports:
         if _independent([vectors[i] for i in support] + extra):
             continue
+        if tables is None:
+            tables = _grid_tables(vectors, target, range(k))
         for cs in _grid_solutions(vectors, target, support, tables=tables):
             return _witness_of(k, support, cs, target)
         if check:

@@ -38,17 +38,26 @@ adjoint from one helper, ``_perm_adjoint``.  From size 5 on it solves
 one assignment: every minor and, for nabla, the permanent's cycle test
 come from it, and nabla's entries are built already divided by the
 permanent.  ``adjoint`` does not read the permanent, so it skips the
-cycle test.
+permanent's cycle test.
+
 The minor without row j and column i flips a shortest path that starts
-at the row matched to column i.  One Dijkstra per column i gives the
-distances ``dist``, and the minor's potentials are those of the whole
-matrix shifted by ``min(dist, D)``, where D is the distance of the
-column matched to row j.  For an edge from a row at distance a to a
-column at distance b with reduced cost rc, Dijkstra leaves
-``b <= a + rc``, so the edge is tight in the minor exactly when
-``rc == 0`` and ``D <= b``, or ``rc + a == b`` and ``D >= b``.  Both
-lists are built once per column i, and each minor reads its tight edges
-off them for the cycle test.
+at the row matched to column i and ends at the column s matched to row
+j, so one Dijkstra per column i gives every minor's value.  Its layer
+comes from the same pass when the whole optimum is unique, which holds
+for every nonsingular matrix: a second optimum of the minor differs from
+the flipped matching by one alternating path plus cycles, and every
+cycle costs more, so the minor is tied exactly when two shortest paths
+reach s.  The paths are counted per column, capped at 2, visiting the
+columns by distance and, at equal distance, in a topological order of
+the zero-cost edges, which can join them; the change in ghost and zero
+entries along the path is summed down the shortest-path tree.  A tied
+whole optimum, which only ``adjoint`` meets (``nabla`` stops at the
+ghost permanent), keeps a cycle test per minor: the minor's potentials
+are those of the whole matrix shifted by ``min(dist, D)`` with
+D = dist[s], so an edge from a row at distance a to a column at
+distance b with reduced cost rc is tight in the minor exactly when
+``rc == 0`` and ``D <= b``, or ``rc + a == b`` and ``D >= b``, and
+those two lists are built once per column i.
 """
 
 from __future__ import annotations
@@ -570,22 +579,24 @@ def _assign(rows):
     return hi, big, cost, u[1:], v[1:], [r - 1 for r in p[1:]]
 
 
-def _cyclic(succ):
-    """Whether the digraph with successor lists ``succ`` has a cycle:
-    peel off nodes of in-degree zero until none is left."""
+def _peel(succ):
+    """A topological order of the digraph with successor lists ``succ``,
+    or None when it has a cycle: peel off nodes of in-degree zero until
+    none is left."""
     indeg = [0] * len(succ)
     for out in succ:
         for k in out:
             indeg[k] += 1
     free = [i for i, d in enumerate(indeg) if not d]
-    peeled = 0
+    order = []
     while free:
-        peeled += 1
-        for k in succ[free.pop()]:
+        node = free.pop()
+        order.append(node)
+        for k in succ[node]:
             indeg[k] -= 1
             if not indeg[k]:
                 free.append(k)
-    return peeled < len(succ)
+    return order if len(order) == len(succ) else None
 
 
 def _perm_of(rows, sol):
@@ -610,7 +621,7 @@ def _perm_of(rows, sol):
         for c, k in enumerate(p):
             if k != r and cr[c] == u[r] + v[c]:
                 succ[r].append(k)
-    return best.nu() if _cyclic(succ) else best
+    return best.nu() if _peel(succ) is None else best
 
 
 def _adjoint_assign(rows, sol, shift):
@@ -619,15 +630,23 @@ def _adjoint_assign(rows, sol, shift):
     column i.  Its optimum flips the shortest path, in reduced costs
     ``rc``, from the row r0 matched to column i to the column s matched
     to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
-    per column i gives d for every j."""
+    per column i gives d for every j, and the layer of every minor of
+    column i (module docstring)."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n
     hi, big, cost, u, v, p = sol
     col = sorted(range(n), key=p.__getitem__)  # col[r]: column matched to r
     rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
-    zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
-    # off: the entry is ghost or zero; bad counts them on a matching.
+    rct = list(zip(*rc))
+    # The tight graph: column c' -> c when rc[p[c']][c] == 0, c != c'.
+    # order is a topological order of it, or None when it has a cycle,
+    # that is when the whole optimum is tied.
+    order = _peel([[c for c, x in enumerate(rc[r]) if not x and c != k]
+                   for k, r in enumerate(p)])
+    if order is None:
+        zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
+    # off: the entry is ghost or zero; off_p counts them on p.
     off = [[not x.is_tangible() for x in r] for r in rows]
     off_p = sum(off[r][c] for c, r in enumerate(p))
     base = sum(u) + sum(v)
@@ -635,31 +654,50 @@ def _adjoint_assign(rows, sol, shift):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         # dist[c]: shortest path from r0 to column c, which leads on to
-        # row p[c]; dist[i] = 0 is r0's own label.
+        # row p[c]; dist[i] = 0 is r0's own label.  delta[c]: the change
+        # in off entries when the path to c is flipped.
         r0 = p[i]
         dist = list(rc[r0])
         pre = [r0] * n
+        delta = [0] * n
         others = [c for c in range(n) if c != i]
         left = list(others)
         while left:
             c = min(left, key=dist.__getitem__)
             left.remove(c)
             d, r = dist[c], p[c]
+            b = pre[c]
+            delta[c] = delta[col[b]] + off[b][c] - off[b][col[b]]
             for c2 in left:
                 if d + rc[r][c2] < dist[c2]:
                     dist[c2] = d + rc[r][c2]
                     pre[c2] = r
-        # The minor without row j has potentials u - pi(row), v + pi(column),
-        # pi = min(dist, D) with D = dist[col[j]], so edge (r, c) is tight
-        # when min(a, D) + rc == min(b, D), for a = dist[col[r]] and
-        # b = dist[c].  Dijkstra leaves b <= a + rc, so that holds exactly
-        # when rc == 0 and D <= min(a, b) = b (flat), or rc + a == b and
-        # D >= b (path).  An edge on both lists is tight for every D.
-        flat = [(dist[c], r, c) for r, c in zeros if c != i]
-        path = []
-        for r, rr in enumerate(rc):
-            a = dist[col[r]]
-            path += [(dist[c], r, c) for c in others if rr[c] + a == dist[c]]
+        da = [dist[c] for c in col]  # da[r]: distance of row r's column
+        if order is not None:
+            # cnt[c]: shortest paths to c, capped at 2; the minor with
+            # s = c is tied exactly when cnt[c] == 2.  Columns at equal
+            # distance may be joined by zero-cost edges, so a stable sort
+            # of the topological order visits them after their sources.
+            cnt = [0] * n
+            cnt[i] = 1
+            for c in sorted(order, key=dist.__getitem__):
+                if c != i:
+                    d = dist[c]
+                    k = sum([cnt[b] for b, a, x in zip(col, da, rct[c]) if a + x == d])
+                    cnt[c] = k if k < 2 else 2
+        else:
+            # The minor without row j has potentials u - pi(row), v +
+            # pi(column), pi = min(dist, D) with D = dist[col[j]], so edge
+            # (r, c) is tight when min(a, D) + rc == min(b, D), for a =
+            # da[r] and b = dist[c].  Dijkstra leaves b <= a + rc, so that
+            # holds exactly when rc == 0 and D <= min(a, b) = b (flat), or
+            # rc + a == b and D >= b (path).  An edge on both lists is
+            # tight for every D.
+            flat = [(dist[c], r, c) for r, c in zeros if c != i]
+            path = []
+            for r, rr in enumerate(rc):
+                a = da[r]
+                path += [(dist[c], r, c) for c in others if rr[c] + a == dist[c]]
         for j in range(n):
             s = col[j]
             D = dist[s]
@@ -667,19 +705,20 @@ def _adjoint_assign(rows, sol, shift):
             if m >= big:
                 out[i][j] = ZERO
                 continue
-            # Flip the path: q is the minor's matching, column to row.
-            q = list(p)
-            bad = off_p - off[j][s]
-            c = s
-            while c != i:
-                r = pre[c]
-                q[c] = r
-                bad += off[r][c] - off[r][col[r]]
-                c = col[r]
-            ghosted = bad > 0
-            if not ghosted:
-                # A second optimum closes a cycle of tight edges off q.  No
-                # edge enters row j, so it lies on no cycle.
+            if off_p - off[j][s] + delta[s] > 0:
+                ghosted = True
+            elif order is not None:
+                ghosted = cnt[s] > 1
+            else:
+                # Flip the path: q is the minor's matching, column to row.
+                # A second optimum closes a cycle of tight edges off q.
+                # No edge enters row j, so it lies on no cycle.
+                q = list(p)
+                c = s
+                while c != i:
+                    r = pre[c]
+                    q[c] = r
+                    c = col[r]
                 succ = [[] for _ in q]
                 for b, r, c in flat:
                     if D <= b and q[c] != r:
@@ -687,7 +726,7 @@ def _adjoint_assign(rows, sol, shift):
                 for b, r, c in path:
                     if D >= b and q[c] != r:
                         succ[r].append(q[c])
-                ghosted = _cyclic(succ)
+                ghosted = _peel(succ) is None
             out[i][j] = _made(top - m, ghosted)
     return tuple(map(tuple, out))
 

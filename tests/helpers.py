@@ -33,7 +33,7 @@ from supertropical.dependence import (
     _iter_supports,
     _witness_of,
 )
-from supertropical.matrices import _combine, _family
+from supertropical.matrices import _combine, _family, _made
 from supertropical.oracles import check_saturated
 from supertropical.span import (
     SpanWitness,
@@ -329,6 +329,89 @@ def grid_solutions_reference(vectors, target, support, *, descending=False, tabl
                         yield head + [Scalar(t)]
         else:
             d -= 1
+
+
+def adjoint_assign_reference(rows, sol, shift):
+    """Reference for ``matrices._adjoint_assign``: the same Dijkstra per
+    deleted column i, then for each minor the flipped path and, when it
+    uses only tangible entries, a cycle test on the minor's own tight
+    edges, whether or not the whole optimum is unique."""
+    n = len(rows)
+    if sol is None:
+        return ((ZERO,) * n,) * n
+    hi, big, cost, u, v, p = sol
+    col = sorted(range(n), key=p.__getitem__)
+    rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
+    zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
+    off = [[not x.is_tangible() for x in r] for r in rows]
+    off_p = sum(off[r][c] for c, r in enumerate(p))
+    base = sum(u) + sum(v)
+    top = (n - 1) * hi - shift
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        r0 = p[i]
+        dist = list(rc[r0])
+        pre = [r0] * n
+        others = [c for c in range(n) if c != i]
+        left = list(others)
+        while left:
+            c = min(left, key=dist.__getitem__)
+            left.remove(c)
+            d, r = dist[c], p[c]
+            for c2 in left:
+                if d + rc[r][c2] < dist[c2]:
+                    dist[c2] = d + rc[r][c2]
+                    pre[c2] = r
+        # edge (r, c) is tight in the minor when rc == 0 and D <= dist[c]
+        # (flat), or it lies on a shortest path and D >= dist[c] (path)
+        flat = [(dist[c], r, c) for r, c in zeros if c != i]
+        path = []
+        for r, rr in enumerate(rc):
+            a = dist[col[r]]
+            path += [(dist[c], r, c) for c in others if rr[c] + a == dist[c]]
+        for j in range(n):
+            s = col[j]
+            D = dist[s]
+            m = base - u[j] - v[i] + D
+            if m >= big:
+                out[i][j] = ZERO
+                continue
+            q = list(p)
+            bad = off_p - off[j][s]
+            c = s
+            while c != i:
+                r = pre[c]
+                q[c] = r
+                bad += off[r][c] - off[r][col[r]]
+                c = col[r]
+            ghosted = bad > 0
+            if not ghosted:
+                succ = [[] for _ in q]
+                for b, r, c in flat:
+                    if D <= b and q[c] != r:
+                        succ[r].append(q[c])
+                for b, r, c in path:
+                    if D >= b and q[c] != r:
+                        succ[r].append(q[c])
+                ghosted = _has_cycle_reference(succ)
+            out[i][j] = _made(top - m, ghosted)
+    return tuple(map(tuple, out))
+
+
+def _has_cycle_reference(succ):
+    """Whether the digraph with successor lists ``succ`` has a cycle, by
+    depth-first search with the nodes on the current path marked."""
+    state = [0] * len(succ)  # 0 new, 1 on the path, 2 done
+
+    def visit(k):
+        state[k] = 1
+        for t in succ[k]:
+            if state[t] == 1 or (not state[t] and visit(t)):
+                return True
+        state[k] = 2
+        return False
+
+    return any(not state[k] and visit(k) for k in range(len(succ)))
 
 
 _RAT_REFERENCE = re.compile(r"^[+-]?\d+(?:/\d+)?$")

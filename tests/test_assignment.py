@@ -4,9 +4,14 @@ pinned cases.
 From size 5 on, ``permanent`` solves an optimal assignment and decides
 the layer by a cycle test on the tight edges (sizes 2 to 4 walk their
 permutations on values and ghost flags), and ``adjoint`` takes every
-minor from one assignment of the whole matrix.  ``oracles.dp_permanent``
-(the memoized row expansion) and ``oracles.brute_permanent`` (the literal
-permutation sum) share no code with it.
+minor from one assignment of the whole matrix.  When the whole optimum
+is unique, a minor is tied exactly when two shortest alternating paths
+reach it, so one count per deleted column decides every minor's layer;
+only a tied whole optimum keeps a cycle test per minor.
+``tests/helpers.adjoint_assign_reference`` runs that per-minor test on
+every input, and ``oracles.dp_permanent`` (the memoized row expansion)
+and ``oracles.brute_permanent`` (the literal permutation sum) share no
+code with either.
 """
 
 import time
@@ -14,10 +19,22 @@ import time
 import pytest
 
 from supertropical import ZERO, Mat, adjoint, nabla, permanent, quasi_identity
+from supertropical import matrices
 from supertropical.exceptions import InvalidInputError, ShapeError
+from supertropical.matrices import _adjoint_assign, _assign, _perm_of
 from supertropical.oracles import brute_permanent, dp_permanent
 
-from helpers import POPULATIONS, G, T, mat, rand_mat, rand_scalar, seeded
+from helpers import (
+    POPULATIONS,
+    G,
+    T,
+    adjoint_assign_reference,
+    mat,
+    rand_mat,
+    rand_nonsingular,
+    rand_scalar,
+    seeded,
+)
 
 
 def _draw(rng, n, population):
@@ -140,13 +157,16 @@ class TestAdjointFromOneAssignment:
     assignment of the whole matrix and a shortest path per minor.  Entry
     (i, j) is the minor without row j and column i."""
 
-    def test_unique_minor_inside_a_ghost_permanent(self, n):
-        # The identity and the swap of rows 0 and 1 are both optimal.
+    def test_unique_minor_inside_a_ghost_permanent(self, n, monkeypatch):
+        # The identity and the swap of rows 0 and 1 are both optimal, so
+        # the minors take the cycle test of the tied case.
         rows = _diagonal_heavy(n)
         rows[0][1] = rows[1][0] = T(10)
         A = Mat(rows)
         assert permanent(A) == G(10 * n)
+        calls = _counting_peel(monkeypatch)
         adj = _checked_adjoint(A)
+        assert len(calls) > n
         assert adj.entry(0, 0) == T(10 * (n - 1))
         assert adj.entry(1, 0) == T(10 * (n - 1))
         assert adj.entry(n - 1, n - 1) == G(10 * (n - 1))
@@ -202,12 +222,18 @@ class TestAdjointFromOneAssignment:
 
 
 class TestAdjointTightEdges:
-    """The minor without row j and column i shifts the potentials of the
-    whole matrix by pi = min(dist, D), where dist holds the shortest paths
-    from the row matched to column i and D is the distance of the column
-    matched to row j.  An edge with reduced cost rc, from a row at distance a to a
-    column at distance b, is then tight exactly when rc == 0 and D <= b,
-    or rc + a == b and D >= b."""
+    """Pinned minors of the two routes.  With a unique whole optimum, the
+    minor without row j and column i is tied exactly when two shortest
+    paths lead from the row matched to column i to the column s matched
+    to row j.  With a tied whole optimum, the minor's potentials are the
+    whole matrix's shifted by pi = min(dist, D), where dist holds the
+    shortest paths from that row and D = dist[s]; an edge with reduced
+    cost rc, from a row at distance a to a column at distance b, is then
+    tight exactly when rc == 0 and D <= b, or rc + a == b and D >= b, and
+    a cycle of those edges off the minor's matching is its second
+    optimum.  Of the first two tests, the first has a unique optimum (its
+    permanent is 13) and the second a tied one (6v); the third pins the
+    order in which the count visits columns at equal distance."""
 
     def test_zero_reduced_cost_edge_cut_by_the_cap(self):
         # Entry (1, 4): D = 1, and the zero-cost edges out of rows 3 and 4
@@ -229,6 +255,76 @@ class TestAdjointTightEdges:
         assert adj.entry(0, 0) == G(4)
         assert adj.entry(0, 3) == G(4)
         assert adj.entry(4, 2) == G(5)
+
+
+    def test_equal_distance_columns_joined_by_zero_cost_edges(self):
+        # Entry (2, 0): from row 1, every column is at distance 0, and
+        # the zero-cost edges 1 -> 0 -> 3 join them, so column 3 is
+        # reached directly and through columns 1 and 0: rows 1, 2, 4
+        # take columns 3, 0, 1 or 1, 3, 0.  Visiting equal distances in
+        # column order, or in the reverse, counts one path.
+        A = mat("-inf -inf -inf 1 0\n-inf 1 1 1 -inf\n0 -inf -inf 0 -inf\n"
+                "-inf -inf -inf -inf 1\n1 1 -inf 0 1")
+        assert permanent(A) == T(4)
+        adj = _checked_adjoint(A)
+        assert adj.entry(2, 0) == G(3)
+
+
+def _counting_peel(monkeypatch):
+    """Count the calls of ``matrices._peel``, the one cycle test."""
+    calls = []
+    peel = matrices._peel
+
+    def counted(succ):
+        calls.append(len(succ))
+        return peel(succ)
+
+    monkeypatch.setattr(matrices, "_peel", counted)
+    return calls
+
+
+def _tie_heavy(rng, n, hi):
+    return rand_mat(rng, n, n, lo=0, hi=hi, zero_p=0.2, ghost_p=0.3)
+
+
+def test_count_route_matches_the_per_minor_reference():
+    """Whole adjoints (and nabla's, shifted by the permanent) against
+    the per-minor cycle test, on nonsingular, tie-heavy and
+    mixed-denominator draws of sizes 5 to 9."""
+    rng = seeded(18)
+    optima = set()
+    for n in range(5, 10):
+        draws = [rand_nonsingular(rng, n, ghost_p=0.2) for _ in range(12)]
+        draws += [_tie_heavy(rng, n, hi) for hi in (1, 3) for _ in range(12)]
+        draws += [_mixed_denominators(rng, n) for _ in range(8)]
+        for A in draws:
+            rows = A.row_tuples
+            sol = _assign(rows)
+            per = _perm_of(rows, sol)
+            shifts = [0] + ([per._v] if per.is_tangible() else [])
+            for shift in shifts:
+                got = _adjoint_assign(rows, sol, shift)
+                assert got == adjoint_assign_reference(rows, sol, shift), (A, shift)
+            # with every entry made tangible, only a tie makes it ghost
+            layer = permanent(A.nu_hat())
+            optima.add("zero" if layer.is_zero() else "tied" if layer.is_ghost() else "unique")
+    assert {"tied", "unique"} <= optima
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_unique_optimum_runs_no_cycle_test_per_minor(monkeypatch, n):
+    # Nonsingular inputs like the benchmark's: adjoint peels the tight
+    # graph once for its order, nabla once more for the permanent.
+    calls = _counting_peel(monkeypatch)
+    rng = seeded(180 + n)
+    for _ in range(10):
+        A = rand_nonsingular(rng, n, ghost_p=0.2)
+        del calls[:]
+        adjoint(A)
+        assert calls == [n]
+        del calls[:]
+        nabla(A)
+        assert calls == [n, n]
 
 
 def _known_optimum_50():

@@ -107,6 +107,23 @@ def test_matrix_add_entrywise():
     assert mat("1 2\n3 4") + mat("1 0\n5 4") == mat("1v 2\n5 4v")
 
 
+def test_matrix_scale_and_layers():
+    A = mat("1 -inf\n2v 0")
+    assert A.scale(T(2)) == mat("3 -inf\n4v 2")
+    assert A.scale(G(0)) == mat("1v -inf\n2v 0v")
+    assert T(-1) * A == mat("0 -inf\n1v -1")
+    assert A.nu() == mat("1v -inf\n2v 0v")
+    assert A.nu_hat() == mat("1 -inf\n2 0")
+    assert A.nu().nu_hat() == A.nu_hat()
+
+
+def test_matrix_times_vector():
+    A = mat("1 -inf\n2v 0")
+    v = vec("0 3")
+    assert A @ v == A.apply(v) == vec("1 3")
+    assert mat("0 0\n0 1") @ vec("1 1") == vec("1v 2")
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         mat("1 2") @ mat("1 2")
@@ -318,6 +335,21 @@ def test_nabla_requires_square():
 def test_nabla_singular_rejected():
     with pytest.raises(SingularMatrixError):
         nabla(SUM10_DEP)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_nabla_singular_rejected_from_one_assignment(n):
+    # From size 5 on, nabla stops after the permanent's layer test: a
+    # tied optimum (swap rows 0 and 1) and a unique optimum through a
+    # ghost entry both leave a ghost permanent.
+    diag = [[T(10) if i == j else T(0) for j in range(n)] for i in range(n)]
+    tied = [r[:] for r in diag]
+    tied[0][1] = tied[1][0] = T(10)
+    through_ghost = [r[:] for r in diag]
+    through_ghost[n - 1][n - 1] = G(10)
+    for rows in (tied, through_ghost):
+        with pytest.raises(SingularMatrixError, match=f"permanent is {10 * n}v"):
+            nabla(Mat(rows))
 
 
 # -- quasi-identities --------------------------------------------------

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --workloads dense,small_batch,witness,cli --seeds 3001-3010 \\
-        --seconds 10 [--traced dense --trace-seed 3011] --out BENCH_N.json
+        --seconds 10 [--traced dense --trace-seed 3011-3014] --out BENCH_N.json
 
 ``--parent`` and ``--change`` are roots of two checkouts, for example a
 ``git clone`` of the repository with the parent commit checked out and
@@ -15,8 +15,9 @@ parent first, even pairs the change first.  Each run is
 in the checkout's root, and its last line of standard output is kept as
 it is, together with the ``sum_s`` and ``median_ms`` of each operation
 class from the run's ``stbench/out/result-<w>-<seed>-trace<t>.json``.
-After the pairs, each ``--traced`` workload runs once per side with
-``--trace 1`` and ``--trace-seed``.
+After the pairs, each ``--traced`` workload runs with ``--trace 1``
+once per side for each seed of ``--trace-seed`` (a range or list like
+``--seeds``), in pairs that alternate the same way.
 
 The output file holds every result line, and per workload and
 end-to-end metric of ``BENCHMARK.json`` (read from the parent) each
@@ -25,7 +26,9 @@ method='inclusive')``), the change's median over the parent's, the
 parent's quartile spread, whether the change's median is within the
 metric's bound, and the pairs the change won (ties count for neither);
 per operation class, each side's median ``sum_s`` and ``median_ms`` over
-its runs, which shows where a workload's time went.
+its runs, which shows where a workload's time went; and per traced
+workload and per-layer metric of ``BENCHMARK.json``, each side's median
+and quartiles over the traced runs and the traced pairs the change won.
 The file is rewritten after every run, so an interrupted session keeps
 what it measured.  Nothing in either checkout is modified; stbench writes
 its own result files under its ``out/`` directory.
@@ -80,6 +83,19 @@ def _run(root, workload, seed, seconds, trace):
     return result
 
 
+def _pair(k, seed, roots, workload, seconds, trace):
+    """Pair k on one seed: both sides back to back, the parent first in
+    odd pairs and the change first in even ones."""
+    order = SIDES if k % 2 else SIDES[::-1]
+    row = {"pair": k, "seed": seed, "order": ", ".join(order)}
+    for side in order:
+        row[side] = _run(roots[side], workload, seed, seconds, trace)
+        got = row[side].get("metrics", {}).get("ops_per_s", {}).get("value")
+        print(f"pair {k} seed {seed} {workload} trace {trace} {side}: ops_per_s {got}",
+              file=sys.stderr)
+    return row
+
+
 def _quartiles(xs):
     if len(xs) < 2:
         return {"q1": xs[0], "median": xs[0], "q3": xs[0]}
@@ -97,9 +113,41 @@ def _class_medians(rows):
     return out
 
 
+def _done(runs):
+    return [r for r in runs if all("metrics" in r[s] for s in SIDES)]
+
+
+def _compare(vals, lower):
+    """Each side's quartiles of ``vals`` (per side, one value per pair),
+    the change's median over the parent's, the parent's quartile spread
+    and the pairs the change won."""
+    q = {s: _quartiles(vals[s]) for s in SIDES}
+    p, c = q["parent"]["median"], q["change"]["median"]
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(vals["parent"], vals["change"]))
+    return {
+        **q,
+        "change_over_parent": c / p if p else None,
+        "change_wins": f"{wins}/{len(vals['parent'])}",
+        "parent_iqr": q["parent"]["q3"] - q["parent"]["q1"],
+    }
+
+
+def _layer_summary(runs, layers):
+    """Per per-layer metric, ``_compare`` over the traced pairs."""
+    done = _done(runs)
+    out = {"pairs": len(done)}
+    for m in layers:
+        name = m["name"]
+        if done and all(name in r[s]["metrics"] for r in done for s in SIDES):
+            vals = {s: [r[s]["metrics"][name]["value"] for r in done] for s in SIDES}
+            out[name] = {"unit": m["unit"], "better": m["better"],
+                         **_compare(vals, m["better"] == "lower")}
+    return out
+
+
 def _summary(runs, metrics):
     """Per-side counts and, per end-to-end metric, quartiles and wins."""
-    done = [r for r in runs if all("metrics" in r[s] for s in SIDES)]
+    done = _done(runs)
     out = {key: {s: [r[s][key] for r in done] for s in SIDES}
            for key in ("attempted", "failed", "correct")}
     out["pairs"] = len(done)
@@ -112,16 +160,12 @@ def _summary(runs, metrics):
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         vals = {s: [r[s]["metrics"][name]["value"] for r in done] for s in SIDES}
-        q = {s: _quartiles(vals[s]) for s in SIDES}
-        p, c = q["parent"]["median"], q["change"]["median"]
-        wins = sum((b < a) if lower else (b > a) for a, b in zip(vals["parent"], vals["change"]))
+        cmp = _compare(vals, lower)
+        p, c = cmp["parent"]["median"], cmp["change"]["median"]
         limit = p * (1 + m["bound"]) if lower else p * (1 - m["bound"])
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            **q,
-            "change_over_parent": c / p if p else None,
-            "change_wins": f"{wins}/{len(done)}",
-            "parent_iqr": q["parent"]["q3"] - q["parent"]["q1"],
+            **cmp,
             "within_bound": c <= limit if lower else c >= limit,
         }
     return out
@@ -135,16 +179,17 @@ def main(argv=None):
     ap.add_argument("--seeds", required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--traced", default="")
-    ap.add_argument("--trace-seed", type=int)
+    ap.add_argument("--trace-seed", default="")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     roots = {"parent": args.parent, "change": args.change}
     workloads = args.workloads.split(",")
     traced = [w for w in args.traced.split(",") if w]
-    if traced and args.trace_seed is None:
+    if traced and not args.trace_seed:
         ap.error("--traced needs --trace-seed")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics, layers = bench["end_to_end"], bench["per_layer"]
 
     doc = {
         "command": f"python3 stbench/run.py --workload <w> --seed <seed> "
@@ -166,19 +211,15 @@ def main(argv=None):
             f.write("\n")
 
     for k, seed in enumerate(_seeds(args.seeds), 1):
-        order = SIDES if k % 2 else SIDES[::-1]
         for w in workloads:
-            row = {"pair": k, "seed": seed, "order": ", ".join(order)}
-            for side in order:
-                row[side] = _run(roots[side], w, seed, args.seconds, 0)
-                got = row[side].get("metrics", {}).get("ops_per_s", {}).get("value")
-                print(f"pair {k} seed {seed} {w} {side}: ops_per_s {got}", file=sys.stderr)
-            doc["runs"][w].append(row)
+            doc["runs"][w].append(_pair(k, seed, roots, w, args.seconds, 0))
             save()
     for w in traced:
-        doc["traced"][w] = {"seed": args.trace_seed}
-        for side in SIDES:
-            doc["traced"][w][side] = _run(roots[side], w, args.trace_seed, args.seconds, 1)
+        runs = []
+        doc["traced"][w] = {"runs": runs, "summary": {}}
+        for k, seed in enumerate(_seeds(args.trace_seed), 1):
+            runs.append(_pair(k, seed, roots, w, args.seconds, 1))
+            doc["traced"][w]["summary"] = _layer_summary(runs, layers)
             save()
     save()
     return 0
