@@ -233,21 +233,18 @@ def _candidate_args(G, rng, budget):
             Vec([ONE] + [tangible(v) for v in rest])
             for rest in product(vals, repeat=n - 1)
         ]
-    extra = []
-    if budget:
-        lo = min(vals) - 2
-        hi = max(vals) + 2
-        for _ in range(budget):
-            extra.append(
-                Vec(
-                    [ONE]
-                    + [
-                        tangible(rng.randint(int(lo), int(hi)))
-                        for _ in range(n - 1)
-                    ]
-                )
-            )
-    return args, extra
+    return args, _random_args(n, vals, rng, budget)
+
+
+def _random_args(n, vals, rng, budget):
+    """``budget`` seeded random tangible arguments with unit first
+    coordinate, drawn two beyond the ends of the value grid ``vals``."""
+    lo = int(vals[0] - 2)
+    hi = int(vals[-1] + 2)
+    return [
+        Vec([ONE] + [tangible(rng.randint(lo, hi)) for _ in range(n - 1)])
+        for _ in range(budget)
+    ]
 
 
 def _symmetry_scan(F, budget, rng, require_nu_match):
@@ -265,12 +262,14 @@ def _symmetry_scan(F, budget, rng, require_nu_match):
                 return SymmetryVerdict(False, (unit.row(i), unit.row(j)), True, 0)
     if budget and rng is None:
         rng = random.Random(0)
-    grid, extra = _candidate_args(G, rng, budget)
     Gt = G.transpose()
     if G == Gt:
-        # x'Gy and y'Gx are the same sum of terms, so no pair can differ;
-        # the samples are still drawn, so the caller's rng ends the same
+        # x'Gy and y'Gx are the same sum of terms, so no pair can differ
+        # and the grid is never built; the samples are still drawn, so
+        # the caller's rng ends the same
+        extra = _random_args(n, _entry_diff_values(G), rng, budget) if budget else []
         return SymmetryVerdict(True, None, True, len(extra))
+    grid, extra = _candidate_args(G, rng, budget)
     allargs = grid + extra
     # each argument x with its row x'G, so that both evaluation orders of
     # a pair reduce to one dot product each; the pair loop reads tuples

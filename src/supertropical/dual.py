@@ -95,14 +95,9 @@ def close_base(B):
     """
     A = _row_matrix(B)
     A_B = A @ nabla(A) @ A
-    if not _is_closed(A_B, nabla(A_B)):
+    if A_B @ nabla(A_B) @ A_B != A_B:
         raise AssertionError("closure is not a fixed point of its own quasi-identity")
     return A_B, A_B.row_list()
-
-
-def _is_closed(A, nb):
-    """Whether the quasi-identity ``A @ nb`` fixes A, for ``nb = nabla(A)``."""
-    return A @ nb @ A == A
 
 
 def dual_base(B):
@@ -114,9 +109,11 @@ def dual_base(B):
     """
     A = _row_matrix(B)
     nb = nabla(A)
-    if not _is_closed(A, nb):
+    # P = nabla(A) A serves both the closedness test, A P = A, and E.
+    P = nb @ A
+    if A @ P != A:
         raise InvalidInputError("base is not closed; run close_base first")
-    E = nb @ A @ nb
+    E = P @ nb
     # Functional i evaluated on column j of A is entry (i, j) of E A.
     for i, evals in enumerate((E @ A).row_tuples):
         for j, val in enumerate(evals):
@@ -136,17 +133,20 @@ def reconstruct(B, v):
     """Rebuild a member of the closed span from its dual evaluations.
 
     Checks membership through the fixed-point equation of the
-    quasi-identity and raises NotInClosedSpanError otherwise.
+    quasi-identity and raises NotInClosedSpanError otherwise.  The
+    factors are applied to v one at a time, which gives the same vectors
+    as the matrix products by associativity.
     """
     A = _row_matrix(B)
     if v.dim != A.cols:
         raise ShapeError("vector dimension does not match the base")
     nb = nabla(A)
-    if (A @ nb).apply(v) != v:
+    w = A.apply(nb.apply(v))
+    if w != v:
         raise NotInClosedSpanError(
             "vector is not a fixed point of the quasi-identity"
         )
-    out = A.apply((nb @ A @ nb).apply(v))
+    out = A.apply(nb.apply(w))
     if out != v:
         raise AssertionError("reconstruction missed a fixed point")
     return out

@@ -37,8 +37,10 @@ and ``_vec``, which skip the entry checks of the public constructors.
 adjoint from one helper, ``_perm_adjoint``.  From size 5 on it solves
 one assignment: every minor and, for nabla, the permanent's cycle test
 come from it, and nabla's entries are built already divided by the
-permanent.  ``adjoint`` does not read the permanent, so it skips the
-permanent's cycle test.
+permanent.  The cycle test peels the tight graph over rows, and its
+order, relabelled to columns, is the one the minors' layers need, so
+nabla peels that graph once.  ``adjoint`` does not read the permanent,
+so it skips the permanent's cycle test and peels the graph itself.
 
 The minor without row j and column i flips a shortest path that starts
 at the row matched to column i and ends at the column s matched to row
@@ -602,8 +604,15 @@ def _peel(succ):
 def _perm_of(rows, sol):
     """The permanent of ``rows`` from their optimal assignment
     ``sol = _assign(rows)``, with a uniqueness test."""
+    return _perm_order(rows, sol)[0]
+
+
+def _perm_order(rows, sol):
+    """``(per, order)``: the permanent as ``_perm_of`` gives it, and the
+    topological order of the tight graph that its uniqueness test peels,
+    or None when the test did not run or found a cycle."""
     if sol is None:
-        return ZERO
+        return ZERO, None
     _, _, cost, u, v, p = sol
     # The optimal term: zero when it needs a zero entry, ghost when it
     # uses a ghost one.
@@ -611,7 +620,7 @@ def _perm_of(rows, sol):
     for c, r in enumerate(p):
         best = best * rows[r][c]
     if not best.is_tangible():
-        return best
+        return best, None
     # Every optimal permutation uses tight edges only, so a second one
     # exists iff the tight edges (r, c) off the matching, read as
     # r -> p[c], close a cycle.  No cycle passes through a zero entry:
@@ -621,17 +630,20 @@ def _perm_of(rows, sol):
         for c, k in enumerate(p):
             if k != r and cr[c] == u[r] + v[c]:
                 succ[r].append(k)
-    return best.nu() if _peel(succ) is None else best
+    order = _peel(succ)
+    return (best.nu() if order is None else best), order
 
 
-def _adjoint_assign(rows, sol, shift):
+def _adjoint_assign(rows, sol, shift, row_order=None):
     """All minors from one optimal assignment ``sol = _assign(rows)``,
     each less ``shift``: ``out[i][j]`` is the permanent without row j and
     column i.  Its optimum flips the shortest path, in reduced costs
     ``rc``, from the row r0 matched to column i to the column s matched
     to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
     per column i gives d for every j, and the layer of every minor of
-    column i (module docstring)."""
+    column i (module docstring).  ``row_order``, the order that
+    ``_perm_order`` returned for a tangible permanent, saves peeling the
+    tight graph again."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n
@@ -640,10 +652,15 @@ def _adjoint_assign(rows, sol, shift):
     rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
     rct = list(zip(*rc))
     # The tight graph: column c' -> c when rc[p[c']][c] == 0, c != c'.
-    # order is a topological order of it, or None when it has a cycle,
-    # that is when the whole optimum is tied.
-    order = _peel([[c for c, x in enumerate(rc[r]) if not x and c != k]
-                   for k, r in enumerate(p)])
+    # It is the row graph of _perm_order relabelled through p, so a row
+    # order becomes a column order through col.  order is a topological
+    # order of it, or None when it has a cycle, that is when the whole
+    # optimum is tied.
+    if row_order is not None:
+        order = [col[r] for r in row_order]
+    else:
+        order = _peel([[c for c, x in enumerate(rc[r]) if not x and c != k]
+                       for k, r in enumerate(p)])
     if order is None:
         zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
     # off: the entry is ghost or zero; off_p counts them on p.
@@ -760,10 +777,10 @@ def _perm_adjoint(rows, divide=False):
         sol = _assign(rows)
         if not divide:
             return None, _adjoint_assign(rows, sol, 0)
-        per = _perm_of(rows, sol)
+        per, order = _perm_order(rows, sol)
         if not per.is_tangible():
             return per, None
-        return per, _adjoint_assign(rows, sol, per._v)
+        return per, _adjoint_assign(rows, sol, per._v, order)
     if n == 1:
         adj = ((ONE,),)
     else:

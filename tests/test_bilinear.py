@@ -20,6 +20,7 @@ from supertropical import (
     radical_and_nondegenerate,
     spans,
 )
+from supertropical import bilinear
 from supertropical.bilinear import (
     GramForm,
     SymmetryVerdict,
@@ -347,6 +348,36 @@ class TestSymmetryScans:
             ref_rng = random.Random(t)
             assert got == _full_pair_scan(F, budget, ref_rng, nu), Gm
             assert mine.getstate() == ref_rng.getstate()
+
+    def test_symmetric_gram_builds_no_grid(self, monkeypatch):
+        # G == G^T is decided before the argument grid, so the grid
+        # builder never runs on a symmetric form, even at size 5 where
+        # the grid would be large.  The samples are drawn as before:
+        # n - 1 integers each, two beyond the ends of the entry values
+        # and their differences, with a sentinel one below the least.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("symmetry grid built for a symmetric form")
+
+        monkeypatch.setattr(bilinear, "product", no_grid)
+        rng = random.Random(19)
+        for t in range(400):
+            k = rng.randint(1, 5)
+            A = rand_mat(rng, k, k, zero_p=0.15, ghost_p=0.3, denom=rng.choice((1, 2)))
+            Gm = Mat([[A.entry(min(i, j), max(i, j)) for j in range(k)] for i in range(k)])
+            F = GramForm(Gm)
+            vals = {0}
+            entries = [x.value for r in Gm.row_tuples for x in r if not x.is_zero()]
+            vals |= set(entries) | {a - b for a in entries for b in entries}
+            lo, hi = int(min(vals) - 3), int(max(vals) + 2)
+            for budget in (0, 5):
+                ref = random.Random(t)
+                for _ in range(budget * (k - 1)):
+                    ref.randint(lo, hi)
+                for scan in (is_orthogonal_symmetric, is_supertropically_symmetric):
+                    mine = random.Random(t)
+                    got = scan(F, budget=budget, rng=mine)
+                    assert got == SymmetryVerdict(True, None, True, budget), Gm
+                    assert mine.getstate() == ref.getstate(), Gm
 
     def test_orthogonal_implies_supertropical(self, rng):
         # The surprising converse; the acceptance sweep hits this

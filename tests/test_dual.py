@@ -25,6 +25,7 @@ from supertropical import (
     is_iso,
     is_nonsingular,
     is_tropically_onto,
+    nabla,
     permanent,
     quasi_identity,
     reconstruct,
@@ -37,6 +38,7 @@ from helpers import (
     rand_nonsingular,
     rand_vec,
     rows,
+    seeded,
     vec,
 )
 
@@ -172,6 +174,39 @@ def test_reconstruct_randomized_members(rng):
         assert reconstruct(closed, v) == v
         count += 1
     assert count >= 20
+
+
+def test_dual_chains_match_their_matrix_products():
+    # reconstruct applies the factors to the vector one at a time and
+    # dual_base forms nabla(A) A once; both against the matrix products
+    # written out, on closed bases of sizes 2 to 6 with fixed points and
+    # vectors that are not fixed, and on bases that are not closed.
+    rng = seeded(19)
+    fixed = moved = unclosed = 0
+    for n in range(2, 7):
+        for _ in range(12):
+            A = rand_nonsingular(rng, n, ghost_p=0.2)
+            nb = nabla(A)
+            if A @ nb @ A != A:
+                unclosed += 1
+                with pytest.raises(InvalidInputError):
+                    dual_base(A.row_list())
+            AB, closed = close_base(A.row_list())
+            if not is_nonsingular(AB):
+                continue
+            nb = nabla(AB)
+            E = nb @ AB @ nb
+            assert [e.covector for e in dual_base(closed)] == E.row_list()
+            IA = AB @ nb
+            for v in (IA.apply(rand_vec(rng, n)), rand_vec(rng, n)):
+                if IA.apply(v) == v:
+                    fixed += 1
+                    assert reconstruct(closed, v) == AB.apply(E.apply(v)) == v
+                else:
+                    moved += 1
+                    with pytest.raises(NotInClosedSpanError):
+                        reconstruct(closed, v)
+    assert fixed >= 40 and moved >= 20 and unclosed >= 20
 
 
 # -- kernels and map classification ------------------------------------
