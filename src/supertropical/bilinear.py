@@ -226,13 +226,10 @@ def _candidate_args(G, rng, budget):
     coordinate, then seeded random tangible arguments."""
     n = G.rows
     vals = _entry_diff_values(G)
-    if n == 1:
-        args = [Vec([ONE])]
-    else:
-        args = [
-            Vec([ONE] + [tangible(v) for v in rest])
-            for rest in product(vals, repeat=n - 1)
-        ]
+    args = [
+        Vec([ONE] + [tangible(v) for v in rest])
+        for rest in product(vals, repeat=n - 1)
+    ]
     return args, _random_args(n, vals, rng, budget)
 
 

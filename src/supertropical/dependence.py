@@ -273,29 +273,13 @@ def _value_rows(vectors, idx):
     return {i: tuple(map(_value, vectors[i])) for i in idx}
 
 
-def _grid_tables(vectors, target, idx):
-    """What the grid walk reads of a family: the entry values and ghost
-    flags of the members in ``idx`` (dicts by index), the target's
-    values and ghost flags (None without a target), and an empty cache
-    for the pair deltas of ``_chain_candidates``, which the supports of
-    one family share."""
-    rows = _value_rows(vectors, idx)
-    flags = {i: tuple(map(_ghost, vectors[i])) for i in idx}
-    tvals = tflags = None
-    if target is not None:
-        tvals, tflags = list(map(_value, target)), list(map(_ghost, target))
-    return rows, flags, tvals, tflags, {}
-
-
-def _chain_candidates(rows, target_vals, support, deltas=None):
+def _chain_candidates(rows, target_vals, support):
     """Per-index candidate coefficient values for one support.
 
     Seeds are the unit value (a member may be normalized to the unit) and,
     with a target, the differences that tie a member directly to the
     target.  Propagation then closes the seeds under tie equations between
-    members, to chain depth len(support) - 1.  ``deltas`` caches the
-    entry differences of member pairs, filled as pairs come up, for a
-    caller that walks several supports of one family.
+    members, to chain depth len(support) - 1.
     """
     cand = {i: {0} for i in support}
     frontier = {i: set(cand[i]) for i in support}
@@ -308,17 +292,13 @@ def _chain_candidates(rows, target_vals, support, deltas=None):
                     extra.add(tv - row[j])
             frontier[i] |= extra - cand[i]
             cand[i] |= extra
-    if deltas is None:
-        deltas = {}
     pairs = []
     for a in support:
         for b in support:
             if a == b:
                 continue
-            ds = deltas.get((a, b))
-            if ds is None:
-                ds = deltas[a, b] = {x - y for x, y in zip(rows[a], rows[b])
-                                     if x is not None and y is not None}
+            ds = {x - y for x, y in zip(rows[a], rows[b])
+                  if x is not None and y is not None}
             if ds:
                 pairs.append((a, b, ds))
     for _ in range(max(0, len(support) - 1)):
@@ -424,23 +404,24 @@ def _pair_values(first, last, mx, gh):
     return out
 
 
-def _grid_solutions(vectors, target, support, *, descending=False, tables=None):
+def _grid_solutions(vectors, target, support, *, descending=False):
     """The valid coefficient lists for one support, in candidate-grid
     (lexicographic tuple) order, or in the reverse order when
     ``descending``: the pruned prefix-sum walk of the module docstring
     over the members before the last two, with an explicit stack so that
     tiny grids pay little for set-up, and the last two members' values
-    read off each prefix sum by ``_pair_values``.  ``tables`` is
-    ``_grid_tables`` of the family, for a caller that walks several
-    supports of it."""
-    rows, flags, tvals, tflags, deltas = (
-        tables or _grid_tables(vectors, target, support)
-    )
-    cand = _chain_candidates(rows, tvals, support, deltas)
-    # per depth: the member's candidates, entry values and ghost flags
-    levels = [(cand[i], rows[i], flags[i]) for i in support]
+    read off each prefix sum by ``_pair_values``.  It reads the values
+    and ghost flags of the support members and of the target."""
+    rows = _value_rows(vectors, support)
     n = len(rows[support[0]])
-    start = ([None] * n, [False] * n) if tvals is None else (tvals, tflags)
+    if target is None:
+        tvals, start = None, ([None] * n, [False] * n)
+    else:
+        tvals = list(map(_value, target))
+        start = tvals, list(map(_ghost, target))
+    cand = _chain_candidates(rows, tvals, support)
+    # per depth: the member's candidates, entry values and ghost flags
+    levels = [(cand[i], rows[i], tuple(map(_ghost, vectors[i]))) for i in support]
     if len(levels) == 1:
         # a member alone completes the start sum as the second of a pair
         # whose first member has no entries and only the unit
@@ -531,8 +512,8 @@ def _search_witness(vectors, target, supports=None):
     support left carries the witness (module docstring), so in the
     natural order a failed walk there is an error unless the target is
     ghost or zero everywhere; the family is tested only once one fails.
-    The walk's tables are built at the first support walked, so a search
-    whose supports are all skipped builds none."""
+    The minor test runs before each walk, so a search whose supports are
+    all skipped reads no grid."""
     k = len(vectors)
     check = supports is None
     if check:
@@ -542,13 +523,10 @@ def _search_witness(vectors, target, supports=None):
                     return _witness_of(k, (i,), (ONE,), None)
         supports = _iter_supports(k, 2 if target is None else 1)
     extra = [] if target is None else [target]
-    tables = None  # built at the first walk: the filter may skip every support
     for support in supports:
         if _independent([vectors[i] for i in support] + extra):
             continue
-        if tables is None:
-            tables = _grid_tables(vectors, target, range(k))
-        for cs in _grid_solutions(vectors, target, support, tables=tables):
+        for cs in _grid_solutions(vectors, target, support):
             return _witness_of(k, support, cs, target)
         if check:
             check = False

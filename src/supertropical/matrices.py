@@ -58,8 +58,7 @@ ghost permanent), keeps a cycle test per minor: the minor's potentials
 are those of the whole matrix shifted by ``min(dist, D)`` with
 D = dist[s], so an edge from a row at distance a to a column at
 distance b with reduced cost rc is tight in the minor exactly when
-``rc == 0`` and ``D <= b``, or ``rc + a == b`` and ``D >= b``, and
-those two lists are built once per column i.
+``rc + min(a, D) == min(b, D)``, which the test reads per minor.
 """
 
 from __future__ import annotations
@@ -601,16 +600,11 @@ def _peel(succ):
     return order if len(order) == len(succ) else None
 
 
-def _perm_of(rows, sol):
-    """The permanent of ``rows`` from their optimal assignment
-    ``sol = _assign(rows)``, with a uniqueness test."""
-    return _perm_order(rows, sol)[0]
-
-
 def _perm_order(rows, sol):
-    """``(per, order)``: the permanent as ``_perm_of`` gives it, and the
-    topological order of the tight graph that its uniqueness test peels,
-    or None when the test did not run or found a cycle."""
+    """``(per, order)``: the permanent of ``rows`` from their optimal
+    assignment ``sol = _assign(rows)``, with a uniqueness test, and the
+    topological order of the tight graph that the test peels, or None
+    when the test did not run or found a cycle."""
     if sol is None:
         return ZERO, None
     _, _, cost, u, v, p = sol
@@ -641,9 +635,11 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
     ``rc``, from the row r0 matched to column i to the column s matched
     to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
     per column i gives d for every j, and the layer of every minor of
-    column i (module docstring).  ``row_order``, the order that
-    ``_perm_order`` returned for a tangible permanent, saves peeling the
-    tight graph again."""
+    column i (module docstring): from one path count per column when
+    the whole optimum is unique, and otherwise from a cycle test per
+    minor on the tight edges of its own potentials.  ``row_order``, the
+    order that ``_perm_order`` returned for a tangible permanent, saves
+    peeling the tight graph again."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n
@@ -661,8 +657,6 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
     else:
         order = _peel([[c for c, x in enumerate(rc[r]) if not x and c != k]
                        for k, r in enumerate(p)])
-    if order is None:
-        zeros = [(r, c) for r, rr in enumerate(rc) for c, x in enumerate(rr) if x == 0]
     # off: the entry is ghost or zero; off_p counts them on p.
     off = [[not x.is_tangible() for x in r] for r in rows]
     off_p = sum(off[r][c] for c, r in enumerate(p))
@@ -702,19 +696,6 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
                     d = dist[c]
                     k = sum([cnt[b] for b, a, x in zip(col, da, rct[c]) if a + x == d])
                     cnt[c] = k if k < 2 else 2
-        else:
-            # The minor without row j has potentials u - pi(row), v +
-            # pi(column), pi = min(dist, D) with D = dist[col[j]], so edge
-            # (r, c) is tight when min(a, D) + rc == min(b, D), for a =
-            # da[r] and b = dist[c].  Dijkstra leaves b <= a + rc, so that
-            # holds exactly when rc == 0 and D <= min(a, b) = b (flat), or
-            # rc + a == b and D >= b (path).  An edge on both lists is
-            # tight for every D.
-            flat = [(dist[c], r, c) for r, c in zeros if c != i]
-            path = []
-            for r, rr in enumerate(rc):
-                a = da[r]
-                path += [(dist[c], r, c) for c in others if rr[c] + a == dist[c]]
         for j in range(n):
             s = col[j]
             D = dist[s]
@@ -729,20 +710,22 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
             else:
                 # Flip the path: q is the minor's matching, column to row.
                 # A second optimum closes a cycle of tight edges off q.
-                # No edge enters row j, so it lies on no cycle.
+                # The minor has potentials u - pi(row), v + pi(column),
+                # pi = min(dist, D), so edge (r, c) is tight when
+                # rc + min(da[r], D) == min(dist[c], D).  No edge enters
+                # row j, so it lies on no cycle.
                 q = list(p)
                 c = s
                 while c != i:
                     r = pre[c]
                     q[c] = r
                     c = col[r]
-                succ = [[] for _ in q]
-                for b, r, c in flat:
-                    if D <= b and q[c] != r:
-                        succ[r].append(q[c])
-                for b, r, c in path:
-                    if D >= b and q[c] != r:
-                        succ[r].append(q[c])
+                low = [min(b, D) for b in dist]
+                succ = []
+                for r, rr in enumerate(rc):
+                    t = min(da[r], D)
+                    succ.append([q[c] for c in others
+                                 if rr[c] + t == low[c] and q[c] != r])
                 ghosted = _peel(succ) is None
             out[i][j] = _made(top - m, ghosted)
     return tuple(map(tuple, out))
@@ -758,7 +741,7 @@ def _perm_rows(rows):
         return _perm3(*rows)
     if n == 4:
         return _perm4(*rows)
-    return _perm_of(rows, _assign(rows))
+    return _perm_order(rows, _assign(rows))[0]
 
 
 def _perm_adjoint(rows, divide=False):

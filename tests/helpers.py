@@ -28,7 +28,6 @@ from supertropical import (
 from supertropical.dependence import (
     _chain_candidates,
     _grid_solutions,
-    _grid_tables,
     _independent,
     _iter_supports,
     _witness_of,
@@ -185,9 +184,8 @@ def search_witness_reference(vectors, target, supports=None):
     """Reference for ``dependence._search_witness``: every support from
     one member up, one-member supports included, through the grid walk."""
     k = len(vectors)
-    tables = _grid_tables(vectors, target, range(k))
     for support in supports if supports is not None else _iter_supports(k):
-        for cs in _grid_solutions(vectors, target, support, tables=tables):
+        for cs in _grid_solutions(vectors, target, support):
             return _witness_of(k, support, cs, target)
     return None
 
@@ -260,20 +258,22 @@ def saturation_crosschecks(v, S, s):
     return solved, brute
 
 
-def grid_solutions_reference(vectors, target, support, *, descending=False, tables=None):
+def grid_solutions_reference(vectors, target, support, *, descending=False):
     """Reference for ``dependence._grid_solutions``: the same pruned
     prefix-sum walk (rule (a) at every depth), but with every member
     before the last on the stack, the second-to-last tried candidate by
     candidate, and the last member's values read off each prefix sum by
     ``_last_values_reference``."""
-    rows, flags, tvals, tflags, deltas = (
-        tables or _grid_tables(vectors, target, support)
-    )
-    cand = _chain_candidates(rows, tvals, support, deltas)
+    rows = {i: [x.value for x in vectors[i]] for i in support}
+    last, n = len(support) - 1, len(rows[support[0]])
+    if target is None:
+        tvals, start = None, ([None] * n, [False] * n)
+    else:
+        tvals = [x.value for x in target]
+        start = tvals, [x.is_ghost() for x in target]
+    cand = _chain_candidates(rows, tvals, support)
     # per depth: the member's candidates, entry values and ghost flags
-    levels = [(cand[i], rows[i], flags[i]) for i in support]
-    last, n = len(levels) - 1, len(rows[support[0]])
-    start = ([None] * n, [False] * n) if tvals is None else (tvals, tflags)
+    levels = [(cand[i], rows[i], [x.is_ghost() for x in vectors[i]]) for i in support]
     if not last:
         found = _last_values_reference(*levels[0], *start)
         for c in found[::-1] if descending else found:

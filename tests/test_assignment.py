@@ -21,7 +21,7 @@ import pytest
 from supertropical import ZERO, Mat, adjoint, nabla, permanent, quasi_identity
 from supertropical import matrices
 from supertropical.exceptions import InvalidInputError, ShapeError
-from supertropical.matrices import _adjoint_assign, _assign, _perm_of, _perm_order
+from supertropical.matrices import _adjoint_assign, _assign, _perm_order
 from supertropical.oracles import brute_permanent, dp_permanent
 
 from helpers import (
@@ -301,7 +301,6 @@ def test_count_route_matches_the_per_minor_reference():
             rows = A.row_tuples
             sol = _assign(rows)
             per, order = _perm_order(rows, sol)
-            assert per == _perm_of(rows, sol)
             shifts = [0] + ([per._v] if per.is_tangible() else [])
             for shift in shifts:
                 got = _adjoint_assign(rows, sol, shift)

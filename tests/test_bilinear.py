@@ -60,16 +60,18 @@ class TestGramConstruction:
         assert gram == mat("10v 10v 6\n10v 10v 8\n6 8 8")
 
     def test_single_vector(self):
-        assert gram_of_dot([vec("2 -1")]).G == mat("4")
+        F = gram_of_dot([vec("2 -1")])
+        assert F.G == mat("4") and F.arity == 1
 
     def test_gram_of_form_matches_dot_for_identity(self):
         W = [V1, V2, V3]
         assert gram_of_form(DOT3, W).G == gram_of_dot(W).G
 
     def test_gram_of_ambient_form(self):
-        gram = gram_of_form(AMBIENT, [V2, V3, V4]).G
-        assert gram == mat("19 16 16v\n16 12 12v\n16v 12v 13")
-        assert permanent(gram) == T(45)
+        F = gram_of_form(AMBIENT, [V2, V3, V4])
+        assert AMBIENT.arity == F.arity == 3
+        assert F.G == mat("19 16 16v\n16 12 12v\n16v 12v 13")
+        assert permanent(F.G) == T(45)
 
     def test_entries_are_pairwise_evaluations(self, rng):
         W = [rand_vec(rng, 3) for _ in range(3)]

@@ -751,23 +751,23 @@ def test_a_failed_walk_on_a_dependent_support_raises(monkeypatch):
     assert depends_on(v, [E1, E1, E2]) is None
 
 
-def test_walk_tables_are_built_at_the_first_walk(monkeypatch):
-    """The search reads the family's values and ghost flags only once a
-    support survives the minor test, and then once for all supports."""
-    built = []
-    tables = dependence._grid_tables
+def test_skipped_supports_are_not_walked(monkeypatch):
+    """The search walks a support only once it survives the minor test:
+    none when every support is skipped, and then only that support."""
+    walked = []
+    walk = dependence._grid_solutions
 
-    def counted(*args):
-        built.append(args[2])
-        return tables(*args)
+    def counted(vectors, target, support, **kw):
+        walked.append(support)
+        return walk(vectors, target, support, **kw)
 
-    monkeypatch.setattr(dependence, "_grid_tables", counted)
+    monkeypatch.setattr(dependence, "_grid_solutions", counted)
     assert _search_witness([E1, E2], None) is None
     assert depends_on(vec("0 -inf"), [E2]) is None
-    assert built == []
+    assert walked == []
     w = _search_witness([E1, vec("1 -inf"), E2], None)
     assert w.support == (0, 1)
-    assert built == [range(3)]
+    assert walked == [(0, 1)]
 
 
 def test_irredundance_matches_the_walk_over_every_sub_support():

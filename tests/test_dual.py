@@ -244,6 +244,13 @@ def test_ghost_monic_fails_for_ties():
 def test_tropically_onto():
     assert is_tropically_onto(MapByMatrix(Mat.identity(2)), 2)
     assert not is_tropically_onto(MapByMatrix(mat("1v 2v\n0v 1v")), 2)
+    # a map from dimension 2 to 3, and the images of given generators
+    f = MapByMatrix(mat("0 -inf\n-inf 0\n1 1"))
+    assert (f.source_dim, f.target_dim) == (2, 3)
+    assert f(E1) == vec("0 -inf 1")
+    assert is_tropically_onto(f, 2, generators=[E1, E2])
+    assert is_tropically_onto(f, 1, generators=[E1, E1])
+    assert not is_tropically_onto(f, 2, generators=[E1, E1])
 
 
 def test_iso_examples():

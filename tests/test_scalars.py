@@ -24,7 +24,9 @@ from supertropical import (
     nu,
     nu_hat,
     tangible,
+    zero,
 )
+from supertropical.scalars import gd
 from helpers import G, T
 
 values = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -42,6 +44,7 @@ def test_constants():
     assert E == G(0)
     assert E == nu(ONE)
     assert ZERO.is_zero()
+    assert zero() is ZERO
 
 
 def test_zero_is_canonical():
@@ -177,8 +180,8 @@ def test_ghost_surpasses_zero_cases():
 
 
 def test_gd_examples():
-    assert T(1).gd(G(3))
-    assert not T(1).gd(T(2))
+    assert T(1).gd(G(3)) and gd(T(1), G(3))
+    assert not T(1).gd(T(2)) and not gd(T(1), T(2))
     for a in (T(4), G(4), ZERO):
         assert a.gd(a)
 
