@@ -69,6 +69,30 @@ produced; the walk can also take each member's candidates largest
 first, which gives the same solutions in reverse order.  A one-member
 support is the pair of a member with no entries and itself.
 
+With a target, the supertropical Cramer rule also bounds every
+coefficient from above.  A valid assignment c on T makes the target
+plus the combination ghost or zero at every coordinate, so also on any
+coordinate set J.  When the members of T are independent, the minor
+search gives one such J with a nonsingular square minor A_J, and c is
+at most the greatest tangible solution of that square system, the
+tangible lift of nabla(A_J^T) v_J (Izhakian-Rowen, "Supertropical
+matrix algebra II: solving tropical equations"; ``solve_max``).  Its
+entry for a member is, by Cramer's rule, the permanent of A_J with the
+member's row replaced by the target on J, less the permanent of A_J,
+so it comes from k + 1 permanents of size k.  With three or more
+members, each member's candidates are cut to the values at or below
+its bound before the walk, and a bound of -inf means no solution; two
+members go straight to the pair step above, whose cost the permanents
+would exceed.  The cut removes only values that no valid assignment
+takes, so the solutions and their order, in both directions, are those
+of the uncut grid; dependent members have no such minor and keep the
+whole grid.  A finite bound is itself a grid value, so no member is
+left without candidates: the optimal permutations of the two
+permanents differ on one cycle through the member (elsewhere the
+minor's unique optimum is as good), and along it the bound telescopes
+into a target gap followed by at most k - 1 tie differences between
+members.
+
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
 under the coordinatewise join (``sup_witness``), and the coordinatewise
@@ -205,57 +229,66 @@ def projective_normalize(v):
 
 
 def _has_nonsingular_minor(rows, k):
-    """Whether some k by k submatrix of the row tuples has a tangible
+    """The first k by k submatrix of the row tuples with a tangible
     permanent, trying row sets and then column sets in lexicographic
-    order.
+    order, as the pair (row indices, column indices); None when there is
+    none.  ``_independent`` and ``rank`` ask only whether it exists;
+    ``_cramer_clip`` takes its columns.
 
     A row or column with no tangible entry makes every permanent through
     it ghost or zero, so such rows go first, then such columns of the
-    rows that are left.  A kept row's tangible entry is a nonsingular
-    1 by 1 minor.  Two rows, the test the witness search runs most, are
-    read off values and ghost flags: a 2 by 2 permanent is tangible when
-    one of its two terms lies above the other and has no ghost entry."""
+    rows that are left.  A kept row's first tangible entry is a
+    nonsingular 1 by 1 minor.  Two rows, the test the witness search
+    runs most, are read off values and ghost flags: a 2 by 2 permanent
+    is tangible when one of its two terms lies above the other and has
+    no ghost entry."""
     if len(rows[0]) < k:
-        return False
-    rows = [r for r in rows if any(map(_tangible, r))]
-    if len(rows) < k:
-        return False
+        return None
+    live = [i for i, r in enumerate(rows) if any(map(_tangible, r))]
+    if len(live) < k:
+        return None
     if k == 1:
-        return True
+        r = live[0]
+        return (r,), (next(j for j, x in enumerate(rows[r]) if x.is_tangible()),)
     if k == 2:
-        for r0, r1 in combinations(rows, 2):
+        for p, q in combinations(live, 2):
+            r0, r1 = rows[p], rows[q]
             for i, j in combinations(range(len(r0)), 2):
                 a, b, c, d = r0[i], r0[j], r1[i], r1[j]
                 x = None if a._v is None or d._v is None else a._v + d._v
                 y = None if b._v is None or c._v is None else b._v + c._v
                 if x is not None and (y is None or x > y):
                     if not (a._g or d._g):
-                        return True
+                        return (p, q), (i, j)
                 elif y is not None and (x is None or y > x) and not (b._g or c._g):
-                    return True
-        return False
-    cols = [j for j, col in enumerate(zip(*rows)) if any(map(_tangible, col))]
+                    return (p, q), (i, j)
+        return None
+    cols = [
+        j for j, col in enumerate(zip(*(rows[i] for i in live)))
+        if any(map(_tangible, col))
+    ]
     if len(cols) < k:
-        return False
-    for picked in combinations(rows, k):
+        return None
+    for picked in combinations(live, k):
+        sub = [rows[i] for i in picked]
         for ci in combinations(cols, k):
-            if _perm_rows([tuple(r[j] for j in ci) for r in picked]).is_tangible():
-                return True
-    return False
+            if _perm_rows([tuple(r[j] for j in ci) for r in sub]).is_tangible():
+                return picked, ci
+    return None
 
 
 def _independent(vectors):
     """True when the family admits a nonsingular square column submatrix
     of full family size; more members than coordinates never do."""
     rows = [v.entries for v in vectors]
-    return not rows or _has_nonsingular_minor(rows, len(rows))
+    return not rows or _has_nonsingular_minor(rows, len(rows)) is not None
 
 
 def rank(A):
     """Size of the largest nonsingular square submatrix (0 for a matrix
     with no tangible structure at all)."""
     for k in range(min(A.shape), 0, -1):
-        if _has_nonsingular_minor(A.row_tuples, k):
+        if _has_nonsingular_minor(A.row_tuples, k) is not None:
             return k
     return 0
 
@@ -410,8 +443,11 @@ def _grid_solutions(vectors, target, support, *, descending=False):
     ``descending``: the pruned prefix-sum walk of the module docstring
     over the members before the last two, with an explicit stack so that
     tiny grids pay little for set-up, and the last two members' values
-    read off each prefix sum by ``_pair_values``.  It reads the values
-    and ghost flags of the support members and of the target."""
+    read off each prefix sum by ``_pair_values``.  With a target and
+    three or more members, each member's candidates are first cut to its
+    Cramer bound by ``_cramer_clip``, which leaves the solutions and
+    their order as they are.  It reads the values and ghost flags of the
+    support members and of the target."""
     rows = _value_rows(vectors, support)
     n = len(rows[support[0]])
     if target is None:
@@ -420,6 +456,10 @@ def _grid_solutions(vectors, target, support, *, descending=False):
         tvals = list(map(_value, target))
         start = tvals, list(map(_ghost, target))
     cand = _chain_candidates(rows, tvals, support)
+    if target is not None and len(support) > 2:
+        cand = _cramer_clip(vectors, target, support, cand)
+        if cand is None:
+            return
     # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], tuple(map(_ghost, vectors[i]))) for i in support]
     if len(levels) == 1:
@@ -485,6 +525,32 @@ def _grid_solutions(vectors, target, support, *, descending=False):
                     )
         else:
             d -= 1
+
+
+def _cramer_clip(vectors, target, support, cand):
+    """The candidates ``cand`` of the support members cut to the
+    supertropical Cramer bound, or None when some bound is -inf.  The
+    bound comes from the first nonsingular square minor A_J of the
+    members (rows: members, columns: the coordinates J): by Cramer's
+    rule a member's coefficient in a valid assignment is at most the
+    value of the permanent of A_J with the member's row replaced by the
+    target on J, less the permanent of A_J (module docstring).  Dependent
+    members have no such minor and keep every candidate."""
+    members = [vectors[i].entries for i in support]
+    minor = _has_nonsingular_minor(members, len(members))
+    if minor is None:
+        return cand
+    cols, tv = minor[1], target.entries
+    a = [tuple(m[j] for j in cols) for m in members]
+    vj = tuple(tv[j] for j in cols)
+    per = _perm_rows(a)._v
+    out = {}
+    for r, i in enumerate(support):
+        top = _perm_rows(a[:r] + [vj] + a[r + 1:])._v
+        if top is None:
+            return None
+        out[i] = cand[i][:bisect_right(cand[i], top - per)]
+    return out
 
 
 def _pair_lists(head, pairs, descending):

@@ -244,15 +244,16 @@ def saturation_crosschecks(v, S, s):
     routes that apply besides the grid walk, and say which ran: on a
     square family with full support and a tangible nonzero target its
     coefficients are ``solve_max`` of the transposed system; on a
-    support of at most two members the brute grid search of
-    ``check_saturated`` finds nothing larger."""
+    support of at most two members, in a family within the brute
+    search's cap of four members and four coordinates, the brute grid
+    search of ``check_saturated`` finds nothing larger."""
     solved = (
         len(S) == v.dim and s.support == tuple(range(len(S)))
         and v.is_tangible() and not v.is_zero()
     )
     if solved:
         assert s.coeffs == tuple(solve_max(Mat(S).transpose(), v).entries), (v, S, s)
-    brute = len(s.support) <= 2
+    brute = len(s.support) <= 2 and len(S) <= 4 and v.dim <= 4
     if brute:
         assert check_saturated(s, S), (v, S, s)
     return solved, brute

@@ -29,12 +29,15 @@ from supertropical import (
 from supertropical import dependence
 from supertropical.dependence import (
     _chain_candidates,
+    _cramer_clip,
     _grid_solutions,
+    _has_nonsingular_minor,
     _is_irredundant,
     _iter_supports,
     _search_witness,
     _value_rows,
 )
+from supertropical.matrices import _perm_rows, solve_max
 from supertropical.oracles import brute_permanent
 from supertropical.scalars import Scalar
 from helpers import (
@@ -45,6 +48,7 @@ from helpers import (
     is_irredundant_reference,
     mat,
     rand_mat,
+    rand_nonsingular,
     rand_scalar,
     rand_tangible,
     rand_tangible_vec,
@@ -250,6 +254,45 @@ def test_rank_matches_oracle_minors():
         r = _oracle_rank(A)
         assert rank(A) == r, A
         assert dependence._independent(A.row_list()) == (r == 2), A
+
+
+def _first_oracle_minor(A, k):
+    """The first k by k index sets, row sets before column sets in
+    lexicographic order, with a tangible brute permanent, or None."""
+    for ri in itertools.combinations(range(A.rows), k):
+        for ci in itertools.combinations(range(A.cols), k):
+            if brute_permanent(A.submatrix(ri, ci)).is_tangible():
+                return ri, ci
+    return None
+
+
+def test_minor_search_returns_its_minor():
+    # the draws of test_rank_matches_oracle_minors: the search returns
+    # the first nonsingular minor of each size, and None exactly above
+    # the rank
+    rng = seeded(12)
+    draws = [
+        rand_mat(rng, rng.randint(1, 4), rng.randint(1, 5),
+                 zero_p=0.15, ghost_p=(0.3, 0.8)[t % 2])
+        for t in range(400)
+    ] + [
+        rand_mat(rng, 2, rng.randint(1, 4), lo=-1, hi=1,
+                 zero_p=0.2, ghost_p=(0.0, 0.3)[t % 2])
+        for t in range(400)
+    ]
+    found = Counter()
+    for A in draws:
+        r = rank(A)
+        for k in range(1, A.rows + 1):
+            minor = _has_nonsingular_minor(A.row_tuples, k)
+            assert (minor is None) == (r < k), (A, k)
+            assert minor == _first_oracle_minor(A, k), (A, k)
+            if minor is not None:
+                ri, ci = minor
+                sub = [tuple(A.entry(i, j) for j in ci) for i in ri]
+                assert _perm_rows(sub).is_tangible(), (A, k)
+                found[k] += 1
+    assert found[1] > 300 and found[2] > 300 and found[3] > 30, found
 
 
 def test_rank_of_ghost_heavy_matrices():
@@ -965,6 +1008,89 @@ def test_descending_walk_starts_at_the_supremum():
                     hits += 1
                     assert down[0] == sup_assignment(flat), (S, target, support)
     assert hits > 1000, hits
+
+
+# -- the Cramer bound --------------------------------------------------
+
+def test_cramer_bound_covers_every_grid_solution():
+    # the lemma behind the cut, with no walk: on nonsingular square
+    # families every valid grid assignment lies at or below the greatest
+    # tangible solution of the transposed system, for ghost and zero
+    # targets too; a zero bound leaves no tangible coefficient, and a
+    # finite one is a candidate of its member, so the cut leaves every
+    # member some candidate
+    rng = seeded(2101)
+    solutions = 0
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        kw = dict(lo=-2, hi=3, zero_p=0.15, ghost_p=0.2)
+        S = rand_nonsingular(rng, k, **kw).row_list()
+        v = rand_vec(rng, k, lo=-2, hi=3, zero_p=0.2, ghost_p=0.3)
+        bound = solve_max(Mat(S).transpose(), v)
+        support = tuple(range(k))
+        cand = _chain_candidates(_value_rows(S, support), [x.value for x in v], support)
+        for i, b in enumerate(bound):
+            assert b.is_zero() or b.value in cand[i], (S, v, bound)
+        for cs in _flat_grid_solutions(S, v, support):
+            solutions += 1
+            for c, b in zip(cs, bound):
+                assert not b.is_zero() and c.value <= b.value, (S, v, cs, bound)
+    assert solutions > 1000, solutions
+
+
+def test_clipped_walk_matches_the_uncut_walk():
+    # three-member supports in three and four coordinates, both orders,
+    # against the walk on the whole grid; the cut must shorten some
+    # member's candidates (or find none left) on a few hundred of them
+    rng = seeded(2102)
+    support, cut = (0, 1, 2), 0
+    for _ in range(700):
+        n = rng.choice((3, 4))
+        kw = dict(lo=-2, hi=3, zero_p=0.15, ghost_p=0.2)
+        S = [rand_vec(rng, n, **kw) for _ in range(3)]
+        target = rand_vec(rng, n, **kw)
+        cand = _chain_candidates(
+            _value_rows(S, support), [x.value for x in target], support
+        )
+        clipped = _cramer_clip(S, target, support, cand)
+        cut += clipped is None or clipped != cand
+        for descending in (False, True):
+            got = _grid_solutions(S, target, support, descending=descending)
+            want = grid_solutions_reference(S, target, support, descending=descending)
+            assert _typed(got) == _typed(want), (S, target, descending)
+    assert cut > 300, cut
+
+
+FAULT1_S = rows(
+    "2 -3 4 0 1\n-1 5 2 3 -2\n3 0 -2 5 4\n0 2 1 -3 5\n4 1 5 2 -1"
+)
+FAULT1_V = vec("1 3 -2 4 0")
+
+
+def test_five_vector_instance_returns_its_cramer_witness():
+    # a full-support grid of 1.6e9 tuples: the cut leaves each member
+    # about half its candidates, and the witness is the Cramer solution
+    w = depends_on(FAULT1_V, FAULT1_S)
+    assert w.coeffs == tuple(T(c) for c in (-1, -2, -1, -2, -2))
+    assert w.support == (0, 1, 2, 3, 4)
+    assert saturate_by_sup(FAULT1_V, FAULT1_S, w) == w
+    assert saturation_crosschecks(FAULT1_V, FAULT1_S, w) == (True, False)
+
+
+def test_independent_five_by_five_families_with_free_targets():
+    rng = seeded(2121)
+    solved = drawn = 0
+    while drawn < 12:
+        S = [rand_tangible_vec(rng, 5, lo=-3, hi=5) for _ in range(5)]
+        v = rand_tangible_vec(rng, 5, lo=-3, hi=5)
+        if not dependence._independent(S):
+            continue
+        drawn += 1
+        w = depends_on(v, S)
+        assert w is not None and w.is_valid(S), (v, S)
+        s = saturate_by_sup(v, S, w)
+        solved += saturation_crosschecks(v, S, s)[0]
+    assert solved >= 3, solved
 
 
 @pytest.mark.parametrize("member, target, want", [
