@@ -93,6 +93,23 @@ minor's unique optimum is as good), and along it the bound telescopes
 into a target gap followed by at most k - 1 tie differences between
 members.
 
+The same system gives floors too, and caps that follow the other
+members' caps.  With a target and four or more members the cut lists
+are tightened to a fixpoint of two rules, the walk's forward checks
+applied once before it starts.  A member with a tangible entry a at a
+coordinate stays at or below M - a, with M the largest of the target's
+value there and the other members' entries plus their largest
+candidates, because above it its term is the unique tangible maximum
+(tie cap).  A tangible target value, and a member's tangible term at
+its smallest candidate where that lies above the target's value, must
+be reached by another member's term; when only one member can still
+reach it, that member's candidates start where its term does (demand
+floor), and when none can, the support has no solution.  Neither rule
+drops a value that a valid assignment inside the current lists takes,
+so the solutions and their order stay as they are.  Three members keep
+the cut lists: their grids are small after the cut, and a measured run
+found the rules slowing saturation there.
+
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
 under the coordinatewise join (``sup_witness``), and the coordinatewise
@@ -120,6 +137,7 @@ from .matrices import (
     _dot_value_ghost,
     _family,
     _perm_rows,
+    _perm_value,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -445,9 +463,10 @@ def _grid_solutions(vectors, target, support, *, descending=False):
     tiny grids pay little for set-up, and the last two members' values
     read off each prefix sum by ``_pair_values``.  With a target and
     three or more members, each member's candidates are first cut to its
-    Cramer bound by ``_cramer_clip``, which leaves the solutions and
-    their order as they are.  It reads the values and ghost flags of the
-    support members and of the target."""
+    Cramer bound by ``_cramer_clip``, and from four members on
+    ``_tighten`` cuts them further to its fixpoint; neither changes the
+    solutions or their order.  It reads the values and ghost flags of
+    the support members and of the target."""
     rows = _value_rows(vectors, support)
     n = len(rows[support[0]])
     if target is None:
@@ -462,6 +481,10 @@ def _grid_solutions(vectors, target, support, *, descending=False):
             return
     # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], tuple(map(_ghost, vectors[i]))) for i in support]
+    if target is not None and len(support) > 3:
+        levels = _tighten(levels, *start)
+        if levels is None:
+            return
     if len(levels) == 1:
         # a member alone completes the start sum as the second of a pair
         # whose first member has no entries and only the unit
@@ -534,8 +557,10 @@ def _cramer_clip(vectors, target, support, cand):
     members (rows: members, columns: the coordinates J): by Cramer's
     rule a member's coefficient in a valid assignment is at most the
     value of the permanent of A_J with the member's row replaced by the
-    target on J, less the permanent of A_J (module docstring).  Dependent
-    members have no such minor and keep every candidate."""
+    target on J, less the permanent of A_J (module docstring).  Only the
+    permanents' values are read, so from size 5 on they come from the
+    optimal assignment without a uniqueness test (``_perm_value``).
+    Dependent members have no such minor and keep every candidate."""
     members = [vectors[i].entries for i in support]
     minor = _has_nonsingular_minor(members, len(members))
     if minor is None:
@@ -543,14 +568,67 @@ def _cramer_clip(vectors, target, support, cand):
     cols, tv = minor[1], target.entries
     a = [tuple(m[j] for j in cols) for m in members]
     vj = tuple(tv[j] for j in cols)
-    per = _perm_rows(a)._v
+    per = _perm_value(a)
     out = {}
     for r, i in enumerate(support):
-        top = _perm_rows(a[:r] + [vj] + a[r + 1:])._v
+        top = _perm_value(a[:r] + [vj] + a[r + 1:])
         if top is None:
             return None
         out[i] = cand[i][:bisect_right(cand[i], top - per)]
     return out
+
+
+def _tighten(levels, tvals, tghosts):
+    """The walk's ``levels`` with each member's candidates cut to the
+    fixpoint of the tie cap and the demand floor (module docstring), or
+    None when a list empties or a demand finds no member to reach it.
+    Per coordinate, with lo and hi a member's smallest and largest
+    candidates: a member r with a tangible entry a stays at or below
+    M - a, M the largest of the target's value and the other members'
+    entries plus their hi; and a demand w (a tangible target value, or
+    r's tangible term at its lo where that lies above the target's
+    value) that only one other member q can reach, with entry x, gives
+    c_q >= w - x."""
+    doms = [dom for dom, _, _ in levels]
+    cols = list(zip(*(row for _, row, _ in levels)))
+    flags = list(zip(*(grow for _, _, grow in levels)))
+    members = range(len(doms))
+    while True:
+        lo = [dom[0] for dom in doms]
+        hi = [dom[-1] for dom in doms]
+        floor, cap = lo[:], hi[:]
+        for col, gcol, t, tg in zip(cols, flags, tvals, tghosts):
+            tops = [None if a is None else a + h for a, h in zip(col, hi)]
+            demands = [] if t is None or tg else [(t, None)]
+            for r in members:
+                a = col[r]
+                if a is None or gcol[r]:
+                    continue
+                m = t
+                for q in members:
+                    x = tops[q]
+                    if q != r and x is not None and (m is None or x > m):
+                        m = x
+                if m is not None and m - a < cap[r]:
+                    cap[r] = m - a
+                w = a + lo[r]
+                if t is None or w > t:
+                    demands.append((w, r))
+            for w, r in demands:
+                reach = [q for q in members
+                         if q != r and tops[q] is not None and tops[q] >= w]
+                if not reach:
+                    return None
+                if len(reach) == 1:
+                    q = reach[0]
+                    if w - col[q] > floor[q]:
+                        floor[q] = w - col[q]
+        if floor == lo and cap == hi:
+            return [(dom, row, grow) for dom, (_, row, grow) in zip(doms, levels)]
+        doms = [dom[bisect_left(dom, f):bisect_right(dom, c)]
+                for dom, f, c in zip(doms, floor, cap)]
+        if not all(doms):
+            return None
 
 
 def _pair_lists(head, pairs, descending):

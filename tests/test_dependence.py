@@ -35,6 +35,7 @@ from supertropical.dependence import (
     _is_irredundant,
     _iter_supports,
     _search_witness,
+    _tighten,
     _value_rows,
 )
 from supertropical.matrices import _perm_rows, solve_max
@@ -1061,6 +1062,77 @@ def test_clipped_walk_matches_the_uncut_walk():
     assert cut > 300, cut
 
 
+def _levels(S, support, cand):
+    """The walk's levels for ``support``: candidates, entry values and
+    ghost flags per member."""
+    return [
+        (cand[i], tuple(x.value for x in S[i]), tuple(x.is_ghost() for x in S[i]))
+        for i in support
+    ]
+
+
+def _tightened(members, doms, target):
+    t = vec(target)
+    got = _tighten(
+        _levels(rows(members), range(len(doms)), doms),
+        [x.value for x in t], [x.is_ghost() for x in t],
+    )
+    return None if got is None else [dom for dom, _, _ in got]
+
+
+@pytest.mark.parametrize("members, doms, target, want", [
+    # tie cap: above 1 the tangible 0 + c0 is the unique maximum over
+    # the ghost target 0v and the ghost member's 0 + 1
+    ("0\n0v", [[0, 1, 2, 3], [0, 1]], "0v", [[0, 1], [0, 1]]),
+    # target floor: only the first member reaches the tangible target 2
+    ("0v\n0", [[0, 1, 2, 3], [0, 1]], "2", [[2, 3], [0, 1]]),
+    # term-demand floor: the first member's term is at least 1, above the
+    # target's 0v, and only the second member can reach it
+    ("0\n0v\n0", [[1, 2], [0, 1, 2], [0]], "0v", [[1, 2], [1, 2], [0]]),
+    # no member reaches the tangible target 3
+    ("0\n0", [[0, 1], [0, 2]], "3", None),
+    # the first member's floor 2 (coordinate 0) lies above its cap 1
+    # (coordinate 1), so its list empties
+    ("0 0\n-inf 0v", [[0, 1, 2, 3], [0, 1]], "2 -inf", None),
+])
+def test_tighten_pinned(members, doms, target, want):
+    assert _tightened(members, doms, target) == want
+
+
+def test_tightened_walk_matches_the_reference():
+    # four- and five-member supports with targets, both orders, against
+    # the walk with neither the cut nor the rules; lists longer than 50
+    # are compared at both ends.  The rules must shorten most lists and
+    # prove some supports empty that the cut left open
+    rng = seeded(2202)
+    short = empty = 0
+    for _ in range(150):
+        k = rng.choice((4, 5))
+        n = rng.randint(3, 9 - k)
+        kw = dict(lo=-1, hi=rng.choice((1, 2)) if k == 4 else 1,
+                  zero_p=rng.choice((0.15, 0.3)), ghost_p=rng.choice((0.2, 0.3)),
+                  denom=rng.choice((1, 1, 2)))
+        S = [rand_vec(rng, n, **kw) for _ in range(k)]
+        target = rand_vec(rng, n, **kw)
+        support = tuple(range(k))
+        tvals = [x.value for x in target]
+        cand = _cramer_clip(
+            S, target, support, _chain_candidates(_value_rows(S, support), tvals, support)
+        )
+        if cand is not None:
+            levels = _levels(S, support, cand)
+            tight = _tighten(levels, tvals, [x.is_ghost() for x in target])
+            empty += tight is None
+            short += tight is not None and tight != levels
+        for descending in (False, True):
+            got = _grid_solutions(S, target, support, descending=descending)
+            want = grid_solutions_reference(S, target, support, descending=descending)
+            assert _typed(itertools.islice(got, 50)) == _typed(
+                itertools.islice(want, 50)
+            ), (S, target, descending)
+    assert short >= 100 and empty >= 5, (short, empty)
+
+
 FAULT1_S = rows(
     "2 -3 4 0 1\n-1 5 2 3 -2\n3 0 -2 5 4\n0 2 1 -3 5\n4 1 5 2 -1"
 )
@@ -1068,13 +1140,28 @@ FAULT1_V = vec("1 3 -2 4 0")
 
 
 def test_five_vector_instance_returns_its_cramer_witness():
-    # a full-support grid of 1.6e9 tuples: the cut leaves each member
-    # about half its candidates, and the witness is the Cramer solution
+    # a full-support grid of 1.6e9 tuples: the cut and the rules leave
+    # each member one candidate, and the witness is the Cramer solution
     w = depends_on(FAULT1_V, FAULT1_S)
     assert w.coeffs == tuple(T(c) for c in (-1, -2, -1, -2, -2))
     assert w.support == (0, 1, 2, 3, 4)
     assert saturate_by_sup(FAULT1_V, FAULT1_S, w) == w
     assert saturation_crosschecks(FAULT1_V, FAULT1_S, w) == (True, False)
+
+
+def test_five_vector_instance_is_tightened_to_one_candidate_each(monkeypatch):
+    seen = []
+
+    def recorded(*args):
+        out = _tighten(*args)
+        seen.append([dom for dom, _, _ in out])
+        return out
+
+    monkeypatch.setattr(dependence, "_tighten", recorded)
+    support = (0, 1, 2, 3, 4)
+    found = list(_grid_solutions(FAULT1_S, FAULT1_V, support))
+    assert seen == [[[-1], [-2], [-1], [-2], [-2]]]
+    assert found == [[T(c) for c in (-1, -2, -1, -2, -2)]]
 
 
 def test_independent_five_by_five_families_with_free_targets():

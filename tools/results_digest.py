@@ -15,7 +15,7 @@ values -2..2, zero 0.15, ghost 0.3).  The matrix draws come after them,
 from their own seed, so adding them left the family lines as they were:
 square matrices of size 1 to 10, half with tie-heavy values -2..2
 (zero 0.15, ghost 0.3) and half tangible with values -20..20 (zero
-0.05), some of them with halves and thirds.  The wide draws come last,
+0.05), some of them with halves and thirds.  The wide draws follow,
 from a third seed: `depends_on`, `saturate` and `saturate_by_sup` on
 tangible 3x3 families with values -3..5 and targets built on all three
 members, and `is_dependent` on four tangible vectors in three
@@ -24,18 +24,24 @@ product draws follow, from a fourth seed: a rectangular ``A @ B`` and
 ``A.apply(x)`` with sides 1 to 6, and ``dual_base`` and ``reconstruct``
 on the closure of a nonsingular square base of size 2 to 6 (entries with
 halves, zero 0.15, ghost 0.3 for the products and tangible for the
-base).  The span draws come last, from a fifth seed: ``spans`` on a
+base).  The span draws follow, from a fifth seed: ``spans`` on a
 target built from the members and on a free one, ``is_critical`` of
 every member and ``s_base``, on families of 4 to 6 members in 3 or 4
-coordinates (values -3..5, zero 0.15, ghost 0.3).  The text draws come
-last, from a sixth seed: ``parse_matrix`` and ``parse_vector`` on a
+coordinates (values -3..5, zero 0.15, ghost 0.3).  The text draws
+follow, from a sixth seed: ``parse_matrix`` and ``parse_vector`` on a
 seeded matrix text of 0 to 5 lines (tabs, ``\r\n``, no-break spaces,
 the separators ``\x1c``-``\x1f``, comments, blank lines, the zero
 spellings, signs, leading zeros, ``p/q``, Unicode digits, an
 occasional bad token or ragged row) and ``parse_scalar`` on one token;
 each prints the value types of the entries, or the ``ParseError`` with
-its line and column.  Each seed's draws come after all earlier ones, so
-the lines of the earlier draws stay as they were.  The whole run takes
+its line and column.  The walk draws come last, from a seventh seed:
+``depends_on``, ``saturate`` and ``saturate_by_sup`` on families of 4
+or 5 members in as many coordinates or 5, tangible (values -3..5) or
+mixed (values -2..3, zero 0.15, ghost 0.3) and redrawn up to 20 times
+until independent, with a target built on every member or drawn
+freely, so that grid walks of four and more members with a target are
+covered.  Each seed's draws come after all earlier ones, so the lines
+of the earlier draws stay as they were.  The whole run takes
 under a minute.
 """
 
@@ -108,6 +114,8 @@ TEXT_TOKENS = ("0", "3", "-4", "+5", "-0", "007", "4/2", "3/6", "-7/3",
 TEXT_BAD = ("3/0", "1_0", "1.5", "v", "1/", "x")
 TEXT_GAPS = (" ", "  ", "\t", "\xa0", "\x1f")
 TEXT_ENDS = ("\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e")
+WALK_SEED = 20261024
+WALK_DRAWS = 600
 
 
 def scalar(rng, tangible_only=False):
@@ -338,6 +346,41 @@ def text_draw(rng, out):
     out.append(("parse_scalar", lambda: parsed(parse_scalar, tok)))
 
 
+def walk_draw(rng, out):
+    """Append ``(call, thunk)`` pairs for one seeded draw of the longer
+    grid walks: a family of 4 or 5 members, tangible or mixed and
+    independent when 20 tries give one, and a target built on every
+    member or drawn freely."""
+    mixed = rng.random() < 0.5
+
+    def entry():
+        if not mixed:
+            return tangible(rng.randint(-3, 5))
+        if rng.random() < 0.15:
+            return ZERO
+        v = rng.randint(-2, 3)
+        return ghost(v) if rng.random() < 0.3 else tangible(v)
+
+    k = rng.choice((4, 5))
+    n = rng.randint(k, 5)
+    for _ in range(20):  # an independent family, when one comes up
+        S = [Vec([entry() for _ in range(n)]) for _ in range(k)]
+        if max_rank(S) == k:
+            break
+    if rng.random() < 0.5:
+        v = Vec([ZERO] * n)
+        for w in S:
+            v = v + tangible(rng.randint(-2, 2)) * w
+        v = v.nu_hat()
+    else:
+        v = Vec([entry() for _ in range(n)])
+    w = depends_on(v, S)
+    out.append(("depends_on", lambda: w))
+    if w is not None:
+        out.append(("saturate", lambda: saturate(v, S, w)))
+        out.append(("saturate_by_sup", lambda: saturate_by_sup(v, S, w)))
+
+
 def parsed(parse, text):
     """The text, then what ``parse`` made of it: the result and the value
     type of each entry (``i`` int, ``F`` Fraction, ``z`` zero), or the
@@ -371,8 +414,8 @@ def line(label, thunk):
 
 def draws():
     """``(label, fill)`` for every draw, where ``fill(out)`` appends its
-    calls; the matrix, wide, product, span and text draws each use their
-    own generator."""
+    calls; the matrix, wide, product, span, text and walk draws each use
+    their own generator."""
     rng = random.Random(SEED)
     for d in range(DRAWS):
         yield str(d), lambda out: draw(rng, out)
@@ -392,6 +435,9 @@ def draws():
     trng = random.Random(TEXT_SEED)
     for d in range(TEXT_DRAWS):
         yield f"t{d}", lambda out: text_draw(trng, out)
+    grng = random.Random(WALK_SEED)
+    for d in range(WALK_DRAWS):
+        yield f"g{d}", lambda out: walk_draw(grng, out)
 
 
 def main():
