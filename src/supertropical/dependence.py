@@ -65,62 +65,50 @@ plus a constant; the valid b of a run are one ``bisect`` range, and
 each of them gives one slice of the last member's candidates.  Only
 values without a valid completion are skipped, so the solutions and
 their order are those of the full grid, and only grid values are ever
-produced; the walk can also take each member's candidates largest
-first, which gives the same solutions in reverse order.  A one-member
-support is the pair of a member with no entries and itself.
+produced.  A one-member support is the pair of a member with no entries
+and itself.
 
-With a target, the supertropical Cramer rule also bounds every
-coefficient from above.  A valid assignment c on T makes the target
-plus the combination ghost or zero at every coordinate, so also on any
-coordinate set J.  When the members of T are independent, the minor
-search gives one such J with a nonsingular square minor A_J, and c is
-at most the greatest tangible solution of that square system, the
-tangible lift of nabla(A_J^T) v_J (Izhakian-Rowen, "Supertropical
-matrix algebra II: solving tropical equations"; ``solve_max``).  Its
-entry for a member is, by Cramer's rule, the permanent of A_J with the
-member's row replaced by the target on J, less the permanent of A_J,
-so it comes from k + 1 permanents of size k.  With three or more
-members, each member's candidates are cut to the values at or below
-its bound before the walk, and a bound of -inf means no solution; two
-members go straight to the pair step above, whose cost the permanents
-would exceed.  The cut removes only values that no valid assignment
-takes, so the solutions and their order, in both directions, are those
-of the uncut grid; dependent members have no such minor and keep the
-whole grid.  A finite bound is itself a grid value, so no member is
-left without candidates: the optimal permutations of the two
-permanents differ on one cycle through the member (elsewhere the
-minor's unique optimum is as good), and along it the bound telescopes
-into a target gap followed by at most k - 1 tie differences between
-members.
+The greatest valid grid assignment c* takes no walk: a descent finds
+it (``_descend``).  Every member starts at its largest candidate.
+While some coordinate of the sum is tangible, its unique maximum is a
+tangible term.  When that is the target's term, no valid assignment
+exists.  When it is a member's, with entry a, the member drops to its
+largest candidate at or below the largest other term there less a, and
+when it has none, no valid assignment exists.  The invariant is that
+every valid grid assignment lies at or below the current point: one
+that kept the member's current value would leave its term the unique
+tangible maximum of that coordinate.  Each step lowers one member, so
+the descent ends, and the first valid point it meets is c*, the
+supertropical form of the max-plus principal solution (Butkovic,
+"Max-linear systems").  c* is valid, so it lies at or below the
+supertropical Cramer bound of every nonsingular minor of the members
+(Izhakian-Rowen, "Supertropical matrix algebra II: solving tropical
+equations"; ``solve_max``).  With a target and three or more members,
+each member's candidates are cut at c* before the walk, and there is no
+walk when the descent finds none; two members go straight to the pair
+step above.  The cut drops only values that no valid assignment takes,
+so the solutions and their order are those of the uncut grid.
 
-The same system gives floors too, and caps that follow the other
-members' caps.  With a target and four or more members the cut lists
-are tightened to a fixpoint of two rules, the walk's forward checks
-applied once before it starts.  A member with a tangible entry a at a
-coordinate stays at or below M - a, with M the largest of the target's
-value there and the other members' entries plus their largest
-candidates, because above it its term is the unique tangible maximum
-(tie cap).  A tangible target value, and a member's tangible term at
-its smallest candidate where that lies above the target's value, must
-be reached by another member's term; when only one member can still
-reach it, that member's candidates start where its term does (demand
-floor), and when none can, the support has no solution.  Neither rule
-drops a value that a valid assignment inside the current lists takes,
-so the solutions and their order stay as they are.  Three members keep
-the cut lists: their grids are small after the cut, and a measured run
-found the rules slowing saturation there.
+From four members on, the cut lists are raised further to a fixpoint of
+the demand floor, the walk's forward check applied once before it
+starts.  A tangible target value, and a member's tangible term at its
+smallest candidate where that lies above the target's value, must be
+reached by another member's term; when only one member can reach it,
+that member's candidates start where its term does.  c* survives every
+floor and meets every demand, so no list empties, and the solutions
+and their order stay as they are.  Three members keep the cut lists, a
+gate set while saturation still walked.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
 under the coordinatewise join (``sup_witness``), and the coordinatewise
 maximum of grid values is a grid value, so the supremum of every valid
-grid assignment is itself one: the unique greatest, and so the
-lexicographic maximum, which the walk taken largest first meets before
-any other.  That first solution is the saturated witness.  ``saturate``
-also requires the support to be irredundant.  A subset of an independent
-family is independent, so when every sub-support one member short is
-independent together with the target, no proper sub-support carries a
-witness, which takes that many minor tests and no walk.
+grid assignment is itself one: the unique greatest, c*.  Saturation is
+the descent alone and walks no grid.  ``saturate`` also requires the
+support to be irredundant.  A subset of an independent family is
+independent, so when every sub-support one member short is independent
+together with the target, no proper sub-support carries a witness,
+which takes that many minor tests and no walk.
 """
 
 from __future__ import annotations
@@ -137,7 +125,6 @@ from .matrices import (
     _dot_value_ghost,
     _family,
     _perm_rows,
-    _perm_value,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -250,8 +237,8 @@ def _has_nonsingular_minor(rows, k):
     """The first k by k submatrix of the row tuples with a tangible
     permanent, trying row sets and then column sets in lexicographic
     order, as the pair (row indices, column indices); None when there is
-    none.  ``_independent`` and ``rank`` ask only whether it exists;
-    ``_cramer_clip`` takes its columns.
+    none.  ``_independent`` and ``rank`` ask only whether it exists; the
+    minor is returned so that a caller can read its rows and columns.
 
     A row or column with no tangible entry makes every permanent through
     it ghost or zero, so such rows go first, then such columns of the
@@ -455,50 +442,55 @@ def _pair_values(first, last, mx, gh):
     return out
 
 
-def _grid_solutions(vectors, target, support, *, descending=False):
-    """The valid coefficient lists for one support, in candidate-grid
-    (lexicographic tuple) order, or in the reverse order when
-    ``descending``: the pruned prefix-sum walk of the module docstring
-    over the members before the last two, with an explicit stack so that
-    tiny grids pay little for set-up, and the last two members' values
-    read off each prefix sum by ``_pair_values``.  With a target and
-    three or more members, each member's candidates are first cut to its
-    Cramer bound by ``_cramer_clip``, and from four members on
-    ``_tighten`` cuts them further to its fixpoint; neither changes the
-    solutions or their order.  It reads the values and ghost flags of
-    the support members and of the target."""
+def _levels(vectors, target, support):
+    """The walk's set-up for one support: per member its sorted chain
+    candidates, entry values and ghost flags, then the start sum's
+    values and ghost flags (the target's, or a zero vector's)."""
     rows = _value_rows(vectors, support)
-    n = len(rows[support[0]])
     if target is None:
+        n = len(rows[support[0]])
         tvals, start = None, ([None] * n, [False] * n)
     else:
         tvals = list(map(_value, target))
         start = tvals, list(map(_ghost, target))
     cand = _chain_candidates(rows, tvals, support)
-    if target is not None and len(support) > 2:
-        cand = _cramer_clip(vectors, target, support, cand)
-        if cand is None:
-            return
-    # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], tuple(map(_ghost, vectors[i]))) for i in support]
-    if target is not None and len(support) > 3:
-        levels = _tighten(levels, *start)
-        if levels is None:
+    return levels, *start
+
+
+def _grid_solutions(vectors, target, support):
+    """The valid coefficient lists for one support, in candidate-grid
+    (lexicographic tuple) order: the pruned prefix-sum walk of the module
+    docstring over the members before the last two, with an explicit
+    stack so that tiny grids pay little for set-up, and the last two
+    members' values read off each prefix sum by ``_pair_values``.  With
+    a target and three or more members, each member's candidates are
+    first cut at the greatest valid assignment found by ``_descend``,
+    and from four members on ``_tighten`` raises their floors; neither
+    changes the solutions or their order.  It reads the values and ghost
+    flags of the support members and of the target."""
+    levels, *start = _levels(vectors, target, support)
+    n = len(start[0])
+    if target is not None and len(levels) > 2:
+        top = _descend(levels, *start)
+        if top is None:
             return
+        levels = [(dom[:bisect_right(dom, c)], row, grow)
+                  for (dom, row, grow), c in zip(levels, top)]
+        if len(levels) > 3:
+            levels = _tighten(levels, *start)
     if len(levels) == 1:
         # a member alone completes the start sum as the second of a pair
         # whose first member has no entries and only the unit
         pairs = _pair_values(([0], [None] * n, [False] * n), levels[0], *start)
-        found = pairs[0][1] if pairs else []
-        for c in found[::-1] if descending else found:
+        for c in pairs[0][1] if pairs else []:
             yield [Scalar(c)]
         return
     last = len(levels) - 2
     pair = levels[last:]
     if not last:
-        yield from _pair_lists([], _pair_values(*pair, *start), descending)
+        yield from _pair_lists([], _pair_values(*pair, *start))
         return
-    order = reversed if descending else iter
     # reach[d][j]: the largest value the members after depth d can give
     # coordinate j with their largest candidates (None: no entry there)
     reach = [[None] * n]
@@ -514,7 +506,7 @@ def _grid_solutions(vectors, target, support, *, descending=False):
     # over its candidates and the one chosen
     maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
     maxes[0], ghosts[0] = start
-    its[0] = order(levels[0][0])
+    its[0] = iter(levels[0][0])
     d = 0
     while d >= 0:
         _, row, grow = levels[d]
@@ -539,104 +531,103 @@ def _grid_solutions(vectors, target, support, *, descending=False):
                 chosen[d] = c
                 if d + 1 < last:
                     d += 1
-                    maxes[d], ghosts[d], its[d] = mx, gh, order(levels[d][0])
+                    maxes[d], ghosts[d], its[d] = mx, gh, iter(levels[d][0])
                     break
                 pairs = _pair_values(*pair, mx, gh)
                 if pairs:
-                    yield from _pair_lists(
-                        [Scalar(v) for v in chosen], pairs, descending
-                    )
+                    yield from _pair_lists([Scalar(v) for v in chosen], pairs)
         else:
             d -= 1
 
 
-def _cramer_clip(vectors, target, support, cand):
-    """The candidates ``cand`` of the support members cut to the
-    supertropical Cramer bound, or None when some bound is -inf.  The
-    bound comes from the first nonsingular square minor A_J of the
-    members (rows: members, columns: the coordinates J): by Cramer's
-    rule a member's coefficient in a valid assignment is at most the
-    value of the permanent of A_J with the member's row replaced by the
-    target on J, less the permanent of A_J (module docstring).  Only the
-    permanents' values are read, so from size 5 on they come from the
-    optimal assignment without a uniqueness test (``_perm_value``).
-    Dependent members have no such minor and keep every candidate."""
-    members = [vectors[i].entries for i in support]
-    minor = _has_nonsingular_minor(members, len(members))
-    if minor is None:
-        return cand
-    cols, tv = minor[1], target.entries
-    a = [tuple(m[j] for j in cols) for m in members]
-    vj = tuple(tv[j] for j in cols)
-    per = _perm_value(a)
-    out = {}
-    for r, i in enumerate(support):
-        top = _perm_value(a[:r] + [vj] + a[r + 1:])
-        if top is None:
-            return None
-        out[i] = cand[i][:bisect_right(cand[i], top - per)]
-    return out
+def _descend(levels, tvals, tghosts):
+    """The greatest valid assignment on the candidate lists of
+    ``levels`` (per member: sorted candidates, entry values and ghost
+    flags) with the start sum ``tvals``/``tghosts``, as one value per
+    member, or None when there is no valid one.
+
+    Every member starts at its largest candidate.  While some coordinate
+    of the sum is tangible, its unique maximum is a tangible term: the
+    target's ends the search, and member r's, with entry a, drops r to
+    its largest candidate at or below the largest other term less a.  No
+    valid assignment lies above the current point, since one that kept
+    r's value would leave r's term the unique tangible maximum; so the
+    first valid point is the greatest (module docstring)."""
+    doms = [dom for dom, _, _ in levels]
+    cols = list(zip(*(row for _, row, _ in levels)))
+    flags = list(zip(*(grow for _, _, grow in levels)))
+    cur = [dom[-1] for dom in doms]
+    moved = True
+    while moved:
+        moved = False
+        for col, gcol, t, tg in zip(cols, flags, tvals, tghosts):
+            # the largest term, who holds it (None: the target), whether
+            # it is a ghost or tied, and the largest other term
+            best, who, tie, rest = t, None, tg, None
+            for r, a in enumerate(col):
+                if a is None:
+                    continue
+                x = a + cur[r]
+                if best is None or x > best:
+                    best, who, tie, rest = x, r, gcol[r], best
+                elif x == best:
+                    tie = True
+                elif rest is None or x > rest:
+                    rest = x
+            if best is None or tie:
+                continue
+            if who is None or rest is None:
+                return None
+            dom = doms[who]
+            k = bisect_right(dom, rest - col[who])
+            if not k:
+                return None
+            cur[who] = dom[k - 1]
+            moved = True
+    return cur
 
 
 def _tighten(levels, tvals, tghosts):
-    """The walk's ``levels`` with each member's candidates cut to the
-    fixpoint of the tie cap and the demand floor (module docstring), or
-    None when a list empties or a demand finds no member to reach it.
-    Per coordinate, with lo and hi a member's smallest and largest
-    candidates: a member r with a tangible entry a stays at or below
-    M - a, M the largest of the target's value and the other members'
-    entries plus their hi; and a demand w (a tangible target value, or
-    r's tangible term at its lo where that lies above the target's
-    value) that only one other member q can reach, with entry x, gives
-    c_q >= w - x."""
+    """The walk's ``levels``, cut at the greatest valid assignment, with
+    each member's candidates raised to the fixpoint of the demand floor
+    (module docstring).  Per coordinate, with lo and hi a member's
+    smallest and largest candidates: a demand w (a tangible target
+    value, or r's tangible term at its lo where that lies above the
+    target's value) that only one other member q can reach, with entry
+    x, gives c_q >= w - x.  The greatest valid assignment meets every
+    demand, so some member reaches each and no list empties."""
     doms = [dom for dom, _, _ in levels]
     cols = list(zip(*(row for _, row, _ in levels)))
     flags = list(zip(*(grow for _, _, grow in levels)))
     members = range(len(doms))
+    hi = [dom[-1] for dom in doms]
+    tops = [[None if a is None else a + h for a, h in zip(col, hi)] for col in cols]
     while True:
         lo = [dom[0] for dom in doms]
-        hi = [dom[-1] for dom in doms]
-        floor, cap = lo[:], hi[:]
-        for col, gcol, t, tg in zip(cols, flags, tvals, tghosts):
-            tops = [None if a is None else a + h for a, h in zip(col, hi)]
+        floor = lo[:]
+        for col, gcol, t, tg, top in zip(cols, flags, tvals, tghosts, tops):
             demands = [] if t is None or tg else [(t, None)]
             for r in members:
                 a = col[r]
-                if a is None or gcol[r]:
-                    continue
-                m = t
-                for q in members:
-                    x = tops[q]
-                    if q != r and x is not None and (m is None or x > m):
-                        m = x
-                if m is not None and m - a < cap[r]:
-                    cap[r] = m - a
-                w = a + lo[r]
-                if t is None or w > t:
-                    demands.append((w, r))
+                if a is not None and not gcol[r] and (t is None or a + lo[r] > t):
+                    demands.append((a + lo[r], r))
             for w, r in demands:
                 reach = [q for q in members
-                         if q != r and tops[q] is not None and tops[q] >= w]
-                if not reach:
-                    return None
+                         if q != r and top[q] is not None and top[q] >= w]
                 if len(reach) == 1:
                     q = reach[0]
                     if w - col[q] > floor[q]:
                         floor[q] = w - col[q]
-        if floor == lo and cap == hi:
+        if floor == lo:
             return [(dom, row, grow) for dom, (_, row, grow) in zip(doms, levels)]
-        doms = [dom[bisect_left(dom, f):bisect_right(dom, c)]
-                for dom, f, c in zip(doms, floor, cap)]
-        if not all(doms):
-            return None
+        doms = [dom[bisect_left(dom, f):] for dom, f in zip(doms, floor)]
 
 
-def _pair_lists(head, pairs, descending):
-    """The coefficient lists ``head`` plus each pair of ``_pair_values``,
-    in its order or the reverse."""
-    for c, values in reversed(pairs) if descending else pairs:
+def _pair_lists(head, pairs):
+    """The coefficient lists ``head`` plus each pair of ``_pair_values``."""
+    for c, values in pairs:
         head_c = head + [Scalar(c)]
-        for t in reversed(values) if descending else values:
+        for t in values:
             yield head_c + [Scalar(t)]
 
 
@@ -823,12 +814,12 @@ def _is_irredundant(v, S, support):
 
 
 def _greatest(v, S, w):
-    """The greatest valid assignment on the support of w: the first
-    solution of the grid walk taken largest first, re-verified."""
-    sup = next(_grid_solutions(S, v, w.support, descending=True), None)
+    """The greatest valid assignment on the support of w, found by
+    ``_descend`` on the chain candidates with no walk, re-verified."""
+    sup = _descend(*_levels(S, v, w.support))
     if sup is None:
         raise AssertionError("a valid witness must exist on the grid")
-    out = _witness_of(len(S), w.support, sup, v)
+    out = _witness_of(len(S), w.support, [Scalar(c) for c in sup], v)
     if not out.is_valid(S):
         raise AssertionError("saturated witness failed re-verification")
     return out
@@ -854,9 +845,9 @@ def saturate_by_sup(v, S, w):
 
     Valid assignments are closed under the coordinatewise join, so the
     pointwise supremum of all of them is valid and is the greatest one;
-    it is the first solution of the grid walk taken largest first, and
-    no other assignment is listed.  Unlike :func:`saturate`, the support
-    need not be irredundant."""
+    a descent from the largest candidates reaches it without listing any
+    other assignment.  Unlike :func:`saturate`, the support need not be
+    irredundant."""
     S = _family(S, v)
     _check_saturate_inputs(v, S, w)
     return _greatest(v, S, w)

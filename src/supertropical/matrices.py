@@ -744,26 +744,6 @@ def _perm_rows(rows):
     return _perm_order(rows, _assign(rows))[0]
 
 
-def _perm_value(rows):
-    """The value of the permanent of square ``rows``, None for zero.
-    From size 5 on it is read off the optimal assignment alone, with no
-    uniqueness test: n * hi less the costs on the matching, or None when
-    the matching needs a zero entry."""
-    if len(rows) < 5:
-        return _perm_rows(rows)._v
-    sol = _assign(rows)
-    if sol is None:
-        return None
-    hi, big, cost, _, _, p = sol
-    total = 0
-    for c, r in enumerate(p):
-        x = cost[r][c]
-        if x == big:
-            return None
-        total += x
-    return len(rows) * hi - total
-
-
 def _perm_adjoint(rows, divide=False):
     """``(per, adj)`` for square ``rows``: the permanent, and the adjoint
     as row tuples.  With ``divide`` every adjoint entry comes divided by

@@ -259,7 +259,7 @@ def saturation_crosschecks(v, S, s):
     return solved, brute
 
 
-def grid_solutions_reference(vectors, target, support, *, descending=False):
+def grid_solutions_reference(vectors, target, support):
     """Reference for ``dependence._grid_solutions``: the same pruned
     prefix-sum walk (rule (a) at every depth), but with every member
     before the last on the stack, the second-to-last tried candidate by
@@ -276,11 +276,9 @@ def grid_solutions_reference(vectors, target, support, *, descending=False):
     # per depth: the member's candidates, entry values and ghost flags
     levels = [(cand[i], rows[i], [x.is_ghost() for x in vectors[i]]) for i in support]
     if not last:
-        found = _last_values_reference(*levels[0], *start)
-        for c in found[::-1] if descending else found:
+        for c in _last_values_reference(*levels[0], *start):
             yield [Scalar(c)]
         return
-    order = reversed if descending else iter
     # reach[d][j]: the largest value the members after depth d can give
     # coordinate j with their largest candidates (None: no entry there)
     reach = [[None] * n]
@@ -296,7 +294,7 @@ def grid_solutions_reference(vectors, target, support, *, descending=False):
     # its candidates and the one chosen
     maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
     maxes[0], ghosts[0] = start
-    its[0] = order(levels[0][0])
+    its[0] = iter(levels[0][0])
     d = 0
     while d >= 0:
         _, row, grow = levels[d]
@@ -321,13 +319,11 @@ def grid_solutions_reference(vectors, target, support, *, descending=False):
                 chosen[d] = c
                 if d + 1 < last:
                     d += 1
-                    maxes[d], ghosts[d], its[d] = mx, gh, order(levels[d][0])
+                    maxes[d], ghosts[d], its[d] = mx, gh, iter(levels[d][0])
                     break
-                found = _last_values_reference(*levels[last], mx, gh)
-                if found:
-                    head = [Scalar(v) for v in chosen]
-                    for t in found[::-1] if descending else found:
-                        yield head + [Scalar(t)]
+                head = [Scalar(v) for v in chosen]
+                for t in _last_values_reference(*levels[last], mx, gh):
+                    yield head + [Scalar(t)]
         else:
             d -= 1
 

@@ -25,8 +25,6 @@ from supertropical.matrices import (
     _adjoint_assign,
     _assign,
     _perm_order,
-    _perm_rows,
-    _perm_value,
 )
 from supertropical.oracles import brute_permanent, dp_permanent
 
@@ -82,25 +80,6 @@ def test_matches_brute_oracle():
         for k in range(30 if n <= 6 else 3):
             A = _draw(rng, n, POPULATIONS[k % len(POPULATIONS)])
             assert permanent(A) == brute_permanent(A), A
-
-
-def test_value_only_permanent_matches_the_full_one():
-    # the Cramer cut reads only permanents' values: from size 5 on they
-    # come off the optimal matching with no uniqueness test, and None
-    # when the matching needs a zero entry; ghost optima keep their value
-    rng = seeded(2201)
-    layers = set()
-    for n in range(5, 9):
-        for k in range(24):
-            if k % 8 == 7:
-                A = _mixed_denominators(rng, n)
-            else:
-                A = _draw(rng, n, POPULATIONS[k % len(POPULATIONS)])
-            p = _perm_rows(A.row_tuples)
-            assert _perm_value(A.row_tuples) == p._v, A
-            layers.add("zero" if p.is_zero() else "ghost" if p.is_ghost() else "tangible")
-    assert layers == {"zero", "ghost", "tangible"}
-    assert _perm_value(Mat.zeros(5, 5).row_tuples) is None
 
 
 def _checked_adjoint(A):

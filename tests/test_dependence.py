@@ -29,7 +29,7 @@ from supertropical import (
 from supertropical import dependence
 from supertropical.dependence import (
     _chain_candidates,
-    _cramer_clip,
+    _descend,
     _grid_solutions,
     _has_nonsingular_minor,
     _is_irredundant,
@@ -435,12 +435,12 @@ def test_saturate_dominates_input(rng):
 
 
 def test_saturation_routes_agree(rng):
-    # saturate and saturate_by_sup both take the first solution of the
-    # descending walk, so their agreement shows only that the support
-    # checks pass; the saturated witness itself is checked by routes
-    # outside the walk: the brute grid check on these two-member
-    # supports, and solve_max on square tangible families with free
-    # targets, where the support is often full
+    # saturate and saturate_by_sup both take the greatest valid grid
+    # assignment from the same descent, so their agreement shows only
+    # that the support checks pass; the saturated witness itself is
+    # checked by routes outside the descent: the brute grid check on
+    # these two-member supports, and solve_max on square tangible
+    # families with free targets, where the support is often full
     hits = 0
     for _ in range(60):
         inst = _random_dependence(rng)
@@ -928,9 +928,9 @@ def _typed(solutions):
 
 
 def test_grid_walk_matches_the_candidate_by_candidate_walk():
-    # every support of families of 1-4 members, both orders: the same
-    # lists, values and value types as the walk that tries the
-    # second-to-last member's candidates one by one
+    # every support of families of 1-4 members: the same lists, values
+    # and value types as the walk that tries the second-to-last member's
+    # candidates one by one
     rng = seeded(1516)
     walks = 0
     for _ in range(250):
@@ -943,14 +943,11 @@ def test_grid_walk_matches_the_candidate_by_candidate_walk():
         target = rand_vec(rng, n, **kw) if rng.random() < 0.5 else None
         for size in range(1, len(S) + 1):
             for support in itertools.combinations(range(len(S)), size):
-                for descending in (False, True):
-                    got = _grid_solutions(S, target, support, descending=descending)
-                    want = grid_solutions_reference(
-                        S, target, support, descending=descending
-                    )
-                    assert _typed(got) == _typed(want), (S, target, support, descending)
-                    walks += 1
-    assert walks > 3000, walks
+                got = _grid_solutions(S, target, support)
+                want = grid_solutions_reference(S, target, support)
+                assert _typed(got) == _typed(want), (S, target, support)
+                walks += 1
+    assert walks > 1500, walks
 
 
 @pytest.mark.parametrize("members, target, want", [
@@ -978,7 +975,6 @@ def test_pair_step_without_stack_levels():
     want = [[T(c), T(c + 1)] for c in (-1, 0)]
     assert _flat_grid_solutions(S, None, (0, 1)) == want
     assert list(_grid_solutions(S, None, (0, 1))) == want
-    assert list(_grid_solutions(S, None, (0, 1), descending=True)) == want[::-1]
 
 
 def test_grid_walk_prunes_a_hopeless_target():
@@ -988,10 +984,11 @@ def test_grid_walk_prunes_a_hopeless_target():
     assert list(_grid_solutions(S, vec("9v 0"), (0,))) == [[T(0)]]
 
 
-def test_descending_walk_starts_at_the_supremum():
+def test_descent_reaches_the_supremum():
     # valid assignments on one support are closed under the coordinatewise
-    # join, so the supremum of all of them is the greatest one and the
-    # descending walk meets it first
+    # join, so the supremum of all of them is the greatest one; the
+    # descent reaches it on the chain candidates, and finds none exactly
+    # when the grid holds no solution
     rng = seeded(12)
     hits = 0
     for _ in range(600):
@@ -1001,25 +998,63 @@ def test_descending_walk_starts_at_the_supremum():
         target = rand_vec(rng, n, lo=-3, hi=3, denom=denom) if rng.random() < 0.7 else None
         for size in range(1, len(S) + 1):
             for support in itertools.combinations(range(len(S)), size):
-                up = list(_grid_solutions(S, target, support))
-                down = list(_grid_solutions(S, target, support, descending=True))
-                assert down == up[::-1], (S, target, support)
+                top = _descend(*dependence._levels(S, target, support))
                 flat = _flat_grid_solutions(S, target, support)
-                if flat:
-                    hits += 1
-                    assert down[0] == sup_assignment(flat), (S, target, support)
+                if not flat:
+                    assert top is None, (S, target, support, top)
+                    continue
+                hits += 1
+                assert [T(c) for c in top] == sup_assignment(flat), (S, target, support)
     assert hits > 1000, hits
+
+
+def _given_levels(S, cand):
+    """The walk's levels over the given candidate lists, one per member
+    of S: candidates, entry values and ghost flags."""
+    return [
+        (dom, tuple(x.value for x in v), tuple(x.is_ghost() for x in v))
+        for dom, v in zip(cand, S)
+    ]
+
+
+def _start(target):
+    t = vec(target)
+    return [x.value for x in t], [x.is_ghost() for x in t]
+
+
+@pytest.mark.parametrize("members, doms, target, want", [
+    # above 1 the tangible 0 + c0 is the unique maximum over the ghost
+    # target 0v and the ghost member's 0v + 1, so c0 drops to the
+    # largest candidate at or below 1
+    ("0\n0v", [[0, 1, 2, 3], [0, 1]], "0v", [1, 1]),
+    # the first member drops to 2 at coordinate 0 and then to 1 at
+    # coordinate 1, which leaves the tangible target 2 alone at
+    # coordinate 0: every coordinate is read again after a drop
+    ("0 0\n-inf 0v", [[0, 1, 2, 3], [0, 1]], "2 -inf", None),
+    # the tangible target 3 is the unique maximum
+    ("0", [[0, 1]], "3", None),
+    # the member's term must come down to the ghost target's 0, and it
+    # has no candidate that low
+    ("0", [[1, 2]], "0v", None),
+    # a tangible term with no other term at its coordinate
+    ("0", [[0]], "-inf", None),
+    # a ghost entry's term is the unique maximum: the sum is ghost and
+    # nothing moves
+    ("0v\n0", [[0, 1, 2], [0]], "-inf", [2, 0]),
+])
+def test_descend_pinned(members, doms, target, want):
+    assert _descend(_given_levels(rows(members), doms), *_start(target)) == want
 
 
 # -- the Cramer bound --------------------------------------------------
 
 def test_cramer_bound_covers_every_grid_solution():
-    # the lemma behind the cut, with no walk: on nonsingular square
-    # families every valid grid assignment lies at or below the greatest
-    # tangible solution of the transposed system, for ghost and zero
-    # targets too; a zero bound leaves no tangible coefficient, and a
-    # finite one is a candidate of its member, so the cut leaves every
-    # member some candidate
+    # the lemma that puts the greatest valid assignment, where the walk
+    # is cut, at or below every Cramer bound, with no walk: on
+    # nonsingular square families every valid grid assignment lies at or
+    # below the greatest tangible solution of the transposed system, for
+    # ghost and zero targets too; a zero bound leaves no tangible
+    # coefficient, and a finite one is a candidate of its member
     rng = seeded(2101)
     solutions = 0
     for _ in range(150):
@@ -1040,9 +1075,10 @@ def test_cramer_bound_covers_every_grid_solution():
 
 
 def test_clipped_walk_matches_the_uncut_walk():
-    # three-member supports in three and four coordinates, both orders,
-    # against the walk on the whole grid; the cut must shorten some
-    # member's candidates (or find none left) on a few hundred of them
+    # three-member supports in three and four coordinates, against the
+    # walk on the whole grid; the cut at the greatest valid assignment
+    # must shorten some member's candidates (or find none left) on a few
+    # hundred of them
     rng = seeded(2102)
     support, cut = (0, 1, 2), 0
     for _ in range(700):
@@ -1050,62 +1086,59 @@ def test_clipped_walk_matches_the_uncut_walk():
         kw = dict(lo=-2, hi=3, zero_p=0.15, ghost_p=0.2)
         S = [rand_vec(rng, n, **kw) for _ in range(3)]
         target = rand_vec(rng, n, **kw)
-        cand = _chain_candidates(
-            _value_rows(S, support), [x.value for x in target], support
-        )
-        clipped = _cramer_clip(S, target, support, cand)
-        cut += clipped is None or clipped != cand
-        for descending in (False, True):
-            got = _grid_solutions(S, target, support, descending=descending)
-            want = grid_solutions_reference(S, target, support, descending=descending)
-            assert _typed(got) == _typed(want), (S, target, descending)
+        levels, *start = dependence._levels(S, target, support)
+        top = _descend(levels, *start)
+        cut += top is None or any(c < dom[-1] for c, (dom, _, _) in zip(top, levels))
+        got = _grid_solutions(S, target, support)
+        want = grid_solutions_reference(S, target, support)
+        assert _typed(got) == _typed(want), (S, target)
     assert cut > 300, cut
 
 
-def _levels(S, support, cand):
-    """The walk's levels for ``support``: candidates, entry values and
-    ghost flags per member."""
-    return [
-        (cand[i], tuple(x.value for x in S[i]), tuple(x.is_ghost() for x in S[i]))
-        for i in support
-    ]
-
-
-def _tightened(members, doms, target):
-    t = vec(target)
-    got = _tighten(
-        _levels(rows(members), range(len(doms)), doms),
-        [x.value for x in t], [x.is_ghost() for x in t],
-    )
-    return None if got is None else [dom for dom, _, _ in got]
+def _cut_and_tightened(levels, tvals, tghosts):
+    """The step before a walk of four or more members, as the candidate
+    lists cut at the greatest valid assignment and those lists raised by
+    the floors; None when the descent finds no valid assignment.  The
+    greatest valid assignment must survive the floors."""
+    top = _descend(levels, tvals, tghosts)
+    if top is None:
+        return None
+    cut = [(dom[:dom.index(c) + 1], row, grow) for c, (dom, row, grow) in zip(top, levels)]
+    tight = [dom for dom, _, _ in _tighten(cut, tvals, tghosts)]
+    assert all(c in dom for c, dom in zip(top, tight)), (levels, top, tight)
+    return [dom for dom, _, _ in cut], tight
 
 
 @pytest.mark.parametrize("members, doms, target, want", [
-    # tie cap: above 1 the tangible 0 + c0 is the unique maximum over
-    # the ghost target 0v and the ghost member's 0 + 1
+    # the cut at the greatest valid assignment (1, 1): above 1 the
+    # tangible 0 + c0 is the unique maximum over the ghost target 0v and
+    # the ghost member's 0v + 1
     ("0\n0v", [[0, 1, 2, 3], [0, 1]], "0v", [[0, 1], [0, 1]]),
     # target floor: only the first member reaches the tangible target 2
     ("0v\n0", [[0, 1, 2, 3], [0, 1]], "2", [[2, 3], [0, 1]]),
     # term-demand floor: the first member's term is at least 1, above the
     # target's 0v, and only the second member can reach it
     ("0\n0v\n0", [[1, 2], [0, 1, 2], [0]], "0v", [[1, 2], [1, 2], [0]]),
-    # no member reaches the tangible target 3
+    # no member reaches the tangible target 3: no valid assignment
     ("0\n0", [[0, 1], [0, 2]], "3", None),
-    # the first member's floor 2 (coordinate 0) lies above its cap 1
-    # (coordinate 1), so its list empties
+    # the first member's floor 2 (coordinate 0) lies above the largest
+    # value, 1, that keeps coordinate 1 ghost: no valid assignment
     ("0 0\n-inf 0v", [[0, 1, 2, 3], [0, 1]], "2 -inf", None),
 ])
 def test_tighten_pinned(members, doms, target, want):
-    assert _tightened(members, doms, target) == want
+    got = _cut_and_tightened(_given_levels(rows(members), doms), *_start(target))
+    assert (got and got[1]) == want
 
 
 def test_tightened_walk_matches_the_reference():
-    # four- and five-member supports with targets, both orders, against
-    # the walk with neither the cut nor the rules; lists longer than 50
-    # are compared at both ends.  The rules must shorten most lists and
-    # prove some supports empty that the cut left open
+    # four- and five-member supports with targets, against the walk with
+    # neither the cut nor the floors; lists longer than 50 are compared
+    # at the start.  The step before the walk (the cut and the floors)
+    # must shorten most chain lists or find no valid assignment, the
+    # descent must prove some supports empty, and the floors alone must
+    # still shorten some lists after the cut
     rng = seeded(2202)
-    short = empty = 0
+    short = empty = floors = 0
     for _ in range(150):
         k = rng.choice((4, 5))
         n = rng.randint(3, 9 - k)
@@ -1115,22 +1148,19 @@ def test_tightened_walk_matches_the_reference():
         S = [rand_vec(rng, n, **kw) for _ in range(k)]
         target = rand_vec(rng, n, **kw)
         support = tuple(range(k))
-        tvals = [x.value for x in target]
-        cand = _cramer_clip(
-            S, target, support, _chain_candidates(_value_rows(S, support), tvals, support)
-        )
-        if cand is not None:
-            levels = _levels(S, support, cand)
-            tight = _tighten(levels, tvals, [x.is_ghost() for x in target])
-            empty += tight is None
-            short += tight is not None and tight != levels
-        for descending in (False, True):
-            got = _grid_solutions(S, target, support, descending=descending)
-            want = grid_solutions_reference(S, target, support, descending=descending)
-            assert _typed(itertools.islice(got, 50)) == _typed(
-                itertools.islice(want, 50)
-            ), (S, target, descending)
-    assert short >= 100 and empty >= 5, (short, empty)
+        levels, *start = dependence._levels(S, target, support)
+        got = _cut_and_tightened(levels, *start)
+        empty += got is None
+        if got is not None:
+            cut, tight = got
+            short += tight != [dom for dom, _, _ in levels]
+            floors += tight != cut
+        got = _grid_solutions(S, target, support)
+        want = grid_solutions_reference(S, target, support)
+        assert _typed(itertools.islice(got, 50)) == _typed(
+            itertools.islice(want, 50)
+        ), (S, target)
+    assert short >= 100 and empty >= 5 and floors >= 20, (short, empty, floors)
 
 
 FAULT1_S = rows(
@@ -1140,7 +1170,7 @@ FAULT1_V = vec("1 3 -2 4 0")
 
 
 def test_five_vector_instance_returns_its_cramer_witness():
-    # a full-support grid of 1.6e9 tuples: the cut and the rules leave
+    # a full-support grid of 1.6e9 tuples: the cut and the floors leave
     # each member one candidate, and the witness is the Cramer solution
     w = depends_on(FAULT1_V, FAULT1_S)
     assert w.coeffs == tuple(T(c) for c in (-1, -2, -1, -2, -2))
@@ -1150,17 +1180,21 @@ def test_five_vector_instance_returns_its_cramer_witness():
 
 
 def test_five_vector_instance_is_tightened_to_one_candidate_each(monkeypatch):
+    # the descent gives the witness itself, the cut leaves 33 or 34
+    # candidates per member, and the floors one
     seen = []
 
-    def recorded(*args):
-        out = _tighten(*args)
+    def recorded(levels, *start):
+        seen.append([len(dom) for dom, _, _ in levels])
+        out = _tighten(levels, *start)
         seen.append([dom for dom, _, _ in out])
         return out
 
     monkeypatch.setattr(dependence, "_tighten", recorded)
     support = (0, 1, 2, 3, 4)
+    assert _descend(*dependence._levels(FAULT1_S, FAULT1_V, support)) == [-1, -2, -1, -2, -2]
     found = list(_grid_solutions(FAULT1_S, FAULT1_V, support))
-    assert seen == [[[-1], [-2], [-1], [-2], [-2]]]
+    assert seen == [[33, 34, 34, 33, 33], [[-1], [-2], [-1], [-2], [-2]]]
     assert found == [[T(c) for c in (-1, -2, -1, -2, -2)]]
 
 
@@ -1196,4 +1230,3 @@ def test_last_member_values_in_closed_form(member, target, want):
     S, t = [vec(member)], vec(target)
     assert _flat_grid_solutions(S, t, (0,)) == [[T(c)] for c in want]
     assert list(_grid_solutions(S, t, (0,))) == [[T(c)] for c in want]
-    assert list(_grid_solutions(S, t, (0,), descending=True)) == [[T(c)] for c in want[::-1]]
