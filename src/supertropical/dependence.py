@@ -42,11 +42,12 @@ is enough because a witness can always be normalized so that its tie graph
 is a forest of depth at most k-1 hanging off the anchors.
 
 The grid is walked depth first, one support member per level, in
-lexicographic tuple order.  Each node carries the prefix sum (the target
-plus the members chosen so far) per coordinate as a value and a ghost
-flag, so a child costs one pass over the coordinates.  In a max-plus sum
-the maximum only grows along a prefix, so a coordinate whose prefix is
-tangible can still turn ghost only if a later member reaches its value.
+lexicographic tuple order, and the walk stops at its first solution.
+Each node carries the prefix sum (the target plus the members chosen so
+far) per coordinate as a value and a ghost flag, so a child costs one
+pass over the coordinates.  In a max-plus sum the maximum only grows
+along a prefix, so a coordinate whose prefix is tangible can still turn
+ghost only if a later member reaches its value.
 A child is dropped when some tangible coordinate lies above the largest
 value the remaining members can put there with their largest candidates.
 The last two members are not tried candidate by candidate.  With m the
@@ -62,11 +63,11 @@ leads, and the bounds above become b plus a constant).  So its
 candidates fall into runs between the breakpoints m - a, each
 breakpoint a run of its own, on which every bound is a constant or b
 plus a constant; the valid b of a run are one ``bisect`` range, and
-each of them gives one slice of the last member's candidates.  Only
-values without a valid completion are skipped, so the solutions and
-their order are those of the full grid, and only grid values are ever
-produced.  A one-member support is the pair of a member with no entries
-and itself.
+for each of them the least of the last member's candidates at or above
+its lower bound completes the sum or none does.  Only values without a
+valid completion are skipped, so the solution found is the first of the
+full grid, and only grid values are ever produced.  A one-member
+support is the pair of a member with no entries and itself.
 
 The greatest valid grid assignment c* takes no walk: a descent finds
 it (``_descend``).  Every member starts at its largest candidate.
@@ -87,7 +88,7 @@ equations"; ``solve_max``).  With a target and three or more members,
 each member's candidates are cut at c* before the walk, and there is no
 walk when the descent finds none; two members go straight to the pair
 step above.  The cut drops only values that no valid assignment takes,
-so the solutions and their order are those of the uncut grid.
+so the first solution is that of the uncut grid.
 
 From four members on, the cut lists are raised further to a fixpoint of
 the demand floor, the walk's forward check applied once before it
@@ -95,9 +96,10 @@ starts.  A tangible target value, and a member's tangible term at its
 smallest candidate where that lies above the target's value, must be
 reached by another member's term; when only one member can reach it,
 that member's candidates start where its term does.  c* survives every
-floor and meets every demand, so no list empties, and the solutions
-and their order stay as they are.  Three members keep the cut lists, a
-gate set while saturation still walked.
+floor and meets every demand, so no list empties, and the floors drop
+only values that no valid assignment takes: the first solution stays
+as it is.  Three members keep the cut lists, where the floors were
+measured to cost more than they save.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
@@ -171,6 +173,8 @@ class DepWitness:
         object.__setattr__(self, "support", support)
         if not support:
             raise InvalidInputError("witness support must be nonempty")
+        if support[0] < 0 or support[-1] >= len(coeffs):
+            raise InvalidInputError("support index outside the coefficients")
         sset = set(support)
         if len(sset) != len(support):
             raise InvalidInputError("witness support has duplicates")
@@ -362,13 +366,12 @@ def _iter_supports(k, smallest=1):
         yield from combinations(range(k), size)
 
 
-def _pair_values(first, last, mx, gh):
-    """The completions of the prefix sum (values ``mx``, ghost flags
-    ``gh``) to a ghost or zero sum by the last two members, as pairs
-    ``(c, values)`` in ascending order of c: c a candidate of the first
-    member and ``values`` the ascending slice of the last member's
-    candidates that completes the sum after it.  ``first`` and ``last``
-    are a member's sorted candidates, entry values and ghost flags.
+def _pair_first(first, last, mx, gh):
+    """The first completion of the prefix sum (values ``mx``, ghost flags
+    ``gh``) to a ghost or zero sum by the last two members, as the pair
+    ``(c, t)`` of a candidate of each, least c first and then least t;
+    None when there is none.  ``first`` and ``last`` are a member's
+    sorted candidates, entry values and ghost flags.
 
     Per coordinate, with m the prefix value and x the last member's entry:
     a tangible prefix and a tangible entry force the last value to be
@@ -381,11 +384,12 @@ def _pair_values(first, last, mx, gh):
     coordinate keeps one case: with the prefix as it is, turned ghost by
     the tie, or led by a + c, where the bounds are c plus a constant.
     Over a run the last value thus lies between max(lo, c + klo) and
-    min(hi, c + khi), which leaves the c of one ``bisect`` range."""
+    min(hi, c + khi), which leaves the c of one ``bisect`` range, and
+    for each c the least candidate at or above the lower bound is the
+    only one to try."""
     dom, row, grow = first
     ldom, lrow, lgrow = last
     ts = sorted({m - a for a, m in zip(row, mx) if a is not None and m is not None})
-    out = []
     i, size = 0, len(dom)
     while i < size:
         c = dom[i]
@@ -435,11 +439,11 @@ def _pair_values(first, last, mx, gh):
                 for c in dom[start:stop]:
                     low = lo if klo is None or c + klo < lo else c + klo
                     high = hi if khi is None or c + khi > hi else c + khi
-                    values = ldom[bisect_left(ldom, low):bisect_right(ldom, high)]
-                    if values:
-                        out.append((c, values))
+                    k = bisect_left(ldom, low)
+                    if k < len(ldom) and ldom[k] <= high:
+                        return c, ldom[k]
         i = end
-    return out
+    return None
 
 
 def _levels(vectors, target, support):
@@ -458,23 +462,20 @@ def _levels(vectors, target, support):
     return levels, *start
 
 
-def _grid_solutions(vectors, target, support):
-    """The valid coefficient lists for one support, in candidate-grid
-    (lexicographic tuple) order: the pruned prefix-sum walk of the module
-    docstring over the members before the last two, with an explicit
-    stack so that tiny grids pay little for set-up, and the last two
-    members' values read off each prefix sum by ``_pair_values``.  With
-    a target and three or more members, each member's candidates are
+def _first_solution(vectors, target, support):
+    """The first valid coefficient list for one support in candidate-grid
+    (lexicographic tuple) order, or None.  One and two members go
+    straight to ``_pair_first``, and more to ``_walk_first``.  With a
+    target and three or more members, each member's candidates are
     first cut at the greatest valid assignment found by ``_descend``,
     and from four members on ``_tighten`` raises their floors; neither
-    changes the solutions or their order.  It reads the values and ghost
-    flags of the support members and of the target."""
+    changes the first solution."""
     levels, *start = _levels(vectors, target, support)
     n = len(start[0])
     if target is not None and len(levels) > 2:
         top = _descend(levels, *start)
         if top is None:
-            return
+            return None
         levels = [(dom[:bisect_right(dom, c)], row, grow)
                   for (dom, row, grow), c in zip(levels, top)]
         if len(levels) > 3:
@@ -482,15 +483,23 @@ def _grid_solutions(vectors, target, support):
     if len(levels) == 1:
         # a member alone completes the start sum as the second of a pair
         # whose first member has no entries and only the unit
-        pairs = _pair_values(([0], [None] * n, [False] * n), levels[0], *start)
-        for c in pairs[0][1] if pairs else []:
-            yield [Scalar(c)]
-        return
-    last = len(levels) - 2
+        found = _pair_first(([0], [None] * n, [False] * n), levels[0], *start)
+        found = found and found[1:]
+    elif len(levels) == 2:
+        found = _pair_first(*levels, *start)
+    else:
+        found = _walk_first(levels, *start)
+    return None if found is None else [Scalar(c) for c in found]
+
+
+def _walk_first(levels, mx, gh):
+    """The first valid values on three or more members' ``levels`` from
+    the start sum ``mx``/``gh``, or None: depth first over the members
+    before the last two, dropping a prefix with a tangible coordinate
+    above what the members after it can reach there (rule (a)), and
+    ``_pair_first`` on the last two."""
+    n, last = len(mx), len(levels) - 2
     pair = levels[last:]
-    if not last:
-        yield from _pair_lists([], _pair_values(*pair, *start))
-        return
     # reach[d][j]: the largest value the members after depth d can give
     # coordinate j with their largest candidates (None: no entry there)
     reach = [[None] * n]
@@ -501,17 +510,13 @@ def _grid_solutions(vectors, target, support):
                 here[j] = x + dom[-1]
         reach.append(here)
     reach.reverse()
-    # the stack over the members before the last two, per depth: the
-    # prefix sum before the member (values and ghost flags), the iterator
-    # over its candidates and the one chosen
-    maxes, ghosts, its, chosen = [[None] * last for _ in range(4)]
-    maxes[0], ghosts[0] = start
-    its[0] = iter(levels[0][0])
-    d = 0
-    while d >= 0:
-        _, row, grow = levels[d]
-        pmx, pgh, nxt = maxes[d], ghosts[d], reach[d]
-        for c in its[d]:
+
+    def walk(d, pmx, pgh):
+        if d == last:
+            return _pair_first(*pair, pmx, pgh)
+        dom, row, grow = levels[d]
+        nxt = reach[d]
+        for c in dom:
             mx, gh = pmx[:], pgh[:]
             for j in range(n):
                 x = row[j]
@@ -528,16 +533,12 @@ def _grid_solutions(vectors, target, support):
                 if m is not None and not gh[j] and (nxt[j] is None or nxt[j] < m):
                     break
             else:
-                chosen[d] = c
-                if d + 1 < last:
-                    d += 1
-                    maxes[d], ghosts[d], its[d] = mx, gh, iter(levels[d][0])
-                    break
-                pairs = _pair_values(*pair, mx, gh)
-                if pairs:
-                    yield from _pair_lists([Scalar(v) for v in chosen], pairs)
-        else:
-            d -= 1
+                rest = walk(d + 1, mx, gh)
+                if rest is not None:
+                    return (c, *rest)
+        return None
+
+    return walk(0, mx, gh)
 
 
 def _descend(levels, tvals, tghosts):
@@ -594,8 +595,9 @@ def _tighten(levels, tvals, tghosts):
     smallest and largest candidates: a demand w (a tangible target
     value, or r's tangible term at its lo where that lies above the
     target's value) that only one other member q can reach, with entry
-    x, gives c_q >= w - x.  The greatest valid assignment meets every
-    demand, so some member reaches each and no list empties."""
+    x, gives c_q >= w - x.  A valid assignment meets every demand, so
+    the floors drop no valid one and the walk finds the same first
+    solution; the greatest meets them too, so no list empties."""
     doms = [dom for dom, _, _ in levels]
     cols = list(zip(*(row for _, row, _ in levels)))
     flags = list(zip(*(grow for _, _, grow in levels)))
@@ -623,45 +625,36 @@ def _tighten(levels, tvals, tghosts):
         doms = [dom[bisect_left(dom, f):] for dom, f in zip(doms, floor)]
 
 
-def _pair_lists(head, pairs):
-    """The coefficient lists ``head`` plus each pair of ``_pair_values``."""
-    for c, values in pairs:
-        head_c = head + [Scalar(c)]
-        for t in values:
-            yield head_c + [Scalar(t)]
-
-
-def _search_witness(vectors, target, supports=None):
+def _search_witness(vectors, target):
     """First valid witness in (support size, support, coefficient tuple)
     order, or None.  Enumerating small supports first means the returned
     support is always irredundant: every proper sub-support was already
     tried and failed.
 
-    Without a target or given supports, the one-member supports are read
-    off ghost flags: a member alone is a dependence exactly when it is
-    ghost or zero everywhere, and then with the unit, its only candidate.
-    The walk starts at two members.
+    Without a target, the one-member supports are read off ghost flags:
+    a member alone is a dependence exactly when it is ghost or zero
+    everywhere, and then with the unit, its only candidate.  The walk
+    starts at two members.
 
     A support whose members are independent together with the target
     is skipped without a walk.  On an independent family the first
-    support left carries the witness (module docstring), so in the
-    natural order a failed walk there is an error unless the target is
-    ghost or zero everywhere; the family is tested only once one fails.
-    The minor test runs before each walk, so a search whose supports are
-    all skipped reads no grid."""
+    support left carries the witness (module docstring), so a failed
+    walk there is an error unless the target is ghost or zero
+    everywhere; the family is tested only once one fails.  The minor
+    test runs before each walk, so a search whose supports are all
+    skipped reads no grid, and a walk stops at its first solution."""
     k = len(vectors)
-    check = supports is None
-    if check:
-        if target is None:
-            for i, w in enumerate(vectors):
-                if w.is_ghost():
-                    return _witness_of(k, (i,), (ONE,), None)
-        supports = _iter_supports(k, 2 if target is None else 1)
+    if target is None:
+        for i, w in enumerate(vectors):
+            if w.is_ghost():
+                return _witness_of(k, (i,), (ONE,), None)
     extra = [] if target is None else [target]
-    for support in supports:
+    check = True
+    for support in _iter_supports(k, 2 if target is None else 1):
         if _independent([vectors[i] for i in support] + extra):
             continue
-        for cs in _grid_solutions(vectors, target, support):
+        cs = _first_solution(vectors, target, support)
+        if cs is not None:
             return _witness_of(k, support, cs, target)
         if check:
             check = False
@@ -798,19 +791,20 @@ def _is_irredundant(v, S, support):
     grid, and neither does any of its own sub-supports, since a subset
     of an independent family is independent.  So when every sub-support
     one member short is independent with v, the support is irredundant
-    after as many minor tests and no walk; otherwise the proper
-    sub-supports go to ``_search_witness``, which walks only those that
-    are dependent with v."""
+    after as many minor tests and no walk; otherwise each proper
+    sub-support that is dependent with v is walked to its first
+    solution."""
     if all(
         _independent([S[i] for i in sub] + [v])
         for sub in combinations(support, len(support) - 1)
     ):
         return True
-    subs = (
-        sub for size in range(1, len(support))
+    return all(
+        _first_solution(S, v, sub) is None
+        for size in range(1, len(support))
         for sub in combinations(support, size)
+        if not _independent([S[i] for i in sub] + [v])
     )
-    return _search_witness(S, v, subs) is None
 
 
 def _greatest(v, S, w):

@@ -82,11 +82,19 @@ class SpanWitness:
     ghost_part: Vec
 
     def __post_init__(self):
+        coeffs = tuple(self.coeffs)
         support = tuple(sorted(self.support))
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support", support)
         if not support:
             raise InvalidInputError("span witness needs a nonempty support")
+        if support[0] < 0 or support[-1] >= len(coeffs):
+            raise InvalidInputError("support index outside the coefficients")
+        for i in support:
+            if not coeffs[i].is_tangible():
+                raise InvalidInputError(
+                    f"coefficient {i} on the support must be tangible"
+                )
         for j, g in enumerate(self.ghost_part):
             if not g.is_ghost0():
                 raise InvalidInputError(
@@ -121,31 +129,26 @@ def _residual(v, w):
     return best
 
 
-def _span_candidates(S, v, support):
-    """Descending candidate values per member: entry differences against
+def _span_candidates(S, v, i):
+    """Member i's descending candidate values: entry differences against
     the target and against every family member, a sentinel below them
-    all, filtered through the residual cap."""
-    out = []
-    for i in support:
-        w = S[i]
-        cap = _residual(v, w)
-        if cap is None:
-            return None
-        cand = set()
-        for j, x in enumerate(w):
-            if x.is_zero():
-                continue
-            if not v[j].is_zero():
-                cand.add(v[j].value - x.value)
-            for u in S:
-                if u is not w and not u[j].is_zero():
-                    cand.add(u[j].value - x.value)
-        cand.add(min(cand) - 1)
-        vals = sorted((c for c in cand if c <= cap), reverse=True)
-        if not vals:
-            return None
-        out.append(vals)
-    return out
+    all, filtered through the residual cap; None when the member is
+    unusable or no candidate is left."""
+    w = S[i]
+    cap = _residual(v, w)
+    if cap is None:
+        return None
+    cand = set()
+    for j, x in enumerate(w):
+        if x.is_zero():
+            continue
+        if not v[j].is_zero():
+            cand.add(v[j].value - x.value)
+        for u in S:
+            if u is not w and not u[j].is_zero():
+                cand.add(u[j].value - x.value)
+    cand.add(min(cand) - 1)
+    return sorted((c for c in cand if c <= cap), reverse=True) or None
 
 
 def _ghost_surplus(v, comb):
@@ -241,9 +244,9 @@ def spans(S, v):
         can repair; None for an unusable member."""
         if i not in options:
             w = S[i]
-            cands = None if w.is_zero() else _span_candidates(S, v, (i,))
+            cands = None if w.is_zero() else _span_candidates(S, v, i)
             if cands is not None:
-                cands = [(*_reach(v, w, c, full), True, c) for c in cands[0]]
+                cands = [(*_reach(v, w, c, full), True, c) for c in cands]
             options[i] = cands
         return options[i]
 

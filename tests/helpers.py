@@ -27,7 +27,6 @@ from supertropical import (
 )
 from supertropical.dependence import (
     _chain_candidates,
-    _grid_solutions,
     _independent,
     _iter_supports,
     _witness_of,
@@ -142,8 +141,8 @@ def spans_reference(S, v):
     for support in supports:
         if any(S[i].is_zero() for i in support):
             continue
-        cands = _span_candidates(S, v, support)
-        if cands is None:
+        cands = [_span_candidates(S, v, i) for i in support]
+        if None in cands:
             continue
         members = [S[i] for i in support]
         for tup in product(*cands):
@@ -182,10 +181,12 @@ def internal_spanned_reference(v, S, excluded):
 
 def search_witness_reference(vectors, target, supports=None):
     """Reference for ``dependence._search_witness``: every support from
-    one member up, one-member supports included, through the grid walk."""
+    one member up, one-member supports included, each walked by
+    ``grid_solutions_reference`` to its first solution."""
     k = len(vectors)
     for support in supports if supports is not None else _iter_supports(k):
-        for cs in _grid_solutions(vectors, target, support):
+        cs = next(grid_solutions_reference(vectors, target, support), None)
+        if cs is not None:
             return _witness_of(k, support, cs, target)
     return None
 
@@ -260,11 +261,12 @@ def saturation_crosschecks(v, S, s):
 
 
 def grid_solutions_reference(vectors, target, support):
-    """Reference for ``dependence._grid_solutions``: the same pruned
-    prefix-sum walk (rule (a) at every depth), but with every member
-    before the last on the stack, the second-to-last tried candidate by
-    candidate, and the last member's values read off each prefix sum by
-    ``_last_values_reference``."""
+    """Every valid coefficient list of one support in candidate-grid
+    order, whose first entry is ``dependence._first_solution``'s: the
+    same pruned prefix-sum walk (rule (a) at every depth), but with no
+    cut or floors, every member before the last on a stack, the
+    second-to-last tried candidate by candidate, and the last member's
+    values read off each prefix sum by ``_last_values_reference``."""
     rows = {i: [x.value for x in vectors[i]] for i in support}
     last, n = len(support) - 1, len(rows[support[0]])
     if target is None:

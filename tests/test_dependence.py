@@ -30,10 +30,11 @@ from supertropical import dependence
 from supertropical.dependence import (
     _chain_candidates,
     _descend,
-    _grid_solutions,
+    _first_solution,
     _has_nonsingular_minor,
     _is_irredundant,
     _iter_supports,
+    _pair_first,
     _search_witness,
     _tighten,
     _value_rows,
@@ -78,6 +79,12 @@ def test_witness_validation():
         DepWitness(coeffs=(T(1), T(1)), support=(0,))
     with pytest.raises(InvalidInputError):
         DepWitness(coeffs=(T(1), Z), support=(0, 0))
+    # support indices outside the coefficients: with the zero
+    # coefficients, each would certify the independent family 0 1 / 2 0
+    with pytest.raises(InvalidInputError):
+        DepWitness(coeffs=(Z, Z), support=(-1,))
+    with pytest.raises(InvalidInputError):
+        DepWitness(coeffs=(Z, Z), support=(5,))
     with pytest.raises(TypeError):
         DepWitness(coeffs=(1, Z), support=(0,))
 
@@ -776,20 +783,18 @@ def test_a_failed_walk_on_a_dependent_support_raises(monkeypatch):
     """On an independent family, the first support that is dependent
     together with the target carries the witness; a walk that finds none
     there is an error, unless the target is ghost or zero everywhere."""
-    walk = dependence._grid_solutions
+    walk = dependence._first_solution
 
-    def gap_at_01(vectors, target, support, **kw):
-        return iter(()) if support == (0, 1) else walk(vectors, target, support, **kw)
+    def gap_at_01(vectors, target, support):
+        return None if support == (0, 1) else walk(vectors, target, support)
 
     S, v = [E1, E2], vec("0 0")
     assert _witness_key(depends_on(v, S)) == _witness_key(
         DepWitness((T(0), T(0)), (0, 1), v))
-    monkeypatch.setattr(dependence, "_grid_solutions", gap_at_01)
+    monkeypatch.setattr(dependence, "_first_solution", gap_at_01)
     with pytest.raises(AssertionError, match="minor criterion"):
         depends_on(v, S)
-    # given supports are not checked
-    assert _search_witness(S, v, [(0, 1)]) is None
-    monkeypatch.setattr(dependence, "_grid_solutions", lambda *a, **kw: iter(()))
+    monkeypatch.setattr(dependence, "_first_solution", lambda *a: None)
     # a target that is a dependence on its own, and a dependent family
     assert depends_on(vec("0v 0v"), S) is None
     assert depends_on(v, [E1, E1, E2]) is None
@@ -799,13 +804,13 @@ def test_skipped_supports_are_not_walked(monkeypatch):
     """The search walks a support only once it survives the minor test:
     none when every support is skipped, and then only that support."""
     walked = []
-    walk = dependence._grid_solutions
+    walk = dependence._first_solution
 
-    def counted(vectors, target, support, **kw):
+    def counted(vectors, target, support):
         walked.append(support)
-        return walk(vectors, target, support, **kw)
+        return walk(vectors, target, support)
 
-    monkeypatch.setattr(dependence, "_grid_solutions", counted)
+    monkeypatch.setattr(dependence, "_first_solution", counted)
     assert _search_witness([E1, E2], None) is None
     assert depends_on(vec("0 -inf"), [E2]) is None
     assert walked == []
@@ -838,7 +843,7 @@ def test_irredundance_matches_the_walk_over_every_sub_support():
                     acc = acc + rand_tangible(rng, lo=-2, hi=2) * s
             v = acc.nu_hat()
         for support in _iter_supports(k):
-            if next(_grid_solutions(S, v, support), None) is None:
+            if _first_solution(S, v, support) is None:
                 continue
             got = _is_irredundant(v, S, support)
             assert got == is_irredundant_reference(v, S, support), (v, S, support)
@@ -865,8 +870,9 @@ def test_projective_normalize():
 # -- the pruned grid walk ----------------------------------------------
 
 def _flat_grid_solutions(vectors, target, support):
-    """Reference for ``_grid_solutions``: the whole candidate grid in
-    product order, each tuple checked with scalar arithmetic."""
+    """Every valid coefficient list of one support, whose first entry is
+    ``_first_solution``'s: the whole candidate grid in product order,
+    each tuple checked with scalar arithmetic."""
     rows_ = _value_rows(vectors, support)
     tvals = tuple(x.value for x in target) if target is not None else None
     cand = _chain_candidates(rows_, tvals, support)
@@ -884,11 +890,22 @@ def _flat_grid_solutions(vectors, target, support):
     return out
 
 
+def _first(solutions):
+    """The first of the listed or walked solutions, or None."""
+    return next(iter(solutions), None)
+
+
+def _typed(cs):
+    """A coefficient list as values with their types and ghost flags."""
+    return cs and [(c.value, type(c.value), c.is_ghost()) for c in cs]
+
+
 def _walk_matches_flat(S, target):
     for size in range(1, len(S) + 1):
         for support in itertools.combinations(range(len(S)), size):
-            got = list(_grid_solutions(S, target, support))
-            assert got == _flat_grid_solutions(S, target, support), (S, target, support)
+            got = _first_solution(S, target, support)
+            want = _first(_flat_grid_solutions(S, target, support))
+            assert _typed(got) == _typed(want), (S, target, support)
 
 
 def test_grid_walk_matches_flat_product_small():
@@ -910,7 +927,7 @@ def test_grid_walk_matches_flat_product_tangible_3x3():
         S = [rand_tangible_vec(rng, 3, lo=-3, hi=5) for _ in range(3)]
         target = rand_tangible_vec(rng, 3, lo=-3, hi=5) if rng.random() < 0.7 else None
         _walk_matches_flat(S, target)
-        hits += bool(list(_grid_solutions(S, target, (0, 1, 2))))
+        hits += _first_solution(S, target, (0, 1, 2)) is not None
     assert hits >= 3
 
 
@@ -923,14 +940,10 @@ def test_grid_walk_matches_flat_product_halves():
         _walk_matches_flat(S, target)
 
 
-def _typed(solutions):
-    return [[(c.value, type(c.value), c.is_ghost()) for c in cs] for cs in solutions]
-
-
 def test_grid_walk_matches_the_candidate_by_candidate_walk():
-    # every support of families of 1-4 members: the same lists, values
-    # and value types as the walk that tries the second-to-last member's
-    # candidates one by one
+    # every support of families of 1-4 members: the same first solution,
+    # values and value types, as the walk that tries the second-to-last
+    # member's candidates one by one
     rng = seeded(1516)
     walks = 0
     for _ in range(250):
@@ -943,8 +956,8 @@ def test_grid_walk_matches_the_candidate_by_candidate_walk():
         target = rand_vec(rng, n, **kw) if rng.random() < 0.5 else None
         for size in range(1, len(S) + 1):
             for support in itertools.combinations(range(len(S)), size):
-                got = _grid_solutions(S, target, support)
-                want = grid_solutions_reference(S, target, support)
+                got = _first_solution(S, target, support)
+                want = _first(grid_solutions_reference(S, target, support))
                 assert _typed(got) == _typed(want), (S, target, support)
                 walks += 1
     assert walks > 1500, walks
@@ -963,25 +976,26 @@ def test_grid_walk_matches_the_candidate_by_candidate_walk():
 ])
 def test_pair_step_pinned(members, target, want):
     S, t = rows(members), vec(target)
-    assert list(_grid_solutions(S, t, (0, 1))) == [[T(a), T(b)] for a, b in want]
-    assert _flat_grid_solutions(S, t, (0, 1)) == [[T(a), T(b)] for a, b in want]
+    want = [[T(a), T(b)] for a, b in want]
+    assert _first_solution(S, t, (0, 1)) == _first(want)
+    assert _flat_grid_solutions(S, t, (0, 1)) == want
 
 
 def test_pair_step_without_stack_levels():
     # a two-member support goes straight to the pair step: the tie
     # between the members (c1 = c0 + 1 at both coordinates) is the only
-    # dependence, and every candidate pair on that line is listed
+    # dependence, and every candidate pair on that line is valid
     S = rows("1 2\n0 1")
     want = [[T(c), T(c + 1)] for c in (-1, 0)]
     assert _flat_grid_solutions(S, None, (0, 1)) == want
-    assert list(_grid_solutions(S, None, (0, 1))) == want
+    assert _first_solution(S, None, (0, 1)) == want[0]
 
 
 def test_grid_walk_prunes_a_hopeless_target():
     # the target's tangible 9 is above anything the member can reach
     S = [vec("0 0")]
-    assert list(_grid_solutions(S, vec("9 -inf"), (0,))) == []
-    assert list(_grid_solutions(S, vec("9v 0"), (0,))) == [[T(0)]]
+    assert _first_solution(S, vec("9 -inf"), (0,)) is None
+    assert _first_solution(S, vec("9v 0"), (0,)) == [T(0)]
 
 
 def test_descent_reaches_the_supremum():
@@ -1046,6 +1060,30 @@ def test_descend_pinned(members, doms, target, want):
     assert _descend(_given_levels(rows(members), doms), *_start(target)) == want
 
 
+@pytest.mark.parametrize("members, doms, target, want", [
+    # the first member's breakpoint 3 - 1 = 2: below it the last member
+    # must tie the target's tangible 3, which it cannot, and at it the
+    # tie turns the coordinate ghost, so the last member need only stay
+    # at or below 3
+    ("1\n0", [[1, 2], [0, 1]], "3", (2, 0)),
+    # a ghost target over ghost entries bounds neither the last member
+    # nor a first member whose ghost term leads
+    ("0v\n0v", [[0], [2]], "1v", (0, 2)),
+    ("0v\n0v", [[2], [0]], "1v", (2, 0)),
+    # one member after a first with no entries: a tangible target over a
+    # tangible entry bounds it above by the tie value 3, a tangible one
+    # over a ghost entry only below by 2, and a ghost target over a
+    # tangible entry above by 2
+    ("-inf -inf\n0 0", [[0], [4]], "3 5v", None),
+    ("-inf -inf\n0v 0v", [[0], [4]], "2 4v", (0, 4)),
+    ("-inf -inf\n0 0v", [[0], [3]], "2v 4v", None),
+], ids=["breakpoint", "ghost-last", "ghost-lead", "tie-only", "tie-or-more",
+        "tie-or-less"])
+def test_pair_first_pinned(members, doms, target, want):
+    # candidate lists on which the first completion rests on one rule
+    assert _pair_first(*_given_levels(rows(members), doms), *_start(target)) == want
+
+
 # -- the Cramer bound --------------------------------------------------
 
 def test_cramer_bound_covers_every_grid_solution():
@@ -1089,9 +1127,12 @@ def test_clipped_walk_matches_the_uncut_walk():
         levels, *start = dependence._levels(S, target, support)
         top = _descend(levels, *start)
         cut += top is None or any(c < dom[-1] for c, (dom, _, _) in zip(top, levels))
-        got = _grid_solutions(S, target, support)
-        want = grid_solutions_reference(S, target, support)
-        assert _typed(got) == _typed(want), (S, target)
+        got = _first_solution(S, target, support)
+        want = list(grid_solutions_reference(S, target, support))
+        assert _typed(got) == _typed(_first(want)), (S, target)
+        # every solution lies inside the cut lists
+        for cs in want:
+            assert top and all(c.value <= t for c, t in zip(cs, top)), (S, target, cs)
     assert cut > 300, cut
 
 
@@ -1131,9 +1172,10 @@ def test_tighten_pinned(members, doms, target, want):
 
 
 def test_tightened_walk_matches_the_reference():
-    # four- and five-member supports with targets, against the walk with
-    # neither the cut nor the floors; lists longer than 50 are compared
-    # at the start.  The step before the walk (the cut and the floors)
+    # four- and five-member supports with targets: the first solution
+    # against the walk with neither the cut nor the floors, whose first
+    # 50 solutions must lie in the cut and floored lists (some supports
+    # have over 10^5).  The step before the walk (the cut and the floors)
     # must shorten most chain lists or find no valid assignment, the
     # descent must prove some supports empty, and the floors alone must
     # still shorten some lists after the cut
@@ -1149,17 +1191,19 @@ def test_tightened_walk_matches_the_reference():
         target = rand_vec(rng, n, **kw)
         support = tuple(range(k))
         levels, *start = dependence._levels(S, target, support)
-        got = _cut_and_tightened(levels, *start)
-        empty += got is None
-        if got is not None:
-            cut, tight = got
+        lists = _cut_and_tightened(levels, *start)
+        empty += lists is None
+        if lists is not None:
+            cut, tight = lists
             short += tight != [dom for dom, _, _ in levels]
             floors += tight != cut
-        got = _grid_solutions(S, target, support)
-        want = grid_solutions_reference(S, target, support)
-        assert _typed(itertools.islice(got, 50)) == _typed(
-            itertools.islice(want, 50)
-        ), (S, target)
+        got = _first_solution(S, target, support)
+        want = list(itertools.islice(grid_solutions_reference(S, target, support), 50))
+        assert _typed(got) == _typed(_first(want)), (S, target)
+        for cs in want:
+            assert lists and all(
+                c.value in dom for c, dom in zip(cs, lists[1])
+            ), (S, target, cs)
     assert short >= 100 and empty >= 5 and floors >= 20, (short, empty, floors)
 
 
@@ -1193,9 +1237,9 @@ def test_five_vector_instance_is_tightened_to_one_candidate_each(monkeypatch):
     monkeypatch.setattr(dependence, "_tighten", recorded)
     support = (0, 1, 2, 3, 4)
     assert _descend(*dependence._levels(FAULT1_S, FAULT1_V, support)) == [-1, -2, -1, -2, -2]
-    found = list(_grid_solutions(FAULT1_S, FAULT1_V, support))
+    found = _first_solution(FAULT1_S, FAULT1_V, support)
     assert seen == [[33, 34, 34, 33, 33], [[-1], [-2], [-1], [-2], [-2]]]
-    assert found == [[T(c) for c in (-1, -2, -1, -2, -2)]]
+    assert found == [T(c) for c in (-1, -2, -1, -2, -2)]
 
 
 def test_independent_five_by_five_families_with_free_targets():
@@ -1229,4 +1273,4 @@ def test_independent_five_by_five_families_with_free_targets():
 def test_last_member_values_in_closed_form(member, target, want):
     S, t = [vec(member)], vec(target)
     assert _flat_grid_solutions(S, t, (0,)) == [[T(c)] for c in want]
-    assert list(_grid_solutions(S, t, (0,))) == [[T(c)] for c in want]
+    assert _first_solution(S, t, (0,)) == _first([T(c)] for c in want)

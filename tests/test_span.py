@@ -9,8 +9,10 @@ the reconstruction identity exactly.
 import pytest
 
 from supertropical import (
+    InvalidInputError,
     Mat,
     NoChangeOfBaseError,
+    SpanWitness,
     Vec,
     ZERO,
     change_of_base,
@@ -53,6 +55,23 @@ def test_spans_two_generator_example():
     assert w.coeffs == (T(2), T(2))
     assert w.ghost_part == vec("-inf -inf")
     assert w.is_valid(S, vec("4 5"))
+
+
+@pytest.mark.parametrize("coeffs, support, ghost_part", [
+    # an empty support, and a ghost part with a tangible entry
+    ((T(0), Z), (), "3v 3v"),
+    ((T(0), Z), (0,), "3 3v"),
+    # support indices outside the coefficients: with the zero
+    # coefficients below, each would certify 3v 3v over any family
+    ((Z, Z), (-1,), "3v 3v"),
+    ((Z, Z), (5,), "3v 3v"),
+    # a ghost and a zero coefficient on the support
+    ((G(0), Z), (0,), "3v 3v"),
+    ((Z, T(0)), (0,), "3v 3v"),
+])
+def test_span_witness_validation(coeffs, support, ghost_part):
+    with pytest.raises(InvalidInputError):
+        SpanWitness(coeffs, support, vec(ghost_part))
 
 
 def test_spans_fails_on_ghosted_generator():
