@@ -131,9 +131,9 @@ def _residual(v, w):
 
 def _span_candidates(S, v, i):
     """Member i's descending candidate values: entry differences against
-    the target and against every family member, a sentinel below them
-    all, filtered through the residual cap; None when the member is
-    unusable or no candidate is left."""
+    the target and against every family member, and a sentinel below
+    them all, filtered through the residual cap, which keeps the
+    sentinel; None when the member is unusable."""
     w = S[i]
     cap = _residual(v, w)
     if cap is None:
@@ -148,7 +148,7 @@ def _span_candidates(S, v, i):
             if u is not w and not u[j].is_zero():
                 cand.add(u[j].value - x.value)
     cand.add(min(cand) - 1)
-    return sorted((c for c in cand if c <= cap), reverse=True) or None
+    return sorted((c for c in cand if c <= cap), reverse=True)
 
 
 def _ghost_surplus(v, comb):
