@@ -145,10 +145,10 @@ def radical_and_nondegenerate(F):
     return in_radical, is_nonsingular(G)
 
 
-def _grid_radical_witness(W, F):
+def _grid_radical_witness(W, gram):
     """A combination of W outside the ghost layer that the form
-    annihilates against every member, if the coefficient grid holds one."""
-    gram = gram_of_form(F, W).G
+    annihilates against every member, read off its Gram matrix ``gram``
+    on W, if the coefficient grid holds one."""
     nz = [x.value for r in gram.row_tuples for x in r if not x.is_zero()]
     vals = {0} | {a - b for a in nz for b in nz}
     vals.add(min(vals) - 1)
@@ -176,19 +176,19 @@ def gram_dependence(W, F, strict=False):
     the precondition is checked up front.
     """
     W = _family(W)
+    gram = gram_of_form(F, W).G
     if strict:
-        bad = _grid_radical_witness(W, F)
+        bad = _grid_radical_witness(W, gram)
         if bad is not None:
             raise DegenerateSpaceError(
                 f"span has a non-ghost radical element {bad}"
             )
-    gram = gram_of_form(F, W).G
     if permanent(gram).is_tangible():
         return None
     witness = is_dependent(W)
     if witness is not None:
         return witness
-    bad = _grid_radical_witness(W, F)
+    bad = _grid_radical_witness(W, gram)
     if bad is not None:
         raise DegenerateSpaceError(
             "ghost Gram permanent without dependence: span is degenerate, "

@@ -4,7 +4,11 @@ A family of vectors is *tropically dependent* when some combination with
 tangible coefficients over a nonempty support lands entirely in the ghost
 layer.  With a target vector v in front the same condition, v plus the
 combination being ghost, says v depends on the family.  Witnesses carry
-their coefficients and support and can always be re-verified.
+their coefficients and support and can always be re-verified.  The
+support and coefficient rules live in one record, ``_Witness``, that
+``DepWitness`` (with its target) and ``span.SpanWitness`` (with its
+ghost surplus) share, and the library builds its own witnesses
+unchecked through its ``_of``.
 
 Deciding dependence is cheap: k vectors in dimension n are independent
 exactly when some k by k column submatrix of their row matrix is
@@ -154,17 +158,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DepWitness:
-    """Coefficients proving a dependence.
-
-    ``coeffs[i]`` is tangible for i in ``support`` and zero elsewhere.
-    ``target`` is the vector being expressed (with unit coefficient), or
-    None for a dependence among the family itself.
-    """
+class _Witness:
+    """Tangible coefficients on a support, the record that dependence and
+    spanning witnesses share: ``coeffs[i]`` is tangible for i in
+    ``support`` and zero elsewhere.  The public constructors check it;
+    the library builds its own witnesses unchecked, with :meth:`_of`."""
 
     coeffs: tuple
     support: tuple
-    target: Vec | None = None
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
@@ -191,6 +192,36 @@ class DepWitness:
                     f"coefficient {i} off the support must be zero"
                 )
 
+    @classmethod
+    def _of(cls, k, support, cs, last):
+        """A witness the library built itself, unchecked: the tangible
+        ``cs`` on the sorted, duplicate-free support tuple of k members,
+        zero elsewhere, and ``last`` as the subclass's own field, the
+        third of its ``__match_args__``."""
+        coeffs = [ZERO] * k
+        for i, c in zip(support, cs):
+            coeffs[i] = c
+        w = object.__new__(cls)
+        w.__dict__.update(coeffs=tuple(coeffs), support=support)
+        w.__dict__[cls.__match_args__[2]] = last
+        return w
+
+    def _check_count(self, vectors):
+        if len(self.coeffs) != len(vectors):
+            raise ShapeError("coefficient count does not match the family length")
+
+
+@dataclass(frozen=True)
+class DepWitness(_Witness):
+    """Coefficients proving a dependence.
+
+    ``coeffs[i]`` is tangible for i in ``support`` and zero elsewhere.
+    ``target`` is the vector being expressed (with unit coefficient), or
+    None for a dependence among the family itself.
+    """
+
+    target: Vec | None = None
+
     def combination(self, vectors):
         """The combination this witness asserts to be ghost: the target
         (if any) plus the coefficient-weighted family members."""
@@ -201,9 +232,8 @@ class DepWitness:
         coordinate, read off entry values and ghost flags: the target
         enters as a term with unit coefficient."""
         S = _family(vectors, self.target)
+        self._check_count(S)
         coeffs = self.coeffs
-        if len(coeffs) != len(S):
-            raise ShapeError("coefficient count does not match the family")
         if self.target is not None:
             coeffs = (ONE, *coeffs)
             S = [self.target, *S]
@@ -647,7 +677,7 @@ def _search_witness(vectors, target):
     if target is None:
         for i, w in enumerate(vectors):
             if w.is_ghost():
-                return _witness_of(k, (i,), (ONE,), None)
+                return DepWitness._of(k, (i,), (ONE,), None)
     extra = [] if target is None else [target]
     check = True
     for support in _iter_supports(k, 2 if target is None else 1):
@@ -655,7 +685,7 @@ def _search_witness(vectors, target):
             continue
         cs = _first_solution(vectors, target, support)
         if cs is not None:
-            return _witness_of(k, support, cs, target)
+            return DepWitness._of(k, support, cs, target)
         if check:
             check = False
             if (target is None or not target.is_ghost()) and _independent(vectors):
@@ -664,24 +694,6 @@ def _search_witness(vectors, target):
                     "whose grid walk found none"
                 )
     return None
-
-
-def _witness_of(k, support, cs, target):
-    """The witness over k members with the tangible coefficients ``cs`` on
-    the sorted support and zero elsewhere."""
-    coeffs = [ZERO] * k
-    for i, c in zip(support, cs):
-        coeffs[i] = c
-    return _witness(tuple(coeffs), support, target)
-
-
-def _witness(coeffs, support, target):
-    """A DepWitness the library built itself, unchecked: a coefficient
-    tuple that is tangible on the sorted, duplicate-free support tuple
-    and zero elsewhere."""
-    w = object.__new__(DepWitness)
-    w.__dict__.update(coeffs=coeffs, support=support, target=target)
-    return w
 
 
 def is_dependent(S):
@@ -705,7 +717,8 @@ def is_dependent(S):
     lead = w.coeffs[w.support[0]]
     if lead != ONE:
         inv = ONE / lead
-        w = _witness(tuple(c * inv for c in w.coeffs), w.support, None)
+        cs = [w.coeffs[i] * inv for i in w.support]
+        w = DepWitness._of(len(S), w.support, cs, None)
     if not w.is_valid(S):
         raise AssertionError("witness failed re-verification")
     return w
@@ -777,8 +790,7 @@ def extend_with_tangible(S, v):
 def _check_saturate_inputs(v, S, w):
     if w.target is None or w.target != v:
         raise InvalidInputError("witness target must be the given vector")
-    if len(w.coeffs) != len(S):
-        raise ShapeError("witness length does not match the family")
+    w._check_count(S)
     if not _independent(S):
         raise InvalidInputError("the family must be independent")
     if not w.is_valid(S):
@@ -813,7 +825,7 @@ def _greatest(v, S, w):
     sup = _descend(*_levels(S, v, w.support))
     if sup is None:
         raise AssertionError("a valid witness must exist on the grid")
-    out = _witness_of(len(S), w.support, [Scalar(c) for c in sup], v)
+    out = DepWitness._of(len(S), w.support, [Scalar(c) for c in sup], v)
     if not out.is_valid(S):
         raise AssertionError("saturated witness failed re-verification")
     return out

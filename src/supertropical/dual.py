@@ -160,7 +160,7 @@ def ghost_kernel(M):
     return in_kernel
 
 
-def _combination_grid(generators, extra_rows=()):
+def _combination_grid(generators, extra_rows):
     """Coefficient value grid for combinations of the generators:
     column-wise entry differences across all supplied rows, closed once
     under chaining, with a sentinel strictly below everything."""
@@ -195,7 +195,7 @@ def is_ghost_monic(M, sample_space):
         if g.dim != mat.cols:
             raise ShapeError("sample dimension does not match the map")
     in_kernel = ghost_kernel(mat)
-    values = _combination_grid(gens, extra_rows=mat.row_list())
+    values = _combination_grid(gens, mat.row_list())
     options = [
         [None]
         + [tangible(x) for x in values]

@@ -9,7 +9,10 @@ it is decided exactly: per support, each coefficient is capped by the
 componentwise residual of the target against the member, candidates
 come from entry differences plus a sentinel strictly below them all,
 and tuples are tried largest first so the reported witness carries the
-greatest workable coefficients on the least support.
+greatest workable coefficients on the least support.  Its
+``SpanWitness`` is the dependence witness's record, with the same
+support and coefficient checks, and the ghost surplus in place of a
+target.
 
 Criticality, in contrast, asks whether a member can be rebuilt from the
 family with the surplus ghost drawn from the spanned module itself.
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .exceptions import InvalidInputError, NoChangeOfBaseError
-from .dependence import BaseReport, max_rank, projective_normalize
+from .dependence import BaseReport, _Witness, max_rank, projective_normalize
 from .matrices import Mat, Vec, _combine, _family, _tagged_combinations
 from .scalars import ONE, ZERO, Scalar, ghost, tangible
 
@@ -73,28 +76,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpanWitness:
+class SpanWitness(_Witness):
     """Tangible coefficients and the ghost surplus certifying that a
-    vector surpasses a combination of the family."""
+    vector surpasses a combination of the family.  The coefficients are
+    checked as for :class:`DepWitness`; ``ghost_part`` is ghost or zero."""
 
-    coeffs: tuple
-    support: tuple
     ghost_part: Vec
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        support = tuple(sorted(self.support))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support", support)
-        if not support:
-            raise InvalidInputError("span witness needs a nonempty support")
-        if support[0] < 0 or support[-1] >= len(coeffs):
-            raise InvalidInputError("support index outside the coefficients")
-        for i in support:
-            if not coeffs[i].is_tangible():
-                raise InvalidInputError(
-                    f"coefficient {i} on the support must be tangible"
-                )
+        super().__post_init__()
         for j, g in enumerate(self.ghost_part):
             if not g.is_ghost0():
                 raise InvalidInputError(
@@ -102,13 +92,13 @@ class SpanWitness:
                 )
 
     def combination(self, vectors):
-        sup = self.support
-        return _combine([self.coeffs[i] for i in sup], [vectors[i] for i in sup])
+        return _combine(self.coeffs, vectors)
 
     def is_valid(self, vectors, v):
         """The reconstruction identity: the combination plus the ghost
         part reproduces v exactly."""
         vectors = _family(vectors, v, self.ghost_part)
+        self._check_count(vectors)
         return self.combination(vectors) + self.ghost_part == v
 
 
@@ -230,9 +220,7 @@ def spans(S, v):
     if v.is_zero():
         for i, w in enumerate(S):
             if w.is_zero():
-                coeffs = [ZERO] * k
-                coeffs[i] = ONE
-                return SpanWitness(tuple(coeffs), (i,), v)
+                return SpanWitness._of(k, (i,), (ONE,), v)
         return None
     full = _mask(v, Scalar.is_tangible)
     options = {}
@@ -243,10 +231,9 @@ def spans(S, v):
         reaches, and those it reaches as a ghost, which no later term
         can repair; None for an unusable member."""
         if i not in options:
-            w = S[i]
-            cands = None if w.is_zero() else _span_candidates(S, v, i)
+            cands = _span_candidates(S, v, i)
             if cands is not None:
-                cands = [(*_reach(v, w, c, full), True, c) for c in cands]
+                cands = [(*_reach(v, S[i], c, full), True, c) for c in cands]
             options[i] = cands
         return options[i]
 
@@ -266,10 +253,7 @@ def spans(S, v):
             raise AssertionError(
                 "span walk accepted a combination that v does not surpass"
             )
-        coeffs = [ZERO] * k
-        for c, i in zip(cs, support):
-            coeffs[i] = c
-        return SpanWitness(tuple(coeffs), support, g)
+        return SpanWitness._of(k, support, cs, g)
     return None
 
 
@@ -348,9 +332,7 @@ def _internal_spanned(v, S, excluded):
         # the target itself is the surplus; any small tangible multiple
         # of a usable outside member hides underneath it
         return any(
-            i not in excluded
-            and not S[i].is_zero()
-            and _residual(v, S[i]) is not None
+            i not in excluded and _residual(v, S[i]) is not None
             for i in range(k)
         )
     return False

@@ -26,10 +26,10 @@ from supertropical import (
     tangible,
 )
 from supertropical.dependence import (
+    DepWitness,
     _chain_candidates,
     _independent,
     _iter_supports,
-    _witness_of,
 )
 from supertropical.matrices import _combine, _family, _made
 from supertropical.oracles import check_saturated
@@ -187,7 +187,7 @@ def search_witness_reference(vectors, target, supports=None):
     for support in supports if supports is not None else _iter_supports(k):
         cs = next(grid_solutions_reference(vectors, target, support), None)
         if cs is not None:
-            return _witness_of(k, support, cs, target)
+            return DepWitness._of(k, support, cs, target)
     return None
 
 

@@ -10,6 +10,7 @@ from supertropical import (
     InvalidInputError,
     Mat,
     ShapeError,
+    SpanWitness,
     Vec,
     ZERO,
     annihilator_set,
@@ -23,6 +24,7 @@ from supertropical import (
     rank,
     saturate,
     saturate_by_sup,
+    spans,
     sum_saturated,
     sup_witness,
 )
@@ -70,30 +72,11 @@ E1, E2 = rows("0 -inf\n-inf 0")
 
 # -- witnesses as values -----------------------------------------------
 
-def test_witness_validation():
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(Z, Z), support=())
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(G(1), Z), support=(0,))
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(T(1), T(1)), support=(0,))
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(T(1), Z), support=(0, 0))
-    # support indices outside the coefficients: with the zero
-    # coefficients, each would certify the independent family 0 1 / 2 0
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(Z, Z), support=(-1,))
-    with pytest.raises(InvalidInputError):
-        DepWitness(coeffs=(Z, Z), support=(5,))
-    with pytest.raises(TypeError):
-        DepWitness(coeffs=(1, Z), support=(0,))
-
-
 def test_library_witnesses_equal_their_public_reconstruction():
     # the library builds its witnesses unchecked; each must still be one
     # the public constructor accepts and leaves as it is
     rng = seeded(1515)
-    built = 0
+    built = spanned = 0
     for _ in range(300):
         n = rng.randint(1, 3)
         S = [rand_vec(rng, n, lo=-2, hi=2) for _ in range(rng.randint(1, 3))]
@@ -104,7 +87,12 @@ def test_library_witnesses_equal_their_public_reconstruction():
         for w in filter(None, found):
             built += 1
             assert DepWitness(w.coeffs, w.support, w.target) == w, w
+        w = spans(S, v)
+        if w is not None:
+            spanned += 1
+            assert SpanWitness(w.coeffs, w.support, w.ghost_part) == w, w
     assert built > 300, built
+    assert spanned > 100, spanned
 
 
 def test_witness_combination_includes_target():

@@ -9,9 +9,12 @@ the reconstruction identity exactly.
 import pytest
 
 from supertropical import (
+    DepWitness,
     InvalidInputError,
     Mat,
     NoChangeOfBaseError,
+    Scalar,
+    ShapeError,
     SpanWitness,
     Vec,
     ZERO,
@@ -58,20 +61,49 @@ def test_spans_two_generator_example():
 
 
 @pytest.mark.parametrize("coeffs, support, ghost_part", [
-    # an empty support, and a ghost part with a tangible entry
+    # an empty support, and a ghost part with a tangible entry, which
+    # only a span witness has
     ((T(0), Z), (), "3v 3v"),
     ((T(0), Z), (0,), "3 3v"),
     # support indices outside the coefficients: with the zero
-    # coefficients below, each would certify 3v 3v over any family
+    # coefficients below, each would certify 3v 3v over any family, and
+    # a dependence of the independent family 0 1 / 2 0
     ((Z, Z), (-1,), "3v 3v"),
     ((Z, Z), (5,), "3v 3v"),
     # a ghost and a zero coefficient on the support
     ((G(0), Z), (0,), "3v 3v"),
     ((Z, T(0)), (0,), "3v 3v"),
+    # a repeated support index, which a span witness's combination
+    # counted once per repeat: 0v 1v over 0 1 / 5 -inf, with no surplus
+    ((T(0), Z), (0, 0), "-inf -inf"),
+    # a nonzero coefficient off the support
+    ((T(0), T(3)), (0,), "3v 3v"),
+    # a coefficient that is not a scalar
+    ((1, Z), (0,), "3v 3v"),
 ])
 def test_span_witness_validation(coeffs, support, ghost_part):
-    with pytest.raises(InvalidInputError):
+    # the two witness types share their support and coefficient checks
+    error = (
+        InvalidInputError if all(isinstance(c, Scalar) for c in coeffs)
+        else TypeError
+    )
+    with pytest.raises(error):
         SpanWitness(coeffs, support, vec(ghost_part))
+    if vec(ghost_part).is_ghost():
+        with pytest.raises(error):
+            DepWitness(coeffs, support)
+
+
+@pytest.mark.parametrize("coeffs, support", [
+    ((T(0),), (0,)),
+    ((T(0), Z, T(0)), (0, 2)),
+])
+def test_witness_coefficient_count_must_match_the_family(coeffs, support):
+    S, v = rows("1 2\n0 1"), vec("1 3v")
+    with pytest.raises(ShapeError, match="coefficient count"):
+        SpanWitness(coeffs, support, vec("-inf 3v")).is_valid(S, v)
+    with pytest.raises(ShapeError, match="coefficient count"):
+        DepWitness(coeffs, support, v).is_valid(S)
 
 
 def test_spans_fails_on_ghosted_generator():
