@@ -82,7 +82,8 @@ def test_spans_two_generator_example():
     ((1, Z), (0,), "3v 3v"),
 ])
 def test_span_witness_validation(coeffs, support, ghost_part):
-    # the two witness types share their support and coefficient checks
+    # the two witness types share their support and coefficient checks;
+    # only a tangible ghost-part entry is the span witness's own
     error = (
         InvalidInputError if all(isinstance(c, Scalar) for c in coeffs)
         else TypeError
