@@ -23,14 +23,14 @@ the grid search starts at two members.
 The criterion also decides, before any walk, which supports can hold a
 witness.  A witness on support T is a dependence of T together with the
 target (without one: of T alone), so when those vectors are independent
-the walk on T could only fail, on any grid, and T is skipped.  The first
-support left in the search order is the support of the witness.
+the search on T could only fail, on any grid, and T is skipped.  The
+first support left in the search order is the support of the witness.
 Without a target, its proper subsets came first and are independent, so
 every dependence of it has all of it as support.  With a target, an
 independent family and a target that is not ghost or zero everywhere
 (and so no dependence on its own), every dependence of T with the
 target holds the target and a nonempty part of T, and a smaller part
-would have come first.  A successful search walks one support.
+would have come first.  A successful search reads one support's grid.
 
 The candidate grid deserves a comment, because the obvious one is too
 small.  In any ghost-producing combination each essential term ties some
@@ -45,16 +45,24 @@ here is therefore closed under difference chains up to length k-1, which
 is enough because a witness can always be normalized so that its tie graph
 is a forest of depth at most k-1 hanging off the anchors.
 
-The grid is walked depth first, one support member per level, in
-lexicographic tuple order, and the walk stops at its first solution.
-Each node carries the prefix sum (the target plus the members chosen so
-far) per coordinate as a value and a ghost flag, so a child costs one
-pass over the coordinates.  In a max-plus sum the maximum only grows
-along a prefix, so a coordinate whose prefix is tangible can still turn
-ghost only if a later member reaches its value.
-A child is dropped when some tangible coordinate lies above the largest
-value the remaining members can put there with their largest candidates.
-The last two members are not tried candidate by candidate.  With m the
+The search returns the first solution on a support in lexicographic
+tuple order, each member's candidates ascending, and fixes it one
+member at a time.  It carries the prefix sum (the target plus the
+members fixed so far) per coordinate as a value and a ghost flag.  Each
+member before the last two takes its least candidate after which the
+members that follow can still complete the sum to a ghost or zero one.
+When two follow, the pair step below decides that and its answer ends
+the search.  When more follow, the descent below decides it in
+polynomial time with the prefix as its start sum, and the completion
+it finds is the greatest, so the next members' candidates are cut there.
+Each choice is the least value with a valid completion, so the result
+is the first solution of the full grid, after at most one descent per
+candidate of the members before the last two.
+The last two members are not tried candidate by candidate.  In a
+max-plus sum the maximum only grows along a prefix, so a coordinate
+whose prefix is tangible can still turn ghost only if one of them
+reaches its value; a prefix with a tangible coordinate above both
+members' largest terms there has no completion.  With m the
 prefix value and x the last member's entry at a coordinate, a tangible
 prefix forces the last value c = m - x under a tangible entry and needs
 c >= m - x under a ghost one, a ghost prefix needs c <= m - x under a
@@ -88,22 +96,24 @@ supertropical form of the max-plus principal solution (Butkovic,
 "Max-linear systems").  c* is valid, so it lies at or below the
 supertropical Cramer bound of every nonsingular minor of the members
 (Izhakian-Rowen, "Supertropical matrix algebra II: solving tropical
-equations"; ``solve_max``).  With a target and three or more members,
-each member's candidates are cut at c* before the walk, and there is no
-walk when the descent finds none; two members go straight to the pair
-step above.  The cut drops only values that no valid assignment takes,
-so the first solution is that of the uncut grid.
+equations"; ``solve_max``).  From three members on, the search starts
+with the descent: there is no solution when it finds none, and
+otherwise each member's candidates are cut at c*; two members go
+straight to the pair step above.  The cut drops only values that no
+valid assignment takes, so the first solution is that of the uncut
+grid, and c*'s own value always has a completion, so every member
+finds a candidate.
 
-From four members on, the cut lists are raised further to a fixpoint of
-the demand floor, the walk's forward check applied once before it
-starts.  A tangible target value, and a member's tangible term at its
+With a target and four or more members, the cut lists are raised
+further to a fixpoint of the demand floor before the first member is
+fixed.  A tangible target value, and a member's tangible term at its
 smallest candidate where that lies above the target's value, must be
 reached by another member's term; when only one member can reach it,
 that member's candidates start where its term does.  c* survives every
 floor and meets every demand, so no list empties, and the floors drop
 only values that no valid assignment takes: the first solution stays
-as it is.  Three members keep the cut lists, where the floors were
-measured to cost more than they save.
+as it is.  Three members, and supports without a target, keep the cut
+lists, where the floors were measured to cost more than they save.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
@@ -121,7 +131,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .exceptions import InvalidInputError, ShapeError
 from .matrices import (
@@ -354,25 +364,16 @@ def _chain_candidates(rows, target_vals, support):
     members, to chain depth len(support) - 1.
     """
     cand = {i: {0} for i in support}
-    frontier = {i: set(cand[i]) for i in support}
     if target_vals is not None:
         for i in support:
-            row = rows[i]
-            extra = set()
-            for j, tv in enumerate(target_vals):
-                if tv is not None and row[j] is not None:
-                    extra.add(tv - row[j])
-            frontier[i] |= extra - cand[i]
-            cand[i] |= extra
+            cand[i] |= {t - x for t, x in zip(target_vals, rows[i])
+                        if t is not None and x is not None}
+    frontier = {i: set(cand[i]) for i in support}
     pairs = []
-    for a in support:
-        for b in support:
-            if a == b:
-                continue
-            ds = {x - y for x, y in zip(rows[a], rows[b])
-                  if x is not None and y is not None}
-            if ds:
-                pairs.append((a, b, ds))
+    for a, b in permutations(support, 2):
+        ds = {x - y for x, y in zip(rows[a], rows[b]) if x is not None and y is not None}
+        if ds:
+            pairs.append((a, b, ds))
     for _ in range(max(0, len(support) - 1)):
         moved = False
         new_frontier = {i: set() for i in support}
@@ -401,7 +402,9 @@ def _pair_first(first, last, mx, gh):
     ``gh``) to a ghost or zero sum by the last two members, as the pair
     ``(c, t)`` of a candidate of each, least c first and then least t;
     None when there is none.  ``first`` and ``last`` are a member's
-    sorted candidates, entry values and ghost flags.
+    sorted candidates, entry values and ghost flags.  A tangible prefix
+    value above both members' largest terms stays tangible, so such a
+    prefix has no completion and is rejected first.
 
     Per coordinate, with m the prefix value and x the last member's entry:
     a tangible prefix and a tangible entry force the last value to be
@@ -419,6 +422,10 @@ def _pair_first(first, last, mx, gh):
     only one to try."""
     dom, row, grow = first
     ldom, lrow, lgrow = last
+    for a, x, m, mg in zip(row, lrow, mx, gh):
+        if m is not None and not mg and (a is None or a + dom[-1] < m) \
+                and (x is None or x + ldom[-1] < m):
+            return None
     ts = sorted({m - a for a, m in zip(row, mx) if a is not None and m is not None})
     i, size = 0, len(dom)
     while i < size:
@@ -477,7 +484,7 @@ def _pair_first(first, last, mx, gh):
 
 
 def _levels(vectors, target, support):
-    """The walk's set-up for one support: per member its sorted chain
+    """The search's set-up for one support: per member its sorted chain
     candidates, entry values and ghost flags, then the start sum's
     values and ghost flags (the target's, or a zero vector's)."""
     rows = _value_rows(vectors, support)
@@ -495,80 +502,63 @@ def _levels(vectors, target, support):
 def _first_solution(vectors, target, support):
     """The first valid coefficient list for one support in candidate-grid
     (lexicographic tuple) order, or None.  One and two members go
-    straight to ``_pair_first``, and more to ``_walk_first``.  With a
-    target and three or more members, each member's candidates are
-    first cut at the greatest valid assignment found by ``_descend``,
-    and from four members on ``_tighten`` raises their floors; neither
-    changes the first solution."""
-    levels, *start = _levels(vectors, target, support)
-    n = len(start[0])
-    if target is not None and len(levels) > 2:
-        top = _descend(levels, *start)
-        if top is None:
-            return None
-        levels = [(dom[:bisect_right(dom, c)], row, grow)
-                  for (dom, row, grow), c in zip(levels, top)]
-        if len(levels) > 3:
-            levels = _tighten(levels, *start)
+    straight to ``_pair_first``.  From three members on, every member's
+    candidates are cut at the greatest valid assignment found by
+    ``_descend`` (with a target and four or more members, ``_tighten``
+    then raises their floors), and the members before the last two are
+    fixed one at a time: each takes its least candidate that leaves a
+    completion, which ``_descend`` decides for the members after it and
+    ``_pair_first`` for the last two (module docstring)."""
+    levels, mx, gh = _levels(vectors, target, support)
     if len(levels) == 1:
         # a member alone completes the start sum as the second of a pair
         # whose first member has no entries and only the unit
-        found = _pair_first(([0], [None] * n, [False] * n), levels[0], *start)
-        found = found and found[1:]
-    elif len(levels) == 2:
-        found = _pair_first(*levels, *start)
-    else:
-        found = _walk_first(levels, *start)
-    return None if found is None else [Scalar(c) for c in found]
-
-
-def _walk_first(levels, mx, gh):
-    """The first valid values on three or more members' ``levels`` from
-    the start sum ``mx``/``gh``, or None: depth first over the members
-    before the last two, dropping a prefix with a tangible coordinate
-    above what the members after it can reach there (rule (a)), and
-    ``_pair_first`` on the last two."""
-    n, last = len(mx), len(levels) - 2
-    pair = levels[last:]
-    # reach[d][j]: the largest value the members after depth d can give
-    # coordinate j with their largest candidates (None: no entry there)
-    reach = [[None] * n]
-    for dom, row, _ in reversed(levels[1:]):
-        here = reach[-1][:]
-        for j, x in enumerate(row):
-            if x is not None and (here[j] is None or x + dom[-1] > here[j]):
-                here[j] = x + dom[-1]
-        reach.append(here)
-    reach.reverse()
-
-    def walk(d, pmx, pgh):
-        if d == last:
-            return _pair_first(*pair, pmx, pgh)
-        dom, row, grow = levels[d]
-        nxt = reach[d]
-        for c in dom:
-            mx, gh = pmx[:], pgh[:]
-            for j in range(n):
-                x = row[j]
-                if x is not None:
-                    x += c
-                    m = mx[j]
-                    if m is None or x > m:
-                        mx[j] = m = x
-                        gh[j] = grow[j]
-                    elif x == m:
-                        gh[j] = True
-                else:
-                    m = mx[j]
-                if m is not None and not gh[j] and (nxt[j] is None or nxt[j] < m):
-                    break
-            else:
-                rest = walk(d + 1, mx, gh)
-                if rest is not None:
-                    return (c, *rest)
+        n = len(mx)
+        found = _pair_first(([0], [None] * n, [False] * n), levels[0], mx, gh)
+        return found and [Scalar(found[1])]
+    if len(levels) == 2:
+        found = _pair_first(*levels, mx, gh)
+        return found and [Scalar(c) for c in found]
+    top = _descend(levels, mx, gh)
+    if top is None:
         return None
+    levels = _cut(levels, top)
+    if target is not None and len(levels) > 3:
+        levels = _tighten(levels, mx, gh)
+    head = []
+    while True:  # until the pair step, with two members left, returns
+        (dom, row, grow), *levels = levels
+        for c in dom:
+            pmx, pgh = _fold(row, grow, c, mx, gh)
+            if len(levels) == 2:
+                found = _pair_first(*levels, pmx, pgh)
+                if found is not None:
+                    return [Scalar(x) for x in (*head, c, *found)]
+            elif (top := _descend(levels, pmx, pgh)) is not None:
+                break
+        else:
+            raise AssertionError("a member has no candidate with a completion")
+        head.append(c)
+        mx, gh, levels = pmx, pgh, _cut(levels, top)
 
-    return walk(0, mx, gh)
+
+def _cut(levels, top):
+    """Each member's candidates cut at its value in ``top``."""
+    return [(dom[:bisect_right(dom, c)], row, grow)
+            for (dom, row, grow), c in zip(levels, top)]
+
+
+def _fold(row, grow, c, mx, gh):
+    """New lists of the prefix sum ``mx``/``gh`` (values and ghost flags)
+    with a member's terms at value c added."""
+    mx, gh = mx[:], gh[:]
+    for j, x in enumerate(row):
+        if x is not None:
+            x += c
+            if mx[j] is None or x >= mx[j]:
+                gh[j] = x == mx[j] or grow[j]
+                mx[j] = x
+    return mx, gh
 
 
 def _descend(levels, tvals, tghosts):
@@ -619,14 +609,14 @@ def _descend(levels, tvals, tghosts):
 
 
 def _tighten(levels, tvals, tghosts):
-    """The walk's ``levels``, cut at the greatest valid assignment, with
+    """The search's ``levels``, cut at the greatest valid assignment, with
     each member's candidates raised to the fixpoint of the demand floor
     (module docstring).  Per coordinate, with lo and hi a member's
     smallest and largest candidates: a demand w (a tangible target
     value, or r's tangible term at its lo where that lies above the
     target's value) that only one other member q can reach, with entry
     x, gives c_q >= w - x.  A valid assignment meets every demand, so
-    the floors drop no valid one and the walk finds the same first
+    the floors drop no valid one and the search finds the same first
     solution; the greatest meets them too, so no list empties."""
     doms = [dom for dom, _, _ in levels]
     cols = list(zip(*(row for _, row, _ in levels)))
@@ -663,32 +653,39 @@ def _search_witness(vectors, target):
 
     Without a target, the one-member supports are read off ghost flags:
     a member alone is a dependence exactly when it is ghost or zero
-    everywhere, and then with the unit, its only candidate.  The walk
-    starts at two members.
+    everywhere, and then with the unit, its only candidate.  Then one
+    minor test decides the whole family, which is None when it is
+    independent, and the grid search starts at two members.
 
     A support whose members are independent together with the target
-    is skipped without a walk.  On an independent family the first
-    support left carries the witness (module docstring), so a failed
-    walk there is an error unless the target is ghost or zero
-    everywhere; the family is tested only once one fails.  The minor
-    test runs before each walk, so a search whose supports are all
-    skipped reads no grid, and a walk stops at its first solution."""
+    is skipped without a grid search; without a target, the whole
+    family is known to be dependent and is not tested again.  The first
+    support left carries the witness (module docstring) when there is
+    no target, or an independent family and a target that is not ghost
+    or zero everywhere, so a failed search there is an error; with a
+    target the family is tested only once one fails.  The minor test
+    runs before each grid search, so a search whose supports are all
+    skipped reads no grid, and each stops at its first solution."""
     k = len(vectors)
     if target is None:
         for i, w in enumerate(vectors):
             if w.is_ghost():
                 return DepWitness._of(k, (i,), (ONE,), None)
+        if _independent(vectors):
+            return None
     extra = [] if target is None else [target]
     check = True
     for support in _iter_supports(k, 2 if target is None else 1):
-        if _independent([vectors[i] for i in support] + extra):
+        # without a target the whole family is known to be dependent here
+        whole = not extra and len(support) == k
+        if not whole and _independent([vectors[i] for i in support] + extra):
             continue
         cs = _first_solution(vectors, target, support)
         if cs is not None:
             return DepWitness._of(k, support, cs, target)
         if check:
             check = False
-            if (target is None or not target.is_ghost()) and _independent(vectors):
+            if target is None or not target.is_ghost() and _independent(vectors):
                 raise AssertionError(
                     "minor criterion says a witness exists on a support "
                     "whose grid walk found none"
@@ -699,21 +696,19 @@ def _search_witness(vectors, target):
 def is_dependent(S):
     """A verified witness if the family is tropically dependent, else None.
 
-    The decision goes through square submatrix permanents; the witness
-    then comes from the candidate grid search.  The two must agree, which
-    is itself a useful internal crosscheck.
+    The decision goes through square submatrix permanents, one test of
+    the whole family and then one per support in the search order; the
+    witness comes from the candidate grid search on the first dependent
+    support.  The two must agree, which is itself a useful internal
+    crosscheck.
 
     A dependence without a target is scale invariant, so the returned
     witness is normalized to have the unit at its first support index.
     """
     S = _family(S)
-    if _independent(S):
-        return None
     w = _search_witness(S, None)
     if w is None:
-        raise AssertionError(
-            "submatrix decision says dependent but no grid witness exists"
-        )
+        return None
     lead = w.coeffs[w.support[0]]
     if lead != ONE:
         inv = ONE / lead

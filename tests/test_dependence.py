@@ -1262,3 +1262,84 @@ def test_last_member_values_in_closed_form(member, target, want):
     S, t = [vec(member)], vec(target)
     assert _flat_grid_solutions(S, t, (0,)) == [[T(c)] for c in want]
     assert _first_solution(S, t, (0,)) == _first([T(c)] for c in want)
+
+
+# -- the greedy search -------------------------------------------------
+
+def test_greedy_search_matches_the_reference_without_a_target():
+    # whole supports of 4-6 members in 2-4 coordinates with ghost and
+    # zero entries, no target: the member-by-member search gives the
+    # reference walk's first solution, in values, value types and ghost
+    # flags, and finds none exactly where the walk finds none
+    rng = seeded(2601)
+    found = Counter()
+    for _ in range(400):
+        k, n = rng.randint(4, 6), rng.randint(2, 4)
+        kw = dict(lo=-1, hi=rng.choice((1, 2)), zero_p=rng.choice((0.15, 0.3)),
+                  ghost_p=rng.choice((0.2, 0.3)), denom=rng.choice((1, 1, 2)))
+        S = [rand_vec(rng, n, **kw) for _ in range(k)]
+        support = tuple(range(k))
+        got = _first_solution(S, None, support)
+        want = _first(grid_solutions_reference(S, None, support))
+        assert _typed(got) == _typed(want), S
+        found[k, got is not None] += 1
+    assert min(found[k, True] for k in (4, 5, 6)) >= 100, found
+    assert sum(found[k, False] for k in (4, 5, 6)) >= 20, found
+
+
+def test_greedy_search_runs_one_descent_per_tried_candidate(monkeypatch):
+    # eight tangible vectors in seven coordinates, whole support: after
+    # the first descent, each member before the last two tries its cut
+    # candidates from the least up, one descent each at most
+    rng = seeded(2602)
+    descend = dependence._descend
+    calls = []
+
+    def counted(levels, tvals, tghosts):
+        calls.append(len(levels))
+        return descend(levels, tvals, tghosts)
+
+    monkeypatch.setattr(dependence, "_descend", counted)
+    support = tuple(range(8))
+    for _ in range(6):
+        S = [rand_tangible_vec(rng, 7) for _ in range(8)]
+        levels, *start = dependence._levels(S, None, support)
+        top = descend(levels, *start)
+        bound = 1 + sum(dom.index(c) + 1 for c, (dom, _, _) in zip(top[:-2], levels))
+        calls.clear()
+        cs = _first_solution(S, None, support)
+        assert DepWitness(cs, support).is_valid(S), S
+        assert calls[0] == 8 and len(calls) <= bound, (len(calls), bound)
+
+
+def test_eight_in_seven_draw_returns_its_witness():
+    # a draw on which the depth-first walk ran for over 5 s without
+    # finishing; the search now fixes one member at a time
+    S = rows(
+        "1 -2 -2 -2 2 2 -1\n-3 5 3 -3 -3 -2 -2\n-2 1 5 -2 1 5 -3\n"
+        "1 2 -3 2 2 5 -1\n0 1 4 3 1 2 -2\n3 -2 3 -3 -1 0 2\n"
+        "-1 -2 1 1 -1 2 2\n2 0 1 3 0 0 -1"
+    )
+    w = is_dependent(S)
+    assert w.support == (2, 3, 4, 5, 6, 7)
+    assert w.coeffs == (Z, Z, *(T(c) for c in (0, 0, 1, 0, 0, 1)))
+    assert w.is_valid(S)
+
+
+def test_dependent_pair_is_decided_by_one_minor_test(monkeypatch):
+    # the search decides the whole family once and then walks its
+    # supports; without a target it does not test the whole family again
+    minor = dependence._has_nonsingular_minor
+    calls = []
+
+    def counted(rows_, k):
+        calls.append(k)
+        return minor(rows_, k)
+
+    monkeypatch.setattr(dependence, "_has_nonsingular_minor", counted)
+    S = rows("0 1\n1 2")
+    assert is_dependent(S).support == (0, 1)
+    assert calls == [2]
+    calls.clear()
+    assert is_dependent([E1, E2]) is None
+    assert calls == [2]

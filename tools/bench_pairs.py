@@ -37,6 +37,7 @@ its own result files under its ``out/`` directory.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -57,9 +58,28 @@ def _seeds(text):
 
 
 def _commit(root):
-    out = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
-                         capture_output=True, text=True)
-    return out.stdout.strip() or None
+    """The checkout's short commit, or for a checkout without ``.git``
+    (one made with ``git archive``, say) ``src:<12 hex>``: a sha256 over
+    the sorted paths and bytes of its ``src/``, ``__pycache__`` left
+    out, so that two copies of the same sources get the same id."""
+    if os.path.exists(os.path.join(root, ".git")):
+        out = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
+                             capture_output=True, text=True)
+        if out.stdout.strip():
+            return out.stdout.strip()
+    src = os.path.join(root, "src")
+    paths = sorted(
+        os.path.relpath(os.path.join(d, name), src)
+        for d, dirs, names in os.walk(src)
+        if "__pycache__" not in os.path.relpath(d, src).split(os.sep)
+        for name in names
+    )
+    h = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(src, path), "rb") as f:
+            data = f.read()
+        h.update(f"{path}\0{len(data)}\0".encode() + data)
+    return f"src:{h.hexdigest()[:12]}"
 
 
 def _run(root, workload, seed, seconds, trace):

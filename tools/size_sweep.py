@@ -1,0 +1,188 @@
+"""Time the library's exponential searches by size, on two checkouts.
+
+    python3 tools/size_sweep.py --parent DIR --change DIR --out SWEEP_N.json
+
+``--parent`` and ``--change`` are roots of two checkouts.  Each side runs
+in a child process of its own (``python3 tools/size_sweep.py --run``,
+with ``DIR/src`` first on ``PYTHONPATH``), so it imports only that
+checkout's ``supertropical``; the child prints its rows as one JSON list.
+Each side is recorded by ``bench_pairs._commit``.
+
+Every (search, size) row draws ``DRAWS`` seeded inputs, each from its
+own ``random.Random("<search>/<size>/<draw>")``, so a row's inputs do not
+depend on the other rows or on the checkout.  Each call is timed with
+``time.thread_time`` and capped at ``CAP_S`` seconds of the process's
+own CPU time by ``signal.setitimer(signal.ITIMER_VIRTUAL, ...)``; a call
+that reaches the cap is stopped and counted as over it.  Per row the
+file holds every draw's time (None: over the cap), the median (None
+when half or more of the draws are over the cap), the largest finished
+time and the number over the cap.  Tangible values are -3..5:
+
+- ``is_dependent``: n+1 tangible vectors in n coordinates;
+- ``annihilator_set``: a tangible n x (n+1) matrix;
+- ``depends_on``: k = n tangible vectors and a free tangible target;
+- ``spans``: k members and a free target in 5 coordinates, with ghost
+  0.3 and zero 0.15;
+- ``is_almost_tangible``: a vector that is neither tangible nor ghost
+  and k members in 4 coordinates, with ghost 0.3 and zero 0.15;
+- ``rank``: the n x n matrix of tangible zeros, one call.
+
+Nothing outside the two processes is measured or changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import signal
+import statistics
+import subprocess
+import sys
+import time
+
+DRAWS = 8
+CAP_S = 5.0
+# (search, sizes, draws per size or None for DRAWS)
+ROWS = (
+    ("is_dependent", (5, 6, 7), None),
+    ("annihilator_set", (5, 6, 8), None),
+    ("depends_on", (5, 6, 8), None),
+    ("spans", (14, 18), None),
+    ("is_almost_tangible", (10, 12), None),
+    ("rank", (9,), 1),
+)
+
+
+class _Cap(BaseException):
+    """Raised by the CPU-time timer; a BaseException, so that no
+    ``except Exception`` in the library can swallow it."""
+
+
+def _on_cap(signum, frame):
+    raise _Cap
+
+
+def _scalar(st, rng, ghost_p=0.0, zero_p=0.0):
+    if rng.random() < zero_p:
+        return st.ZERO
+    return st.Scalar(rng.randint(-3, 5), rng.random() < ghost_p)
+
+
+def _vec(st, rng, n, **kw):
+    return st.Vec([_scalar(st, rng, **kw) for _ in range(n)])
+
+
+def _call(st, search, size, rng):
+    """The call of one draw, with its input built."""
+    if search == "is_dependent":
+        S = [_vec(st, rng, size) for _ in range(size + 1)]
+        return lambda: st.is_dependent(S)
+    if search == "annihilator_set":
+        A = st.Mat([[_scalar(st, rng) for _ in range(size + 1)] for _ in range(size)])
+        return lambda: st.annihilator_set(A)
+    if search == "depends_on":
+        S = [_vec(st, rng, size) for _ in range(size)]
+        v = _vec(st, rng, size)
+        return lambda: st.depends_on(v, S)
+    if search == "spans":
+        S = [_vec(st, rng, 5, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
+        v = _vec(st, rng, 5, ghost_p=0.3, zero_p=0.15)
+        return lambda: st.spans(S, v)
+    if search == "is_almost_tangible":
+        v = _vec(st, rng, 4, ghost_p=0.3, zero_p=0.15)
+        while v.is_zero() or v.is_tangible() or v.is_ghost():
+            v = _vec(st, rng, 4, ghost_p=0.3, zero_p=0.15)
+        S = [_vec(st, rng, 4, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
+        return lambda: st.is_almost_tangible(v, S)
+    if search == "rank":
+        A = st.Mat([[st.Scalar(0)] * size for _ in range(size)])
+        return lambda: st.rank(A)
+    raise ValueError(search)
+
+
+def _timed(call):
+    """Thread CPU seconds of one call, or None when it reached the cap."""
+    t0 = time.thread_time()
+    signal.setitimer(signal.ITIMER_VIRTUAL, CAP_S)
+    try:
+        call()
+    except _Cap:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+    return time.thread_time() - t0
+
+
+def run():
+    """Every row of ``ROWS`` on the imported ``supertropical``."""
+    import supertropical as st
+
+    signal.signal(signal.SIGVTALRM, _on_cap)
+    rows = []
+    for search, sizes, fixed in ROWS:
+        for size in sizes:
+            rngs = [random.Random(f"{search}/{size}/{d}") for d in range(fixed or DRAWS)]
+            times = [_timed(_call(st, search, size, rng)) for rng in rngs]
+            done = sorted(t for t in times if t is not None)
+            over = len(times) - len(done)
+            # over-cap draws sort above every finished one
+            median = None if 2 * over >= len(times) else statistics.median(
+                done + [float("inf")] * over)
+            rows.append({
+                "search": search, "size": size, "draws": len(times),
+                "median_s": median, "max_s": done[-1] if done else None,
+                "over_cap": over, "times_s": times,
+            })
+            print(f"{search} {size}: median {median} over {over}", file=sys.stderr)
+    return rows
+
+
+def _side(root):
+    env = dict(os.environ)
+    src = os.path.join(os.path.abspath(root), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, os.path.abspath(__file__), "--run"]
+    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--out")
+    ap.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.run:
+        json.dump(run(), sys.stdout)
+        return 0
+    if not (args.parent and args.change and args.out):
+        ap.error("--parent, --change and --out are required")
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from bench_pairs import _commit
+
+    doc = {
+        "command": "python3 tools/size_sweep.py",
+        "draws": DRAWS,
+        "cap_s": CAP_S,
+        "host": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
+        "timing": "time.thread_time per call; a call is stopped at the cap by "
+                  "ITIMER_VIRTUAL on its own process",
+        "commits": {},
+        "rows": {},
+    }
+    for side in ("parent", "change"):
+        root = getattr(args, side)
+        doc["commits"][side] = _commit(root)
+        doc["rows"][side] = _side(root)
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
