@@ -378,10 +378,7 @@ def _chain_candidates(rows, target_vals, support):
         moved = False
         new_frontier = {i: set() for i in support}
         for a, b, ds in pairs:
-            fa = frontier[a]
-            if not fa:
-                continue
-            fresh = {x + d for x in fa for d in ds} - cand[b]
+            fresh = {x + d for x in frontier[a] for d in ds} - cand[b]
             if fresh:
                 new_frontier[b] |= fresh
                 cand[b] |= fresh
@@ -647,19 +644,28 @@ def _tighten(levels, tvals, tghosts):
 
 def _search_witness(vectors, target):
     """First valid witness in (support size, support, coefficient tuple)
-    order, or None.  Enumerating small supports first means the returned
+    order, or None.  Without a target, one minor test decides the whole
+    family first, and ``_search_supports`` searches it only when it is
+    dependent; with one, ``_search_supports`` alone."""
+    if target is None and _independent(vectors):
+        return None
+    return _search_supports(vectors, target)
+
+
+def _search_supports(vectors, target):
+    """``_search_witness`` on a family that, without a target, is known to
+    be dependent.  Enumerating small supports first means the returned
     support is always irredundant: every proper sub-support was already
     tried and failed.
 
     Without a target, the one-member supports are read off ghost flags:
     a member alone is a dependence exactly when it is ghost or zero
-    everywhere, and then with the unit, its only candidate.  Then one
-    minor test decides the whole family, which is None when it is
-    independent, and the grid search starts at two members.
+    everywhere, and then with the unit, its only candidate.  The grid
+    search starts at two members.
 
     A support whose members are independent together with the target
     is skipped without a grid search; without a target, the whole
-    family is known to be dependent and is not tested again.  The first
+    family is known to be dependent and is not tested.  The first
     support left carries the witness (module docstring) when there is
     no target, or an independent family and a target that is not ghost
     or zero everywhere, so a failed search there is an error; with a
@@ -671,12 +677,9 @@ def _search_witness(vectors, target):
         for i, w in enumerate(vectors):
             if w.is_ghost():
                 return DepWitness._of(k, (i,), (ONE,), None)
-        if _independent(vectors):
-            return None
     extra = [] if target is None else [target]
     check = True
     for support in _iter_supports(k, 2 if target is None else 1):
-        # without a target the whole family is known to be dependent here
         whole = not extra and len(support) == k
         if not whole and _independent([vectors[i] for i in support] + extra):
             continue
@@ -924,7 +927,7 @@ def annihilator_set(A):
     for j in range(n):
         if j in base_idx:
             continue
-        w = _search_witness(base + [cols[j]], None)
+        w = _search_supports(base + [cols[j]], None)
         if w is None:
             raise AssertionError(
                 "a column outside a maximal independent set must be dependent"

@@ -1326,8 +1326,23 @@ def test_eight_in_seven_draw_returns_its_witness():
     assert w.is_valid(S)
 
 
+def test_annihilators_match_the_reference_search(monkeypatch):
+    # annihilator_set searches each column family, which it knows to be
+    # dependent, without the whole-family minor test; the reference
+    # search in its place gives the same annihilators and value types
+    fams = list(_one_member_families())
+
+    def results():
+        return [[(v, [type(x.value) for x in v]) for v in annihilator_set(Mat.from_cols(S))]
+                for S in fams]
+
+    new = results()
+    monkeypatch.setattr(dependence, "_search_supports", search_witness_reference)
+    assert results() == new
+
+
 def test_dependent_pair_is_decided_by_one_minor_test(monkeypatch):
-    # the search decides the whole family once and then walks its
+    # the search decides the whole family once and then searches its
     # supports; without a target it does not test the whole family again
     minor = dependence._has_nonsingular_minor
     calls = []
