@@ -14,6 +14,14 @@ sentinel below everything, and optionally adds seeded random tangible
 samples.  A verdict therefore certifies violations absolutely, and
 certifies consistency relative to the searched set, which the verdict
 records.
+
+The radical check behind ``gram_dependence`` looks for a combination of
+the family outside the ghost layer whose row of evaluations against
+the family is ghost.  That row is the same combination of the Gram
+rows, so ``matrices._first_annihilated`` searches the coefficient grid
+(absent, or a tangible or ghost value from the Gram entry differences
+with a sentinel) depth first on values and ghost flags, and only the
+combination it finds is built.
 """
 
 from __future__ import annotations
@@ -27,13 +35,14 @@ from .exceptions import DegenerateSpaceError, InvalidInputError, ShapeError
 from .matrices import (
     Mat,
     Vec,
+    _combine,
     _dot_value_ghost,
     _family,
-    _tagged_combinations,
+    _first_annihilated,
     is_nonsingular,
     permanent,
 )
-from .scalars import ONE, ZERO, ghost, tangible
+from .scalars import ONE, tangible
 
 __all__ = [
     "GramForm",
@@ -58,6 +67,8 @@ class GramForm:
     G: Mat
 
     def __post_init__(self):
+        if not isinstance(self.G, Mat):
+            raise TypeError(f"expected a Mat, got {type(self.G).__name__}")
         if not self.G.is_square():
             raise ShapeError("Gram matrix must be square")
 
@@ -148,20 +159,13 @@ def radical_and_nondegenerate(F):
 def _grid_radical_witness(W, gram):
     """A combination of W outside the ghost layer that the form
     annihilates against every member, read off its Gram matrix ``gram``
-    on W, if the coefficient grid holds one."""
+    on W: the first in grid order, searched on the Gram rows (module
+    docstring), or None when the grid holds none."""
     nz = [x.value for r in gram.row_tuples for x in r if not x.is_zero()]
     vals = {0} | {a - b for a in nz for b in nz}
     vals.add(min(vals) - 1)
-    options = [
-        [None] + [tangible(v) for v in sorted(vals)] + [ghost(v) for v in sorted(vals)]
-        for _ in W
-    ]
-    Gt = gram.transpose()
-    for tags, v in _tagged_combinations(options, W):
-        coeff = Vec([t if t is not None else ZERO for t in tags])
-        if not v.is_ghost() and Gt.apply(coeff).is_ghost():
-            return v
-    return None
+    tags = _first_annihilated(sorted(vals), W, gram.row_tuples)
+    return None if tags is None else _combine(tags, W)
 
 
 def gram_dependence(W, F, strict=False):

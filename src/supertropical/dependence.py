@@ -140,6 +140,7 @@ from .matrices import (
     _combine,
     _dot_value_ghost,
     _family,
+    _fold,
     _perm_rows,
 )
 from .scalars import ONE, ZERO, Scalar
@@ -543,19 +544,6 @@ def _cut(levels, top):
     """Each member's candidates cut at its value in ``top``."""
     return [(dom[:bisect_right(dom, c)], row, grow)
             for (dom, row, grow), c in zip(levels, top)]
-
-
-def _fold(row, grow, c, mx, gh):
-    """New lists of the prefix sum ``mx``/``gh`` (values and ghost flags)
-    with a member's terms at value c added."""
-    mx, gh = mx[:], gh[:]
-    for j, x in enumerate(row):
-        if x is not None:
-            x += c
-            if mx[j] is None or x >= mx[j]:
-                gh[j] = x == mx[j] or grow[j]
-                mx[j] = x
-    return mx, gh
 
 
 def _descend(levels, tvals, tghosts):

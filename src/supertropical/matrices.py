@@ -33,6 +33,17 @@ symmetry scan of :mod:`supertropical.bilinear` uses the kernel itself.
 Results the library built itself become a Mat or Vec through ``_mat``
 and ``_vec``, which skip the entry checks of the public constructors.
 
+``_first_annihilated`` is the coefficient-grid search behind the
+radical check of :mod:`supertropical.bilinear` and
+:func:`supertropical.dual.is_ghost_monic`: the first tag tuple, in
+``product`` order, whose combination of one family lies outside the
+ghost layer while the same combination of a second family (the images
+of the first) lies inside it.  It walks the members depth first and
+keeps both sums as value and ghost-flag lists, folded in by ``_fold``
+as the chain-grid search of :mod:`supertropical.dependence` does, and
+drops a prefix whose second sum has a tangible coordinate that no later
+member can reach.  Only the caller's one hit becomes Scalars.
+
 ``adjoint``, ``nabla`` and ``quasi_identity`` get the permanent and the
 adjoint from one helper, ``_perm_adjoint``.  From size 5 on it solves
 one assignment: every minor and, for nabla, the permanent's cycle test
@@ -41,6 +52,14 @@ permanent.  The cycle test peels the tight graph over rows, and its
 order, relabelled to columns, is the one the minors' layers need, so
 nabla peels that graph once.  ``adjoint`` does not read the permanent,
 so it skips the permanent's cycle test and peels the graph itself.
+
+``nabla`` is computed once per matrix: the first call that succeeds
+keeps its result on the matrix, in the slot ``_nb``, so that
+``quasi_identity``, ``solve_raw``, ``solve_max`` and later ``nabla``
+calls on the same object solve no assignment again.  A singular matrix
+raises on every call and keeps nothing, matrices built by ``_mat``
+start without one, and nothing is keyed by content: an equal matrix
+built apart computes its own.
 
 The minor without row j and column i flips a shortest path that starts
 at the row matched to column i and ends at the column s matched to row
@@ -63,7 +82,7 @@ distance b with reduced cost rc is tight in the minor exactly when
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .exceptions import InvalidInputError, ShapeError, SingularMatrixError
 from .scalars import ONE, ZERO, Scalar, _made
@@ -236,9 +255,12 @@ class Vec:
 
 
 class Mat:
-    """An immutable dense matrix of scalars, stored as row tuples."""
+    """An immutable dense matrix of scalars, stored as row tuples.
 
-    __slots__ = ("_r", "_shape")
+    ``_nb`` holds ``nabla`` of the matrix once it has been computed; it
+    stays unset until then, and for a singular matrix."""
+
+    __slots__ = ("_r", "_shape", "_nb")
 
     def __init__(self, rows):
         grid = []
@@ -442,13 +464,83 @@ def _combine(coeffs, vectors, start=None):
     return Vec(acc)
 
 
-def _tagged_combinations(options, vectors):
-    """``(tags, combination)`` for every tag tuple of ``product(*options)``
-    that uses at least one vector, in product order; a ``None`` tag
-    leaves its vector out."""
-    for tags in product(*options):
-        if any(t is not None for t in tags):
-            yield tags, _combine(tags, vectors)
+def _fold(row, grow, c, mx, gh):
+    """New lists of the sum ``mx``/``gh`` (values and ghost flags) with a
+    member's terms at value c added: its entry values ``row`` raised by
+    c, ghost where ``grow`` says so."""
+    mx, gh = mx[:], gh[:]
+    for j, x in enumerate(row):
+        if x is not None:
+            x += c
+            if mx[j] is None or x >= mx[j]:
+                gh[j] = x == mx[j] or grow[j]
+                mx[j] = x
+    return mx, gh
+
+
+def _first_annihilated(values, xs, ys):
+    """The first tag tuple that combines ``xs`` into a vector outside the
+    ghost layer and ``ys`` into one inside it, or None.
+
+    Tags run in the order of ``product(*options)`` with the options
+    ``[None] + [tangible(c) for c in values] + [ghost(c) for c in
+    values]`` per member (``values`` sorted; None leaves the member
+    out), and a tuple's two combinations are the sums of its tags times
+    ``xs[i]`` and times ``ys[i]``.  The all-absent tuple sums to zero,
+    which is ghost, so a hit uses at least one member.  The search is
+    depth first over the members, in that order, keeping both sums as
+    value and ghost-flag lists, so its first hit is the grid's.  A
+    prefix is dropped when its y-sum has a tangible coordinate above the
+    reach of every later member there (its entry plus the largest
+    value): that coordinate stays tangible."""
+    k = len(ys)
+    top = values[-1]
+    xrows = [[x._v for x in w] for w in xs]
+    xflags = [[x._g for x in w] for w in xs]
+    yrows = [[y._v for y in w] for w in ys]
+    yflags = [[y._g for y in w] for w in ys]
+    # reach[i][j]: the largest term members i.. can put at y coordinate j
+    reach = [[None] * len(yrows[0])]
+    for row in reversed(yrows):
+        reach.append([r if a is None else a + top if r is None else max(r, a + top)
+                      for a, r in zip(row, reach[-1])])
+    reach.reverse()
+    options = [(c, False) for c in values] + [(c, True) for c in values]
+
+    def walk(i, xm, xg, ym, yg):
+        # xm/xg and ym/yg: the sums of the members before i
+        if i == k:
+            for m, g in zip(xm, xg):
+                if m is not None and not g:
+                    return []
+            return None
+        after = reach[i + 1]
+        found = walk(i + 1, xm, xg, ym, yg) if _open(ym, yg, after) else None
+        if found is not None:
+            return [None, *found]
+        xrow, yrow = xrows[i], yrows[i]
+        xall, yall = [True] * len(xrow), [True] * len(yrow)
+        for c, g in options:
+            pym, pyg = _fold(yrow, yall if g else yflags[i], c, ym, yg)
+            if not _open(pym, pyg, after):
+                continue
+            pxm, pxg = _fold(xrow, xall if g else xflags[i], c, xm, xg)
+            found = walk(i + 1, pxm, pxg, pym, pyg)
+            if found is not None:
+                return [Scalar(c, g), *found]
+        return None
+
+    return walk(0, [None] * len(xrows[0]), [False] * len(xrows[0]),
+                [None] * len(yrows[0]), [False] * len(yrows[0]))
+
+
+def _open(mx, gh, reach):
+    """Whether the sum ``mx``/``gh`` can still end ghost or zero: no
+    tangible coordinate lies above what later terms can reach there."""
+    for m, g, r in zip(mx, gh, reach):
+        if m is not None and not g and (r is None or m > r):
+            return False
+    return True
 
 
 # -- permanents ---------------------------------------------------------
@@ -806,14 +898,22 @@ def nabla(A):
     """The adjoint divided by the permanent.
 
     Only defined when the permanent is tangible (the matrix is
-    nonsingular); otherwise raises SingularMatrixError.
+    nonsingular); otherwise raises SingularMatrixError, on every call.
+    The result is kept on the matrix, so ``quasi_identity``,
+    ``solve_raw``, ``solve_max`` and later calls on the same object
+    solve no assignment again.
     """
+    try:
+        return A._nb
+    except AttributeError:
+        pass
     if not A.is_square():
         raise ShapeError("nabla requires a square matrix")
     p, nb = _perm_adjoint(A.row_tuples, divide=True)
     if nb is None:
         raise SingularMatrixError(f"permanent is {p}, not tangible")
-    return _mat(nb)
+    A._nb = nb = _mat(nb)
+    return nb
 
 
 def quasi_identity(A):

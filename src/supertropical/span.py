@@ -55,11 +55,11 @@ tuple of the full grid, and that one combination is rebuilt and checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .exceptions import InvalidInputError, NoChangeOfBaseError
 from .dependence import BaseReport, _Witness, max_rank, projective_normalize
-from .matrices import Mat, Vec, _combine, _family, _tagged_combinations
+from .matrices import Mat, Vec, _combine, _family
 from .scalars import ONE, ZERO, Scalar, ghost, tangible
 
 __all__ = [
@@ -431,6 +431,15 @@ def change_of_base(A, Aprime):
     if P @ A != Aprime:
         raise AssertionError("change of base failed its defining identity")
     return P
+
+
+def _tagged_combinations(options, vectors):
+    """``(tags, combination)`` for every tag tuple of ``product(*options)``
+    that uses at least one vector, in product order; a ``None`` tag
+    leaves its vector out."""
+    for tags in product(*options):
+        if any(t is not None for t in tags):
+            yield tags, _combine(tags, vectors)
 
 
 def is_almost_tangible(v, S):

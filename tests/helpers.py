@@ -31,6 +31,7 @@ from supertropical.dependence import (
     _independent,
     _iter_supports,
 )
+from supertropical.dual import _as_mat, _combination_grid
 from supertropical.matrices import _combine, _family, _made
 from supertropical.oracles import check_saturated
 from supertropical.span import (
@@ -177,6 +178,44 @@ def internal_spanned_reference(v, S, excluded):
             for i in range(k)
         )
     return False
+
+
+def _tag_grid(values, k):
+    """Every tag tuple of k members over ``values`` in product order:
+    absent, then tangible values ascending, then ghost values ascending;
+    the all-absent tuple left out."""
+    options = [None] + [tangible(c) for c in values] + [ghost(c) for c in values]
+    for tags in product(options, repeat=k):
+        if any(t is not None for t in tags):
+            yield tags
+
+
+def grid_radical_witness_reference(W, gram):
+    """Reference for ``bilinear._grid_radical_witness``: the whole tag grid
+    in product order, each tuple combined with scalar arithmetic and its
+    coefficient vector applied to the transposed Gram matrix."""
+    nz = [x.value for r in gram.row_tuples for x in r if not x.is_zero()]
+    vals = {0} | {a - b for a in nz for b in nz}
+    vals.add(min(vals) - 1)
+    Gt = gram.transpose()
+    for tags in _tag_grid(sorted(vals), len(W)):
+        v = _combine(tags, W)
+        coeff = Vec([t if t is not None else ZERO for t in tags])
+        if not v.is_ghost() and Gt.apply(coeff).is_ghost():
+            return v
+    return None
+
+
+def is_ghost_monic_reference(M, sample_space):
+    """Reference for ``dual.is_ghost_monic``: the whole tag grid in product
+    order, each combination of the generators applied to the matrix."""
+    mat = _as_mat(M)
+    gens = list(sample_space)
+    values = _combination_grid(gens, mat.row_list())
+    return not any(
+        not v.is_ghost() and mat.apply(v).is_ghost()
+        for v in (_combine(tags, gens) for tags in _tag_grid(values, len(gens)))
+    )
 
 
 def search_witness_reference(vectors, target, supports=None):

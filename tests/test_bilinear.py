@@ -20,7 +20,7 @@ from supertropical import (
     radical_and_nondegenerate,
     spans,
 )
-from supertropical import bilinear
+from supertropical import bilinear, matrices, span
 from supertropical.bilinear import (
     GramForm,
     SymmetryVerdict,
@@ -34,7 +34,18 @@ from supertropical.exceptions import (
     ShapeError,
 )
 
-from helpers import G, T, mat, rand_mat, rand_scalar, rand_tangible_vec, rand_vec, vec
+from helpers import (
+    G,
+    T,
+    grid_radical_witness_reference,
+    mat,
+    rand_mat,
+    rand_scalar,
+    rand_tangible_vec,
+    rand_vec,
+    seeded,
+    vec,
+)
 
 # Shared fixtures.  V1..V3 are tropically dependent, V2..V4 are not.
 V1 = vec("5 5 0")
@@ -54,6 +65,12 @@ class TestGramConstruction:
     def test_dot_on_standard_base_is_identity(self):
         E = Mat.identity(3).row_list()
         assert gram_of_dot(E).G == Mat.identity(3)
+
+    def test_gram_form_rejects_a_non_mat(self):
+        with pytest.raises(TypeError, match="expected a Mat, got list"):
+            GramForm([[1]])
+        with pytest.raises(TypeError, match="expected a Mat, got Vec"):
+            GramForm(vec("1 2"))
 
     def test_dot_on_dependent_triple(self):
         gram = gram_of_dot([V1, V2, V3]).G
@@ -252,6 +269,46 @@ class TestGramDependence:
                 hits += 1
                 assert w.combination(W).is_ghost()
         assert hits >= 40
+
+    def test_radical_search_matches_the_product_grid(self):
+        # The depth-first radical search returns the first combination of
+        # the full tag grid, down to value types and ghost flags, and the
+        # strict check raises exactly when there is one.
+        rng = seeded(27)
+        found = 0
+        for t in range(200):
+            k, n = rng.randint(1, 3), rng.randint(1, 4)
+            denom = rng.choice((1, 2))
+            W = [rand_vec(rng, n, denom=denom) for _ in range(k)]
+            F = GramForm(Mat.identity(n) if t % 2 else rand_mat(rng, n, n, denom=denom))
+            gram = gram_of_form(F, W).G
+            want = grid_radical_witness_reference(W, gram)
+            got = bilinear._grid_radical_witness(W, gram)
+            assert got == want, (W, gram)
+            if want is None:
+                gram_dependence(W, F, strict=True)
+                continue
+            found += 1
+            assert [type(x.value) for x in got] == [type(x.value) for x in want]
+            assert [x.is_ghost() for x in got] == [x.is_ghost() for x in want]
+            with pytest.raises(DegenerateSpaceError, match=f"element {want}$"):
+                gram_dependence(W, F, strict=True)
+        assert found >= 100 and 200 - found >= 60
+
+    def test_radical_search_builds_no_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("tag grid built for the radical search")
+
+        for module in (bilinear, matrices, span):
+            monkeypatch.setattr(module, "product", no_grid, raising=False)
+        rng = seeded(28)
+        for _ in range(100):
+            k, n = rng.randint(1, 3), rng.randint(1, 4)
+            W = [rand_vec(rng, n) for _ in range(k)]
+            try:
+                gram_dependence(W, GramForm(rand_mat(rng, n, n)), strict=True)
+            except DegenerateSpaceError:
+                pass
 
 
 def _full_pair_scan(F, budget, rng, require_nu_match):

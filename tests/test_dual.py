@@ -30,9 +30,11 @@ from supertropical import (
     quasi_identity,
     reconstruct,
 )
+from supertropical import matrices, span
 from helpers import (
     G,
     T,
+    is_ghost_monic_reference,
     mat,
     rand_mat,
     rand_nonsingular,
@@ -239,6 +241,36 @@ def test_ghost_monic_identity():
 def test_ghost_monic_fails_for_ties():
     assert not is_ghost_monic(MapByMatrix(mat("0 0\n0 0")), [E1, E2])
     assert not is_ghost_monic(MapByMatrix(mat("1v 2v\n0v 1v")), [E1, E2])
+
+
+def test_ghost_monic_matches_the_product_grid():
+    # The depth-first search decides as the full tag grid does; wider
+    # values and halves only where the grid stays small.
+    rng = seeded(29)
+    kernel = 0
+    for _ in range(200):
+        k, n, m = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        kw = dict(lo=0, hi=1) if k * n > 3 else dict(lo=-1, hi=2)
+        kw["denom"] = rng.choice((1, 2)) if k < 3 else 1
+        M = rand_mat(rng, m, n, **kw)
+        gens = [rand_vec(rng, n, **kw) for _ in range(k)]
+        want = is_ghost_monic_reference(M, gens)
+        assert is_ghost_monic(MapByMatrix(M), gens) == want, (M, gens)
+        kernel += not want
+    assert kernel >= 100 and 200 - kernel >= 50
+
+
+def test_ghost_monic_builds_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("tag grid built for is_ghost_monic")
+
+    for module in (matrices, span):
+        monkeypatch.setattr(module, "product", no_grid, raising=False)
+    rng = seeded(30)
+    for _ in range(100):
+        k, n = rng.randint(1, 3), rng.randint(1, 3)
+        M = rand_mat(rng, rng.randint(1, 3), n, lo=0, hi=2)
+        is_ghost_monic(M, [rand_vec(rng, n, lo=0, hi=2) for _ in range(k)])
 
 
 def test_tropically_onto():

@@ -21,12 +21,12 @@ from supertropical import (
     solve_max,
     solve_raw,
 )
+from supertropical import matrices
 from supertropical.matrices import (
     _assign,
     _combine,
     _dot,
     _perm_order,
-    _tagged_combinations,
     ann_membership,
     geq_nu_vec,
     surpasses_vec,
@@ -352,6 +352,54 @@ def test_nabla_singular_rejected_from_one_assignment(n):
             nabla(Mat(rows))
 
 
+def _count_perm_adjoint(monkeypatch):
+    """Patch ``matrices._perm_adjoint`` to count its calls."""
+    calls = []
+    inner = matrices._perm_adjoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_perm_adjoint", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_nabla_is_computed_once_per_matrix(monkeypatch, rng, n):
+    calls = _count_perm_adjoint(monkeypatch)
+    for _ in range(10):
+        A = rand_nonsingular(rng, n)
+        v = rand_vec(rng, n)
+        nb = nabla(A)
+        assert quasi_identity(A) == (A @ nb, nb @ A)
+        assert solve_raw(A, v) == nb.apply(v)
+        solve_max(A, v)
+        assert nabla(A) is nb
+        assert len(calls) == 1
+        # an equal but distinct matrix computes its own, and it is equal;
+        # so does a product, which _mat builds without one
+        for B in (Mat(A.row_tuples), A @ Mat.identity(n)):
+            assert B == A
+            assert nabla(B) == nb and nabla(B) is not nb
+        assert len(calls) == 3
+        calls.clear()
+
+
+def test_singular_nabla_raises_on_every_call(monkeypatch):
+    calls = _count_perm_adjoint(monkeypatch)
+    for A in (SUM10_DEP, Mat.zeros(5, 5)):
+        for k in range(1, 4):
+            with pytest.raises(SingularMatrixError):
+                nabla(A)
+            with pytest.raises(SingularMatrixError):
+                quasi_identity(A)
+            with pytest.raises(SingularMatrixError):
+                solve_max(A, Vec([ONE] * A.rows))
+            assert len(calls) == 3 * k
+        calls.clear()
+
+
 # -- quasi-identities --------------------------------------------------
 
 def test_quasi_identity_of_identity():
@@ -511,23 +559,3 @@ def test_combine_rejects_a_length_mismatch():
         _combine([T(0)], [vec("1 2"), vec("0 5")])
     with pytest.raises(ShapeError):
         _combine([T(0), T(0)], [vec("1 2"), vec("0 5")], vec("1v 0v 5v"))
-
-
-def test_tagged_combinations_in_product_order_without_the_empty_tuple():
-    S = [vec("1 2"), vec("0 5")]
-    options = [[None, T(0)], [None, G(0), T(1)]]
-    got = list(_tagged_combinations(options, S))
-    assert [tags for tags, _ in got] == [
-        (None, G(0)),
-        (None, T(1)),
-        (T(0), None),
-        (T(0), G(0)),
-        (T(0), T(1)),
-    ]
-    assert [w for _, w in got] == [
-        vec("0v 5v"),
-        vec("1 6"),
-        vec("1 2"),
-        vec("1 5v"),
-        vec("1v 6"),
-    ]

@@ -28,7 +28,7 @@ from supertropical import (
     spans,
     spans_set,
 )
-from supertropical.span import _class_indices
+from supertropical.span import _class_indices, _tagged_combinations
 from helpers import (
     G,
     T,
@@ -398,6 +398,26 @@ def test_change_of_base_failure():
 
 
 # -- almost tangible ---------------------------------------------------
+
+def test_tagged_combinations_in_product_order_without_the_empty_tuple():
+    S = [vec("1 2"), vec("0 5")]
+    options = [[None, T(0)], [None, G(0), T(1)]]
+    got = list(_tagged_combinations(options, S))
+    assert [tags for tags, _ in got] == [
+        (None, G(0)),
+        (None, T(1)),
+        (T(0), None),
+        (T(0), G(0)),
+        (T(0), T(1)),
+    ]
+    assert [w for _, w in got] == [
+        vec("0v 5v"),
+        vec("1 6"),
+        vec("1 2"),
+        vec("1 5v"),
+        vec("1v 6"),
+    ]
+
 
 def test_tangible_vectors_almost_tangible():
     assert is_almost_tangible(vec("1 2"), [E1, E2])

@@ -25,7 +25,14 @@ time and the number over the cap.  Tangible values are -3..5:
   0.3 and zero 0.15;
 - ``is_almost_tangible``: a vector that is neither tangible nor ghost
   and k members in 4 coordinates, with ghost 0.3 and zero 0.15;
-- ``rank``: the n x n matrix of tangible zeros, one call.
+- ``rank``: the n x n matrix of tangible zeros, one call;
+- ``gram_dependence``: ``strict=True`` on k members in 4 coordinates,
+  with ghost 0.3 and zero 0.15, under a tangible 4 x 4 form (a
+  degenerate span's ``DegenerateSpaceError`` is a finished call);
+- ``is_ghost_monic``: a 3 x 3 matrix and k generators in 3 coordinates,
+  with ghost 0.3 and zero 0.15;
+- ``adjoint``: an n x n matrix of tangible values 0..2, whose optimal
+  assignment is tied.
 
 Nothing outside the two processes is measured or changed.
 """
@@ -53,6 +60,9 @@ ROWS = (
     ("spans", (14, 18), None),
     ("is_almost_tangible", (10, 12), None),
     ("rank", (9,), 1),
+    ("gram_dependence", (3, 4, 5), None),
+    ("is_ghost_monic", (2, 3, 4), None),
+    ("adjoint", (12, 18, 24), None),
 )
 
 
@@ -100,6 +110,25 @@ def _call(st, search, size, rng):
     if search == "rank":
         A = st.Mat([[st.Scalar(0)] * size for _ in range(size)])
         return lambda: st.rank(A)
+    if search == "gram_dependence":
+        W = [_vec(st, rng, 4, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
+        F = st.GramForm(st.Mat([_vec(st, rng, 4) for _ in range(4)]))
+
+        def call():
+            try:
+                st.gram_dependence(W, F, strict=True)
+            except st.DegenerateSpaceError:
+                pass
+
+        return call
+    if search == "is_ghost_monic":
+        M = st.Mat([_vec(st, rng, 3, ghost_p=0.3, zero_p=0.15) for _ in range(3)])
+        S = [_vec(st, rng, 3, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
+        return lambda: st.is_ghost_monic(M, S)
+    if search == "adjoint":
+        A = st.Mat([[st.Scalar(rng.randint(0, 2)) for _ in range(size)]
+                    for _ in range(size)])
+        return lambda: st.adjoint(A)
     raise ValueError(search)
 
 
