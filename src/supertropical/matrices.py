@@ -68,12 +68,14 @@ comes from the same pass when the whole optimum is unique, which holds
 for every nonsingular matrix: a second optimum of the minor differs from
 the flipped matching by one alternating path plus cycles, and every
 cycle costs more, so the minor is tied exactly when two shortest paths
-reach s.  The paths are counted per column, capped at 2, visiting the
-columns by distance and, at equal distance, in a topological order of
-the zero-cost edges, which can join them; the change in ghost and zero
-entries along the path is summed down the shortest-path tree.  A tied
-whole optimum, which only ``adjoint`` meets (``nabla`` stops at the
-ghost permanent), keeps a cycle test per minor: the minor's potentials
+reach s.  The Dijkstra counts the paths as it settles the columns,
+capped at 2, and sums the change in ghost and zero entries along the
+path down the shortest-path tree.  Its unsettled columns stay in a
+topological order of the zero-cost edges, which can join columns at
+equal distance, so a column is settled after every column on a shortest
+path to it, and its count is final by then.  A tied whole optimum,
+which only ``adjoint`` meets (``nabla`` stops at the ghost permanent),
+keeps a cycle test per minor: the minor's potentials
 are those of the whole matrix shifted by ``min(dist, D)`` with
 D = dist[s], so an edge from a row at distance a to a column at
 distance b with reduced cost rc is tight in the minor exactly when
@@ -727,18 +729,17 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
     ``rc``, from the row r0 matched to column i to the column s matched
     to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
     per column i gives d for every j, and the layer of every minor of
-    column i (module docstring): from one path count per column when
-    the whole optimum is unique, and otherwise from a cycle test per
-    minor on the tight edges of its own potentials.  ``row_order``, the
-    order that ``_perm_order`` returned for a tangible permanent, saves
-    peeling the tight graph again."""
+    column i (module docstring): from the shortest paths that the same
+    Dijkstra counts when the whole optimum is unique, and otherwise
+    from a cycle test per minor on the tight edges of its own
+    potentials.  ``row_order``, the order that ``_perm_order`` returned
+    for a tangible permanent, saves peeling the tight graph again."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n
     hi, big, cost, u, v, p = sol
     col = sorted(range(n), key=p.__getitem__)  # col[r]: column matched to r
     rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
-    rct = list(zip(*rc))
     # The tight graph: column c' -> c when rc[p[c']][c] == 0, c != c'.
     # It is the row graph of _perm_order relabelled through p, so a row
     # order becomes a column order through col.  order is a topological
@@ -758,36 +759,37 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
     for i in range(n):
         # dist[c]: shortest path from r0 to column c, which leads on to
         # row p[c]; dist[i] = 0 is r0's own label.  delta[c]: the change
-        # in off entries when the path to c is flipped.
+        # in off entries when the path to c is flipped.  tied[c]: whether
+        # two shortest paths reach c, which ties the minor with s = c.
+        # With a unique whole optimum, left keeps the topological order,
+        # so min settles a column after every column that reaches it at
+        # the same distance by a zero-cost edge: each settled column has
+        # its final tied and delta.
         r0 = p[i]
         dist = list(rc[r0])
         pre = [r0] * n
-        delta = [0] * n
-        others = [c for c in range(n) if c != i]
-        left = list(others)
+        o0 = off[r0][i]
+        delta = [x - o0 for x in off[r0]]
+        tied = [False] * n
+        left = [c for c in (range(n) if order is None else order) if c != i]
         while left:
             c = min(left, key=dist.__getitem__)
             left.remove(c)
             d, r = dist[c], p[c]
-            b = pre[c]
-            delta[c] = delta[col[b]] + off[b][c] - off[b][col[b]]
+            rr, orr = rc[r], off[r]
+            dc, tc = delta[c] - orr[c], tied[c]
             for c2 in left:
-                if d + rc[r][c2] < dist[c2]:
-                    dist[c2] = d + rc[r][c2]
+                t = d + rr[c2]
+                if t < dist[c2]:
+                    dist[c2] = t
                     pre[c2] = r
-        da = [dist[c] for c in col]  # da[r]: distance of row r's column
-        if order is not None:
-            # cnt[c]: shortest paths to c, capped at 2; the minor with
-            # s = c is tied exactly when cnt[c] == 2.  Columns at equal
-            # distance may be joined by zero-cost edges, so a stable sort
-            # of the topological order visits them after their sources.
-            cnt = [0] * n
-            cnt[i] = 1
-            for c in sorted(order, key=dist.__getitem__):
-                if c != i:
-                    d = dist[c]
-                    k = sum([cnt[b] for b, a, x in zip(col, da, rct[c]) if a + x == d])
-                    cnt[c] = k if k < 2 else 2
+                    delta[c2] = dc + orr[c2]
+                    tied[c2] = tc
+                elif t == dist[c2]:
+                    tied[c2] = True
+        if order is None:
+            others = [c for c in range(n) if c != i]
+            da = [dist[c] for c in col]  # da[r]: distance of row r's column
         for j in range(n):
             s = col[j]
             D = dist[s]
@@ -798,7 +800,7 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
             if off_p - off[j][s] + delta[s] > 0:
                 ghosted = True
             elif order is not None:
-                ghosted = cnt[s] > 1
+                ghosted = tied[s]
             else:
                 # Flip the path: q is the minor's matching, column to row.
                 # A second optimum closes a cycle of tight edges off q.
@@ -859,13 +861,11 @@ def _perm_adjoint(rows, divide=False):
     if n == 1:
         adj = ((ONE,),)
     else:
-        out = [[None] * n for _ in range(n)]
-        for j in range(n):
-            kept = [rows[r] for r in range(n) if r != j]
-            for i in range(n):
-                minor = [tuple(x for c, x in enumerate(r) if c != i) for r in kept]
-                out[i][j] = _perm_rows(minor)
-        adj = tuple(map(tuple, out))
+        out = []
+        for i in range(n):
+            cut = [r[:i] + r[i + 1:] for r in rows]  # without column i
+            out.append(tuple([_perm_rows(cut[:j] + cut[j + 1:]) for j in range(n)]))
+        adj = tuple(out)
     per = _dot(rows[0], [r[0] for r in adj])
     if not divide:
         return per, adj

@@ -291,10 +291,15 @@ def _tie_heavy(rng, n, hi):
     return rand_mat(rng, n, n, lo=0, hi=hi, zero_p=0.2, ghost_p=0.3)
 
 
+def _typed(adj):
+    """The values, value types and ghost flags of adjoint row tuples."""
+    return [[(x.value, type(x.value), x.is_ghost()) for x in r] for r in adj]
+
+
 def test_count_route_matches_the_per_minor_reference():
     """Whole adjoints (and nabla's, shifted by the permanent) against
-    the per-minor cycle test, on nonsingular, tie-heavy and
-    mixed-denominator draws of sizes 5 to 9."""
+    the per-minor cycle test, in values, value types and ghost flags, on
+    nonsingular, tie-heavy and mixed-denominator draws of sizes 5 to 9."""
     rng = seeded(18)
     optima = set()
     for n in range(5, 10):
@@ -307,15 +312,44 @@ def test_count_route_matches_the_per_minor_reference():
             per, order = _perm_order(rows, sol)
             shifts = [0] + ([per._v] if per.is_tangible() else [])
             for shift in shifts:
-                got = _adjoint_assign(rows, sol, shift)
-                assert got == adjoint_assign_reference(rows, sol, shift), (A, shift)
+                got = _typed(_adjoint_assign(rows, sol, shift))
+                assert got == _typed(adjoint_assign_reference(rows, sol, shift)), (A, shift)
                 # nabla's route: the permanent's order passed on
                 if order is not None:
-                    assert _adjoint_assign(rows, sol, shift, order) == got, (A, shift)
+                    assert _typed(_adjoint_assign(rows, sol, shift, order)) == got, (A, shift)
             # with every entry made tangible, only a tie makes it ghost
             layer = permanent(A.nu_hat())
             optima.add("zero" if layer.is_zero() else "tied" if layer.is_ghost() else "unique")
     assert {"tied", "unique"} <= optima
+
+
+def test_zero_cost_edges_at_equal_distance_match_the_per_minor_reference():
+    """Nonsingular draws of values 0 and 1, sizes 5 to 9, where many
+    columns lie at equal distance joined by zero-cost edges, against the
+    per-minor cycle test in values, value types and ghost flags.  Each
+    has a unique whole optimum, so a ghost minor comes either from two
+    shortest paths or from a ghost or zero entry on its one path; the
+    tangible-made minor's permanent tells the two apart."""
+    rng = seeded(28)
+    by_paths = by_entries = 0
+    for n in range(5, 10):
+        for _ in range(12):
+            A = rand_nonsingular(rng, n, lo=0, hi=1, zero_p=0.3, ghost_p=0.1)
+            rows = A.row_tuples
+            sol = _assign(rows)
+            per, order = _perm_order(rows, sol)
+            assert order is not None
+            for shift, row_order in ((0, None), (per._v, order)):
+                got = _adjoint_assign(rows, sol, shift, row_order)
+                assert _typed(got) == _typed(adjoint_assign_reference(rows, sol, shift)), (A, shift)
+            for i in range(n):
+                for j in range(n):
+                    if got[i][j].is_ghost():
+                        if permanent(_minor(A, j, i).nu_hat()).is_ghost():
+                            by_paths += 1
+                        else:
+                            by_entries += 1
+    assert by_paths >= 1000 and by_entries >= 100, (by_paths, by_entries)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

@@ -32,7 +32,15 @@ time and the number over the cap.  Tangible values are -3..5:
 - ``is_ghost_monic``: a 3 x 3 matrix and k generators in 3 coordinates,
   with ghost 0.3 and zero 0.15;
 - ``adjoint``: an n x n matrix of tangible values 0..2, whose optimal
-  assignment is tied.
+  assignment is tied;
+- ``nabla``: an n x n matrix of tangible values -10**6..10**6, whose
+  optimal assignment is unique unless two permutations tie by chance (a
+  singular draw's ``SingularMatrixError`` is a finished call).
+
+The ``adjoint`` and ``nabla`` rows also hold ``unique``, the number of
+draws whose whole optimum is unique (whose permanent is tangible): the
+adjoint takes its minors' layers from a path count on those and from a
+cycle test per minor on the others.
 
 Nothing outside the two processes is measured or changed.
 """
@@ -63,7 +71,10 @@ ROWS = (
     ("gram_dependence", (3, 4, 5), None),
     ("is_ghost_monic", (2, 3, 4), None),
     ("adjoint", (12, 18, 24), None),
+    ("nabla", (12, 18, 24), None),
 )
+# the (lo, hi) of the tangible values of the square rows
+SQUARE = {"adjoint": (0, 2), "nabla": (-10**6, 10**6)}
 
 
 class _Cap(BaseException):
@@ -126,10 +137,25 @@ def _call(st, search, size, rng):
         S = [_vec(st, rng, 3, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
         return lambda: st.is_ghost_monic(M, S)
     if search == "adjoint":
-        A = st.Mat([[st.Scalar(rng.randint(0, 2)) for _ in range(size)]
-                    for _ in range(size)])
+        A = _square(st, search, size, rng)
         return lambda: st.adjoint(A)
+    if search == "nabla":
+        A = _square(st, search, size, rng)
+
+        def call():
+            try:
+                st.nabla(A)
+            except st.SingularMatrixError:
+                pass
+
+        return call
     raise ValueError(search)
+
+
+def _square(st, search, size, rng):
+    lo, hi = SQUARE[search]
+    return st.Mat([[st.Scalar(rng.randint(lo, hi)) for _ in range(size)]
+                   for _ in range(size)])
 
 
 def _timed(call):
@@ -153,18 +179,24 @@ def run():
     rows = []
     for search, sizes, fixed in ROWS:
         for size in sizes:
-            rngs = [random.Random(f"{search}/{size}/{d}") for d in range(fixed or DRAWS)]
-            times = [_timed(_call(st, search, size, rng)) for rng in rngs]
+            seeds = [f"{search}/{size}/{d}" for d in range(fixed or DRAWS)]
+            times = [_timed(_call(st, search, size, random.Random(s))) for s in seeds]
             done = sorted(t for t in times if t is not None)
             over = len(times) - len(done)
             # over-cap draws sort above every finished one
             median = None if 2 * over >= len(times) else statistics.median(
                 done + [float("inf")] * over)
-            rows.append({
+            row = {
                 "search": search, "size": size, "draws": len(times),
                 "median_s": median, "max_s": done[-1] if done else None,
                 "over_cap": over, "times_s": times,
-            })
+            }
+            if search in SQUARE:
+                # the same inputs again, from fresh generators
+                row["unique"] = sum(
+                    st.permanent(_square(st, search, size, random.Random(s))).is_tangible()
+                    for s in seeds)
+            rows.append(row)
             print(f"{search} {size}: median {median} over {over}", file=sys.stderr)
     return rows
 
