@@ -305,6 +305,8 @@ class Mat:
         cols = [c.entries if isinstance(c, Vec) else _as_scalar_tuple(c) for c in cols]
         if not cols:
             raise ShapeError("need at least one column")
+        if len({len(c) for c in cols}) > 1:
+            raise ShapeError("ragged columns")
         return cls(list(zip(*cols)))
 
     # -- shape and access ----------------------------------------------

@@ -50,17 +50,32 @@ coordinates reached, each by one tangible term, since a ghost
 coordinate of the target surpasses whatever reaches it; the walk takes
 each member's candidates largest first, so its first hit is the first
 tuple of the full grid, and that one combination is rebuilt and checked.
+
+``is_almost_tangible`` walks the same levels as internal spanning.  A
+vector v that is neither tangible nor ghost is disqualified by a
+combination w of the family, other than a tangible multiple of v, and a
+ghost-coefficient combination g with w + g = v.  Each term of w reaches
+v where its member's residual is attained, so the one tangible multiple
+of v among the w's is v itself, and w + g = v already makes v surpass
+w.  A ghost term of w can move into g, and a member tagged tangible in w
+and ghost in g is absorbed by its ghost term; with no tangible term left
+the sum would be ghost.  So v is disqualified exactly when some exact
+representation has tangible terms whose sum alone falls short of v at
+a ghost coordinate j: it reaches j once and tangibly, or not at all.
+Per ghost j the walk gets one extra bit x, which a tangible option
+reaching j also reaches (as a ghost where it reaches j as one) and a
+filler level may reach once; x must end reached once and tangibly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .exceptions import InvalidInputError, NoChangeOfBaseError
 from .dependence import BaseReport, _Witness, max_rank, projective_normalize
 from .matrices import Mat, Vec, _combine, _family
-from .scalars import ONE, ZERO, Scalar, ghost, tangible
+from .scalars import ONE, ZERO, Scalar, tangible
 
 __all__ = [
     "SpanWitness",
@@ -290,16 +305,22 @@ def _class_indices(S, i):
     )
 
 
-def _residual_tags(v, S, ghost_only=()):
-    """Tag options per member for an exact representation of v: absent,
-    or the member's residual against v as a ghost coefficient and, for
-    indices outside ``ghost_only``, as a tangible one."""
-    return [
-        [None] if r is None
-        else [None, ghost(r)] if i in ghost_only
-        else [None, ghost(r), tangible(r)]
-        for i, r in enumerate(_residual(v, w) for w in S)
-    ]
+def _residual_levels(v, S, excluded=()):
+    """Walk levels for the exact representations of v: per member,
+    absent, or its residual against v as a ghost coefficient and, for
+    indices outside ``excluded``, as a tangible one."""
+    full = _mask(v, bool)
+    levels = []
+    for i, w in enumerate(S):
+        r = _residual(v, w)
+        options = [(0, 0, False, None)]
+        if r is not None:
+            hit, ghost_hit = _reach(v, w, r, full)
+            options.append((hit, hit, False, None))
+            if i not in excluded:
+                options.append((hit, ghost_hit, True, None))
+        levels.append(options)
+    return levels
 
 
 def _internal_spanned(v, S, excluded):
@@ -313,29 +334,12 @@ def _internal_spanned(v, S, excluded):
     non-excluded member inside its support to carry an arbitrarily small
     tangible coefficient underneath itself.
     """
-    k = len(S)
-    excluded = set(excluded)
-    full = _mask(v, bool)
-    levels = []
-    for i, w in enumerate(S):
-        r = _residual(v, w)
-        options = [(0, 0, False, None)]
-        if r is not None:
-            hit, ghost_hit = _reach(v, w, r, full)
-            options.append((hit, hit, False, None))
-            if i not in excluded:
-                options.append((hit, ghost_hit, True, None))
-        levels.append(options)
-    if _mask_walk(levels, full, _mask(v, Scalar.is_ghost)) is not None:
+    levels = _residual_levels(v, S, set(excluded))
+    if _mask_walk(levels, _mask(v, bool), _mask(v, Scalar.is_ghost)) is not None:
         return True
-    if v.is_ghost():
-        # the target itself is the surplus; any small tangible multiple
-        # of a usable outside member hides underneath it
-        return any(
-            i not in excluded and _residual(v, S[i]) is not None
-            for i in range(k)
-        )
-    return False
+    # the target itself is the surplus; a small tangible multiple of any
+    # member with a tangible option hides underneath it
+    return v.is_ghost() and any(options[-1][2] for options in levels)
 
 
 def is_critical(i, S):
@@ -433,36 +437,27 @@ def change_of_base(A, Aprime):
     return P
 
 
-def _tagged_combinations(options, vectors):
-    """``(tags, combination)`` for every tag tuple of ``product(*options)``
-    that uses at least one vector, in product order; a ``None`` tag
-    leaves its vector out."""
-    for tags in product(*options):
-        if any(t is not None for t in tags):
-            yield tags, _combine(tags, vectors)
-
-
 def is_almost_tangible(v, S):
     """Whether the only module elements surpassed by v (with a surplus
     ghost from the module) are its own tangible multiples.
 
     Tangible vectors qualify outright; nonzero ghost vectors never do.
-    Mixed vectors are checked by the residual-tag grid over the family:
-    a combination w other than a tangible multiple of v disqualifies v
-    when w plus a ghost-tagged combination equals v.  The family may be
-    empty.
+    Mixed vectors are decided by one walk per ghost coordinate, as the
+    module notes set out.  The family may be empty.
     """
     S = _family([v, *S])[1:]
     if v.is_zero() or v.is_tangible():
         return True
     if v.is_ghost():
         return False
-    ghost_options = _residual_tags(v, S, range(len(S)))
-    surpluses = [g for _, g in _tagged_combinations(ghost_options, S)]
-    for _, w in _tagged_combinations(_residual_tags(v, S), S):
-        if w == v or _tangible_ratio(w, v) is not None:
-            continue
-        # surpassing w is necessary and much cheaper than the surplus scan
-        if v.surpasses(w) and any(w + g == v for g in surpluses):
-            return False
+    levels, n = _residual_levels(v, S), v.dim
+    full, ghosts = _mask(v, bool), _mask(v, Scalar.is_ghost)
+    filler = [(0, 0, False, None), (1 << n, 0, False, None)]
+    for j in range(n):
+        if ghosts >> j & 1:
+            # tangible options reach the extra bit n where they reach j
+            marked = [[(h | (h >> j & tg) << n, g | (g >> j & tg) << n, tg, None)
+                       for h, g, tg, _ in options] for options in levels]
+            if _mask_walk([*marked, filler], full | 1 << n, ghosts) is not None:
+                return False
     return True

@@ -38,8 +38,8 @@ from supertropical.span import (
     SpanWitness,
     _ghost_surplus,
     _residual,
-    _residual_tags,
     _span_candidates,
+    _tangible_ratio,
 )
 
 Z = ZERO
@@ -157,6 +157,27 @@ def spans_reference(S, v):
     return None
 
 
+def _residual_tags(v, S, ghost_only=()):
+    """Tag options per member for an exact representation of v: absent,
+    or the member's residual against v as a ghost coefficient and, for
+    indices outside ``ghost_only``, as a tangible one."""
+    return [
+        [None] if r is None
+        else [None, ghost(r)] if i in ghost_only
+        else [None, ghost(r), tangible(r)]
+        for i, r in enumerate(_residual(v, w) for w in S)
+    ]
+
+
+def _tagged_combinations(options, vectors):
+    """``(tags, combination)`` for every tag tuple of ``product(*options)``
+    that uses at least one vector, in product order; a ``None`` tag
+    leaves its vector out."""
+    for tags in product(*options):
+        if any(t is not None for t in tags):
+            yield tags, _combine(tags, vectors)
+
+
 def internal_spanned_reference(v, S, excluded):
     """Reference for ``span._internal_spanned``: the whole residual-tag
     grid in product order, each tuple combined with scalar arithmetic."""
@@ -178,6 +199,26 @@ def internal_spanned_reference(v, S, excluded):
             for i in range(k)
         )
     return False
+
+
+def is_almost_tangible_reference(v, S):
+    """Reference for ``span.is_almost_tangible``: the residual-tag grid
+    over the family, each combination w other than a tangible multiple
+    of v tested against every ghost-tagged surplus g for w + g == v."""
+    S = _family([v, *S])[1:]
+    if v.is_zero() or v.is_tangible():
+        return True
+    if v.is_ghost():
+        return False
+    ghost_options = _residual_tags(v, S, range(len(S)))
+    surpluses = [g for _, g in _tagged_combinations(ghost_options, S)]
+    for _, w in _tagged_combinations(_residual_tags(v, S), S):
+        if w == v or _tangible_ratio(w, v) is not None:
+            continue
+        # surpassing w is necessary and much cheaper than the surplus scan
+        if v.surpasses(w) and any(w + g == v for g in surpluses):
+            return False
+    return True
 
 
 def _tag_grid(values, k):

@@ -131,6 +131,14 @@ def test_shape_errors():
         mat("1 2\n3 4").apply(vec("1 2 3"))
 
 
+def test_from_cols_rejects_ragged_columns():
+    assert Mat.from_cols([vec("1 2"), vec("3 4")]) == mat("1 3\n2 4")
+    # zip would cut both columns to the shorter one's length
+    for cols in ([vec("1 2"), vec("3")], [vec("1"), vec("2 3")]):
+        with pytest.raises(ShapeError, match="ragged columns"):
+            Mat.from_cols(cols)
+
+
 # -- product kernel ----------------------------------------------------
 
 def _fold(row, col):

@@ -28,12 +28,15 @@ from supertropical import (
     spans,
     spans_set,
 )
-from supertropical.span import _class_indices, _tagged_combinations
+from supertropical import span
+from supertropical.span import _class_indices
 from helpers import (
     G,
     T,
     Z,
+    _tagged_combinations,
     internal_spanned_reference,
+    is_almost_tangible_reference,
     mat,
     rand_tangible,
     rand_tangible_vec,
@@ -441,3 +444,37 @@ def test_nonzero_ghost_never_almost_tangible():
 
 def test_zero_vector_almost_tangible():
     assert is_almost_tangible(vec("-inf -inf"), [E1, E2])
+
+
+def test_almost_tangible_walk_matches_the_tag_grid():
+    # 1 to 5 coordinates, 0 to 7 members (zero 0.3), every other draw in
+    # halves, and about one member in five a tangible multiple of v
+    kept = dropped = 0
+    rng = seeded(2901)
+    for d in range(800):
+        n, k = rng.randint(1, 5), rng.randint(0, 7)
+        kw = {"denom": 2} if d % 2 else {}
+        v = rand_vec(rng, n, **kw)
+        S = [rand_vec(rng, n, zero_p=0.3, **kw) for _ in range(k)]
+        for i in range(k):
+            if rng.random() < 0.2:
+                S[i] = rand_tangible(rng, -2, 2) * v
+        want = is_almost_tangible_reference(v, S)
+        assert is_almost_tangible(v, S) == want, (v, S)
+        if not (v.is_zero() or v.is_tangible() or v.is_ghost()):
+            kept += want
+            dropped += not want
+    assert kept >= 250 and dropped >= 25
+
+
+def test_almost_tangible_builds_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("tag grid built for is_almost_tangible")
+
+    monkeypatch.setattr(span, "product", no_grid, raising=False)
+    assert not is_almost_tangible(vec("1 1v"), [E1, E2])
+    rng = seeded(2902)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        v = rand_vec(rng, n, zero_p=0, ghost_p=0.5)
+        is_almost_tangible(v, [rand_vec(rng, n) for _ in range(rng.randint(1, 8))])

@@ -1,6 +1,7 @@
 """The repository's measurement tools, on copies of the sources."""
 
 import importlib.util
+import random
 import shutil
 from pathlib import Path
 
@@ -32,3 +33,14 @@ def test_bench_pairs_names_a_checkout_without_git_by_its_sources(tmp_path):
     with open(b / "src" / "supertropical" / "__init__.py", "a") as f:
         f.write("\n")
     assert commit(str(b)) != got
+
+
+def test_every_sweep_row_builds_its_smallest_input():
+    # built, not run: a row's draws may take seconds each
+    sweep = _tool("size_sweep")
+    import supertropical as st
+
+    for search, sizes, _ in sweep.ROWS:
+        size = min(sizes)
+        call = sweep._call(st, search, size, random.Random(f"{search}/{size}/0"))
+        assert callable(call), search

@@ -66,7 +66,7 @@ ROWS = (
     ("annihilator_set", (5, 6, 8), None),
     ("depends_on", (5, 6, 8), None),
     ("spans", (14, 18), None),
-    ("is_almost_tangible", (10, 12), None),
+    ("is_almost_tangible", (10, 12, 16, 24), None),
     ("rank", (9,), 1),
     ("gram_dependence", (3, 4, 5), None),
     ("is_ghost_monic", (2, 3, 4), None),
