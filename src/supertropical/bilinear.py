@@ -249,6 +249,8 @@ def _random_args(n, vals, rng, budget):
 
 
 def _symmetry_scan(F, budget, rng, require_nu_match):
+    if budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     G = F.G
     n = G.rows
     # entry-level fast path: one-sided ghostness between opposite
@@ -297,7 +299,7 @@ def _symmetry_scan(F, budget, rng, require_nu_match):
 def is_orthogonal_symmetric(F, budget=0, rng=None):
     """Search for arguments whose two evaluation orders disagree about
     ghostness.  Consistency is relative to the searched grid plus the
-    random budget."""
+    random budget; a negative budget is an ``InvalidInputError``."""
     return _symmetry_scan(F, budget, rng, require_nu_match=False)
 
 

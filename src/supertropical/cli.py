@@ -192,7 +192,7 @@ def _parse_order(text, count):
 
 def _cmd_dbase(args):
     S = _rows_of(args.matrix)
-    order = _parse_order(args.order, len(S)) if args.order else None
+    order = None if args.order is None else _parse_order(args.order, len(S))
     return d_base(S, order=order)
 
 
@@ -245,8 +245,8 @@ def _cmd_oracle(args):
 
 @functools.cache
 def _build_parser():
-    """The parser, built on first use and shared by every later call:
-    parsing leaves it unchanged."""
+    """The parser and its subcommand parsers by name, built on first use
+    and shared by every later call: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="supertropical",
         description="Exact supertropical linear algebra on text matrices.",
@@ -309,13 +309,22 @@ def _build_parser():
     p.add_argument("--support", help="comma-separated indices (satcheck)")
     p.add_argument("--coeffs", help="comma-separated scalars (satcheck); "
                    "write a negative first one as --coeffs=-1,0")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # when argv[0] names a command, its parser reads the rest, as the
+        # full parse would after matching the name; anything else ends in
+        # a usage exit, which the full parse reports in its own words
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, rest = command.parse_known_args(argv[1:])
+        if command is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,10 +14,11 @@ around it, but not inside it: ``3 v`` and ``1 2`` are rejected, as a
 matrix row reads them as two tokens.  Printing always produces the
 canonical space-free form, and parse(print(x)) == x exactly.
 
-A matrix file is read in one pass: lines split on whitespace, integers
-read with ``int`` (``Fraction`` only for ``p/q``), entries and rows built
-unchecked.  Positions are computed only on error, by scanning the failing
-line again, so a ``ParseError`` still carries its line and column.
+A matrix file is read in one pass: lines split on whitespace, each
+distinct token read once, integers read with ``int`` (``Fraction`` only
+for ``p/q``), entries and rows built unchecked.  Positions are computed
+only on error, by scanning the failing line again, so a ``ParseError``
+still carries its line and column.
 """
 
 from __future__ import annotations
@@ -79,12 +80,18 @@ def parse_matrix(text):
     """Parse a matrix file; raises ParseError with line and column info."""
     rows = []
     width = None
+    # each distinct token is read once per call; a Scalar is immutable,
+    # so equal entries share it
+    seen = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens or tokens[0][0] == "#":
             continue
         try:
-            row = tuple([_scalar_from_token(t) for t in tokens])
+            row = tuple([
+                seen[t] if t in seen else seen.setdefault(t, _scalar_from_token(t))
+                for t in tokens
+            ])
         except ParseError:
             # the same tokens again, with their columns, to place the error
             for m in re.finditer(r"\S+", line):

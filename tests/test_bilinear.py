@@ -360,6 +360,15 @@ class TestSymmetryScans:
     def test_symmetric_tangible_form_passes(self):
         assert is_orthogonal_symmetric(GramForm(mat("0 1\n1 0"))).consistent
 
+    @pytest.mark.parametrize("form", ["0 1\n1 0", "0 1\n3 0", "0 1v\n-inf 0"])
+    def test_negative_budget_is_rejected(self, form):
+        # before any verdict: a symmetric form, a violation on the grid
+        # and one on unit vectors all raise alike
+        F = GramForm(mat(form))
+        for scan in (is_orthogonal_symmetric, is_supertropically_symmetric):
+            with pytest.raises(InvalidInputError, match="budget must be nonnegative, got -3"):
+                scan(F, budget=-3)
+
     def test_supertropical_needs_value_agreement(self):
         verdict = is_supertropically_symmetric(GramForm(mat("0 1\n1v 0")))
         assert not verdict.consistent

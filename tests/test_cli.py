@@ -6,15 +6,18 @@ transcript ``tests/cli_golden.out``.  Two smoke tests run the console
 script declared in ``pyproject.toml`` and ``python -m supertropical``
 as subprocesses against the checkout, a third runs
 ``demos/cli_tour.sh`` against its pinned transcript, and each Python
-demo runs once as a subprocess.
+demo runs once as a subprocess.  ``python -m`` also runs in process,
+through ``runpy``, for both entry modules.
 The math behind each command is covered by the module tests, so these
 focus on wiring: argument handling, formatting, exit codes, JSON shape.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +42,8 @@ DIAG = "3 -inf\n-inf 1\n"
 def cli(tmp_path, capsys):
     """Returns a runner: cli(argv, **files) writes each file into a
     temp dir (bytes as they are), substitutes its path for the bare name in argv, runs
-    main, and hands back (exit_code, stdout_lines)."""
+    main, and hands back (exit_code, stdout_lines); the run's stderr
+    lines are left in ``cli.err``."""
 
     def run(argv, **files):
         paths = {}
@@ -52,8 +56,9 @@ def cli(tmp_path, capsys):
             paths[name] = str(p)
         argv = [paths.get(a, a) for a in argv]
         rc = main(argv)
-        out = capsys.readouterr().out
-        return rc, out.splitlines()
+        captured = capsys.readouterr()
+        run.err = captured.err.splitlines()
+        return rc, captured.out.splitlines()
 
     return run
 
@@ -286,12 +291,18 @@ class TestErrorHandling:
              {"m": "1 2\n3 4\n"}, 2, "error: row index 5 out of range for 2 rows"),
             (["oracle", "satcheck", "m", "--support", "-1", "--coeffs", "0"],
              {"m": "1 2\n3 4\n"}, 2, "error: row index -1 out of range for 2 rows"),
+            (["oracle", "satcheck", "m", "--support", "0,1", "--coeffs", "0"],
+             {"m": "1 2\n3 4\n"}, 2,
+             "error: coeffs and support have different lengths"),
             (["oracle", "satcheck", "m", "--support", "0", "--coeffs", "0"],
              {"m": "1 2\n3 4\n"}, 1, "error: not a valid dependence witness"),
             (["oracle", "satcheck", "m", "--target", "v",
               "--support", "0", "--coeffs", "0"],
              {"m": "1 2\n3 4\n", "v": "0 1 3\n"},
              1, "error: target dimension mismatch"),
+            (["dbase", "m", "--order", ""], {"m": REDUN}, 2, "error: bad order ''"),
+            (["orthosym", "m", "--budget", "-5"], {"m": "0 1\n1 0\n"},
+             1, "error: budget must be nonnegative, got -5"),
         ],
         ids=[
             "critical-index-out-of-range",
@@ -299,15 +310,74 @@ class TestErrorHandling:
             "satcheck-support-not-an-int",
             "satcheck-support-out-of-range",
             "satcheck-support-negative",
+            "satcheck-coeffs-shorter-than-support",
             "satcheck-not-a-dependence",
             "satcheck-target-dimension",
+            "dbase-empty-order",
+            "orthosym-negative-budget",
         ],
     )
     def test_bad_input_is_reported(self, cli, tmp_path, argv, files, rc, first):
-        """Bad input gives an error line and exit 2 (or 1 for an input
-        that parses but is not a dependence), never a traceback."""
+        """Bad input gives one error line and exit 2 (or 1 for an input
+        that parses but is rejected by the library), never a traceback."""
         got_rc, out = cli(argv, **files)
-        assert (got_rc, out[0]) == (rc, first.format(tmp=tmp_path))
+        assert (got_rc, out) == (rc, [first.format(tmp=tmp_path)])
+
+    @pytest.mark.parametrize(
+        "argv, rc, last",
+        [
+            ([], 2, "supertropical: error: the following arguments are required: command"),
+            (["-h"], 0, None),
+            (["--json", "det", "m"], 2, "supertropical: error: unrecognized arguments: --json"),
+            (["dett", "m"], 2, "supertropical: error: argument command: invalid choice: 'dett'"),
+            (["det"], 2, "supertropical det: error: the following arguments are required: matrix"),
+            (["det", "m", "extra"], 2, "supertropical: error: unrecognized arguments: extra"),
+            (["det", "-h"], 0, None),
+            (["oracle", "satcheck", "m", "--support", "0", "--coeffs", "-1,0"],
+             2, "supertropical oracle: error: argument --coeffs: expected one argument"),
+        ],
+        ids=["empty", "help", "option-before-command", "typo", "det-no-matrix",
+             "det-extra", "det-help", "satcheck-negative-coeffs"],
+    )
+    def test_usage_exits(self, cli, argv, rc, last):
+        """A usage error exits 2 with argparse's message as the last
+        stderr line and nothing on stdout; help exits 0 with the usage
+        on stdout and nothing on stderr."""
+        got_rc, out = cli(argv, m=SUM10_INDEP)
+        assert got_rc == rc
+        if last is None:
+            prog = " ".join(["supertropical"] + argv[:-1])
+            assert out[0].startswith(f"usage: {prog} [-h]"), out
+            assert cli.err == []
+        else:
+            assert out == []
+            assert cli.err[-1].startswith(last), cli.err
+
+    def test_valid_calls_parse_once(self, cli, monkeypatch):
+        """A valid call reads argv with the subcommand's parser alone;
+        only a usage error goes through the full parse."""
+        full = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(self, *a, **kw):
+            full.append(self.prog)
+            return parse_args(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        files = {"m": SAT_MAT, "v": "0 1 3\n", "sq": SUM10_INDEP}
+        assert cli(["det", "sq"], **files)[0] == 0
+        assert cli(["saturate", "m", "--target", "v", "--json"], **files)[0] == 0
+        assert cli(["critical", "m", "--index", "1"], **files)[0] == 0
+        assert full == []
+        assert cli(["det", "m", "extra"], **files)[0] == 2
+        assert full == ["supertropical"]
+
+    def test_argv_defaults_to_sys_argv(self, tmp_path, capsys, monkeypatch):
+        m = tmp_path / "m.txt"
+        m.write_text(SUM10_INDEP)
+        monkeypatch.setattr(sys, "argv", ["supertropical", "det", str(m)])
+        assert main() == 0
+        assert capsys.readouterr().out == "11\n"
 
 
 def _checkout_env(bin_dir=None):
@@ -391,6 +461,21 @@ def test_module_runner(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "14v", r.stderr
+
+
+@pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+@pytest.mark.parametrize("module", ["supertropical", "supertropical.cli"])
+def test_module_runs_as_main_in_process(module, tmp_path, capsys, monkeypatch):
+    """``python -m`` for the package and for its ``cli`` module, run in
+    this process so that the entry lines are traced; runpy warns that
+    ``supertropical.cli`` is already imported."""
+    m = tmp_path / "m.txt"
+    m.write_text(SUM10_DEP)
+    monkeypatch.setattr(sys, "argv", [module, "det", str(m)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "14v\n"
 
 
 GOLDEN_FILES = {

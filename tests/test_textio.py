@@ -21,6 +21,7 @@ from supertropical import (
     print_scalar,
     print_vector,
 )
+from supertropical import textio
 from helpers import (
     G,
     T,
@@ -166,6 +167,32 @@ def test_bad_token_after_tab_reports_its_column():
     err = exc.value
     assert (err.line, err.column) == (2, 5)
     assert str(err) == "line 2, column 5: bad scalar token '1.5'"
+
+
+def test_each_distinct_token_is_read_once(monkeypatch):
+    # equal tokens share one Scalar; a failing token is not kept, and
+    # its line is scanned again to place the error
+    calls = []
+    read = textio._scalar_from_token
+
+    def counted(token, line=None, column=None):
+        calls.append((token, line, column))
+        return read(token, line, column)
+
+    monkeypatch.setattr(textio, "_scalar_from_token", counted)
+    text = "1 2 1v\n# 3 3\n2 -inf 1\n1v 1 -inf\n"
+    A = parse_matrix(text)
+    assert A == parse_matrix_reference(text)
+    assert calls == [(t, None, None) for t in ("1", "2", "1v", "-inf")]
+    assert A.entry(0, 0) is A.entry(1, 2) is A.entry(2, 1)
+    calls.clear()
+    with pytest.raises(ParseError) as exc:
+        parse_matrix("1 2\n2 1\n1 oops oops\n")
+    assert (exc.value.line, exc.value.column) == (3, 3)
+    assert calls == [
+        ("1", None, None), ("2", None, None), ("oops", None, None),
+        ("1", 3, 1), ("oops", 3, 3),
+    ]
 
 
 def test_zero_denominator_with_ghost_marker_reports_position():

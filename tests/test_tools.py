@@ -5,6 +5,8 @@ import random
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +35,25 @@ def test_bench_pairs_names_a_checkout_without_git_by_its_sources(tmp_path):
     with open(b / "src" / "supertropical" / "__init__.py", "a") as f:
         f.write("\n")
     assert commit(str(b)) != got
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [["--seeds", "3001-4"], ["--seeds", "3001", "--traced", "cli", "--trace-seed", "3011-3"],
+     ["--seeds", "3001-3005-3010"], ["--seeds", "3001,x"]],
+    ids=["seeds", "trace-seed", "two-dashes", "not-an-int"],
+)
+def test_bench_pairs_rejects_seed_lists_that_name_no_seed(tmp_path, capsys, seeds):
+    # a range whose end is below its start, or a malformed one, is a
+    # usage error, before any run and before the summary is written
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path),
+            "--workloads", "cli", "--seconds", "1", "--out", str(out), *seeds]
+    with pytest.raises(SystemExit) as exc:
+        _tool("bench_pairs").main(argv)
+    assert exc.value.code == 2
+    assert "must each name at least one seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_every_sweep_row_builds_its_smallest_input():

@@ -207,6 +207,15 @@ def main(argv=None):
     traced = [w for w in args.traced.split(",") if w]
     if traced and not args.trace_seed:
         ap.error("--traced needs --trace-seed")
+    # a range whose end is below its start names no seed, and would write
+    # a summary of no pairs
+    try:
+        seeds = _seeds(args.seeds)
+        trace_seeds = _seeds(args.trace_seed) if traced else []
+    except ValueError:
+        seeds = trace_seeds = []
+    if not seeds or (traced and not trace_seeds):
+        ap.error("--seeds and --trace-seed must each name at least one seed")
     with open(os.path.join(args.parent, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics, layers = bench["end_to_end"], bench["per_layer"]
@@ -230,14 +239,14 @@ def main(argv=None):
             json.dump(doc, f, indent=1)
             f.write("\n")
 
-    for k, seed in enumerate(_seeds(args.seeds), 1):
+    for k, seed in enumerate(seeds, 1):
         for w in workloads:
             doc["runs"][w].append(_pair(k, seed, roots, w, args.seconds, 0))
             save()
     for w in traced:
         runs = []
         doc["traced"][w] = {"runs": runs, "summary": {}}
-        for k, seed in enumerate(_seeds(args.trace_seed), 1):
+        for k, seed in enumerate(trace_seeds, 1):
             runs.append(_pair(k, seed, roots, w, args.seconds, 1))
             doc["traced"][w]["summary"] = _layer_summary(runs, layers)
             save()
