@@ -17,11 +17,24 @@ the image of a combination is the same combination of the samples'
 images, and ``matrices._first_annihilated`` searches the coefficient
 grid depth first on those images instead of applying the map to every
 combination.
+
+``close_base``, ``dual_base`` and ``reconstruct`` all need nabla of a
+base's row matrix, and a closed base usually goes through all three:
+``close_base`` returns its rows, and ``dual_base`` and ``reconstruct``
+take them back.  A matrix keeps its nabla, but only on that object, so
+the row matrix of a base is looked up in a small bounded cache keyed by
+the base's row tuples (``_row_matrix``), and ``close_base`` passes its
+product through the same cache.  Scalar values are canonical (an int
+whenever the denominator is 1), so equal rows make identical matrices
+and identical results, and each distinct base solves its assignment
+once while it stays among the most recently used.  Errors are raised
+before anything is kept, on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dependence import max_rank
 from .exceptions import (
@@ -29,7 +42,7 @@ from .exceptions import (
     NotInClosedSpanError,
     ShapeError,
 )
-from .matrices import Mat, Vec, _first_annihilated, nabla
+from .matrices import Mat, Vec, _entries, _first_annihilated, _mat, nabla
 
 __all__ = [
     "Functional",
@@ -52,6 +65,7 @@ class Functional:
     covector: Vec
 
     def __call__(self, v):
+        """The functional at a Vec or a sequence of Scalars."""
         return self.covector.dot(v)
 
     def __str__(self):
@@ -81,6 +95,7 @@ def _as_mat(M):
 
 
 def _row_matrix(B):
+    """The square row matrix of the base B, shared by equal bases."""
     B = list(B)
     if not B:
         raise InvalidInputError("empty base")
@@ -89,7 +104,14 @@ def _row_matrix(B):
         raise InvalidInputError(
             "a base of the full space must be square as a row matrix"
         )
-    return A
+    return _shared(A.row_tuples)
+
+
+@lru_cache(maxsize=8)
+def _shared(rows):
+    """The one matrix of the checked square ``rows`` among the recently
+    used, which keeps its nabla for the next call on equal rows."""
+    return _mat(rows)
 
 
 def close_base(B):
@@ -100,7 +122,7 @@ def close_base(B):
     a tangible permanent.
     """
     A = _row_matrix(B)
-    A_B = A @ nabla(A) @ A
+    A_B = _shared((A @ nabla(A) @ A).row_tuples)
     if A_B @ nabla(A_B) @ A_B != A_B:
         raise AssertionError("closure is not a fixed point of its own quasi-identity")
     return A_B, A_B.row_list()
@@ -136,7 +158,8 @@ def dual_base(B):
 
 
 def reconstruct(B, v):
-    """Rebuild a member of the closed span from its dual evaluations.
+    """Rebuild a member of the closed span, given as a Vec or a sequence
+    of Scalars, from its dual evaluations.
 
     Checks membership through the fixed-point equation of the
     quasi-identity and raises NotInClosedSpanError otherwise; a fixed
@@ -145,10 +168,11 @@ def reconstruct(B, v):
     associativity.
     """
     A = _row_matrix(B)
-    if v.dim != A.cols:
+    ve = _entries(v)
+    if len(ve) != A.cols:
         raise ShapeError("vector dimension does not match the base")
-    w = A.apply(nabla(A).apply(v))
-    if w != v:
+    w = A.apply(nabla(A).apply(ve))
+    if w.entries != ve:
         raise NotInClosedSpanError(
             "vector is not a fixed point of the quasi-identity"
         )
@@ -230,7 +254,7 @@ def is_iso(M, sample_space=None, target_rank=None):
 
 
 def double_dual(B, v):
-    """Evaluation vector of v against the dual base: component i is the
-    i-th dual functional applied to v."""
+    """Evaluation vector of v, a Vec or a sequence of Scalars, against
+    the dual base: component i is the i-th dual functional applied to v."""
     eps = dual_base(B)
     return Vec([e(v) for e in eps])

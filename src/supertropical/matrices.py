@@ -53,13 +53,18 @@ order, relabelled to columns, is the one the minors' layers need, so
 nabla peels that graph once.  ``adjoint`` does not read the permanent,
 so it skips the permanent's cycle test and peels the graph itself.
 
-``nabla`` is computed once per matrix: the first call that succeeds
-keeps its result on the matrix, in the slot ``_nb``, so that
-``quasi_identity``, ``solve_raw``, ``solve_max`` and later ``nabla``
-calls on the same object solve no assignment again.  A singular matrix
-raises on every call and keeps nothing, matrices built by ``_mat``
-start without one, and nothing is keyed by content: an equal matrix
-built apart computes its own.
+``adjoint`` and ``nabla`` are computed once per matrix: the first call
+that succeeds keeps its result on the matrix, in the slots ``_adj`` and
+``_nb``, so that later calls on the same object solve no assignment
+again, and neither do ``quasi_identity``, ``solve_raw`` and
+``solve_max``, which read nabla.  A ``nabla`` call that finds a kept
+adjoint solves none either: the permanent is the Laplace expansion of
+the matrix along row 0 against column 0 of the adjoint, as for the
+sizes below 5, and nabla is the adjoint divided by it.  A singular
+matrix raises on every ``nabla`` call and keeps no nabla, matrices built
+by ``_mat`` start with neither slot set, and nothing here is keyed by
+content: an equal matrix built apart computes its own.  Only
+:mod:`supertropical.dual` shares one matrix among equal bases.
 
 The minor without row j and column i flips a shortest path that starts
 at the row matched to column i and ends at the column s matched to row
@@ -143,6 +148,11 @@ def _as_scalar_tuple(entries):
     return t
 
 
+def _entries(v):
+    """The entries of a Vec, or of a sequence of Scalars, checked."""
+    return v._e if isinstance(v, Vec) else _as_scalar_tuple(v)
+
+
 def _vec(entries):
     """A Vec of a nonempty scalar tuple the library built itself, unchecked."""
     w = _new(Vec)
@@ -202,9 +212,11 @@ class Vec:
         return _vec(tuple([alpha * x for x in self._e]))
 
     def dot(self, other):
-        if len(self._e) != len(other._e):
+        """Max-plus dot product with a Vec or a sequence of Scalars."""
+        oe = _entries(other)
+        if len(self._e) != len(oe):
             raise ShapeError("vector dimensions differ")
-        return _dot(self._e, other._e)
+        return _dot(self._e, oe)
 
     def nu(self):
         return Vec(x.nu() for x in self._e)
@@ -259,10 +271,11 @@ class Vec:
 class Mat:
     """An immutable dense matrix of scalars, stored as row tuples.
 
-    ``_nb`` holds ``nabla`` of the matrix once it has been computed; it
-    stays unset until then, and for a singular matrix."""
+    ``_adj`` and ``_nb`` hold ``adjoint`` and ``nabla`` of the matrix once
+    they have been computed; each stays unset until then, and ``_nb`` for
+    a singular matrix."""
 
-    __slots__ = ("_r", "_shape", "_nb")
+    __slots__ = ("_r", "_shape", "_adj", "_nb")
 
     def __init__(self, rows):
         grid = []
@@ -386,11 +399,8 @@ class Mat:
         return _mat(tuple([tuple([alpha * x for x in r]) for r in self._r]))
 
     def apply(self, v):
-        """Matrix times column vector."""
-        if isinstance(v, Vec):
-            ve = v.entries
-        else:
-            ve = _as_scalar_tuple(v)
+        """Matrix times column vector: a Vec or a sequence of Scalars."""
+        ve = _entries(v)
         if self.cols != len(ve):
             raise ShapeError(f"cannot apply {self._shape} to a {len(ve)}-vector")
         return _vec(tuple([_dot(r, ve) for r in self._r]))
@@ -844,13 +854,13 @@ def _perm_adjoint(rows, divide=False):
     """``(per, adj)`` for square ``rows``: the permanent, and the adjoint
     as row tuples.  With ``divide`` every adjoint entry comes divided by
     the permanent, which gives nabla, and ``adj`` is None when the
-    permanent is not tangible.
+    permanent is not tangible.  Without ``divide`` the permanent, which
+    nothing then reads, is None.
 
-    From size 5 on both come from one optimal assignment, and without
-    ``divide`` the permanent, which nothing then reads, is None.  Below
-    that each minor is a permanent of size at most 3 from the value and
-    ghost-flag kernels of ``_perm_rows``, and the permanent is their
-    Laplace expansion along row 0."""
+    From size 5 on both come from one optimal assignment.  Below that
+    each minor is a permanent of size at most 3 from the value and
+    ghost-flag kernels of ``_perm_rows``, and ``_divided`` takes the
+    permanent from them."""
     n = len(rows)
     if n > 4:
         sol = _assign(rows)
@@ -868,9 +878,14 @@ def _perm_adjoint(rows, divide=False):
             cut = [r[:i] + r[i + 1:] for r in rows]  # without column i
             out.append(tuple([_perm_rows(cut[:j] + cut[j + 1:]) for j in range(n)]))
         adj = tuple(out)
+    return _divided(rows, adj) if divide else (None, adj)
+
+
+def _divided(rows, adj):
+    """``(per, nabla)`` from the adjoint ``adj`` of square ``rows``: the
+    permanent as their Laplace expansion along row 0, and the adjoint
+    divided by it, or None when it is not tangible."""
     per = _dot(rows[0], [r[0] for r in adj])
-    if not divide:
-        return per, adj
     if not per.is_tangible():
         return per, None
     return per, tuple(tuple([x / per for x in r]) for r in adj)
@@ -890,10 +905,16 @@ def is_nonsingular(A):
 
 def adjoint(A):
     """Transposed grid of minors: entry (i, j) is the permanent of A with
-    row j and column i removed.  For a 1x1 matrix this is [[one]]."""
+    row j and column i removed.  For a 1x1 matrix this is [[one]].  The
+    result is kept on the matrix, for later calls and for ``nabla``."""
+    try:
+        return A._adj
+    except AttributeError:
+        pass
     if not A.is_square():
         raise ShapeError("adjoint requires a square matrix")
-    return _mat(_perm_adjoint(A.row_tuples)[1])
+    A._adj = adj = _mat(_perm_adjoint(A.row_tuples)[1])
+    return adj
 
 
 def nabla(A):
@@ -903,7 +924,8 @@ def nabla(A):
     nonsingular); otherwise raises SingularMatrixError, on every call.
     The result is kept on the matrix, so ``quasi_identity``,
     ``solve_raw``, ``solve_max`` and later calls on the same object
-    solve no assignment again.
+    solve no assignment again; with an adjoint kept on the matrix, this
+    call solves none either (module docstring).
     """
     try:
         return A._nb
@@ -911,7 +933,12 @@ def nabla(A):
         pass
     if not A.is_square():
         raise ShapeError("nabla requires a square matrix")
-    p, nb = _perm_adjoint(A.row_tuples, divide=True)
+    try:
+        adj = A._adj
+    except AttributeError:
+        p, nb = _perm_adjoint(A.row_tuples, divide=True)
+    else:
+        p, nb = _divided(A.row_tuples, adj._r)
     if nb is None:
         raise SingularMatrixError(f"permanent is {p}, not tangible")
     A._nb = nb = _mat(nb)

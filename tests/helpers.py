@@ -31,6 +31,7 @@ from supertropical.dependence import (
     _independent,
     _iter_supports,
 )
+from supertropical import matrices
 from supertropical.dual import _as_mat, _combination_grid
 from supertropical.matrices import _combine, _family, _made
 from supertropical.oracles import check_saturated
@@ -119,6 +120,19 @@ def rand_nonsingular(rng, n, tries=500, **kw):
 
 def seeded(seed=0):
     return random.Random(seed)
+
+
+def count_perm_adjoint(monkeypatch):
+    """Patch ``matrices._perm_adjoint`` to count its calls."""
+    calls = []
+    inner = matrices._perm_adjoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_perm_adjoint", counted)
+    return calls
 
 
 # -- slow-path references ----------------------------------------------

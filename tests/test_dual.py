@@ -14,6 +14,7 @@ from supertropical import (
     MapByMatrix,
     Mat,
     NotInClosedSpanError,
+    ShapeError,
     SingularMatrixError,
     Vec,
     ZERO,
@@ -30,10 +31,11 @@ from supertropical import (
     quasi_identity,
     reconstruct,
 )
-from supertropical import matrices, span
+from supertropical import dual, matrices, span
 from helpers import (
     G,
     T,
+    count_perm_adjoint,
     is_ghost_monic_reference,
     mat,
     rand_mat,
@@ -211,6 +213,65 @@ def test_dual_chains_match_their_matrix_products():
     assert fixed >= 40 and moved >= 20 and unclosed >= 20
 
 
+def test_dual_pipeline_solves_each_base_once(monkeypatch):
+    # close_base keeps its product under its rows, so dual_base and
+    # reconstruct on the closed rows, also on rows built apart with the
+    # same content, solve no assignment again: one for the base's own
+    # matrix and one for the closed one, which is the base itself when
+    # the base is closed.  Each draw runs from an empty cache on the base
+    # and on its closure.  The outputs are the products written out in
+    # test_dual_chains_match_their_matrix_products.
+    calls = count_perm_adjoint(monkeypatch)
+    rng = seeded(31)
+    closed_bases = unclosed = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            A = rand_nonsingular(rng, n, ghost_p=0.2)
+            AB = A @ nabla(A) @ A
+            try:
+                nb = nabla(AB)
+            except SingularMatrixError:
+                continue
+            E = nb @ AB @ nb
+            IA = AB @ nb
+            fixed, other = IA.apply(rand_vec(rng, n)), rand_vec(rng, n)
+            apart = [Vec(list(r)) for r in AB.row_tuples]
+            for base in (A, AB):
+                is_closed = base == AB
+                dual._shared.cache_clear()
+                calls.clear()
+                got, closed = close_base(base.row_list())
+                assert got == AB and closed == AB.row_list()
+                if not is_closed:
+                    for _ in range(2):
+                        with pytest.raises(InvalidInputError):
+                            dual_base(base.row_list())
+                for B in (closed, apart):
+                    assert [e.covector for e in dual_base(B)] == E.row_list()
+                    assert reconstruct(B, fixed) == AB.apply(E.apply(fixed)) == fixed
+                    if IA.apply(other) != other:
+                        with pytest.raises(NotInClosedSpanError):
+                            reconstruct(B, other)
+                assert len(calls) == (1 if is_closed else 2), (base, len(calls))
+                closed_bases += is_closed
+                unclosed += not is_closed
+    assert closed_bases >= 35 and unclosed >= 30, (closed_bases, unclosed)
+
+
+@pytest.mark.parametrize("base, error, match", [
+    ([], InvalidInputError, "empty base"),
+    (rows("0 1 2\n1 0 2"), InvalidInputError, "must be square"),
+    ([vec("0 1"), vec("1")], ShapeError, "ragged rows"),
+])
+def test_malformed_bases_raise_on_every_call(base, error, match):
+    for _ in range(2):
+        for call in (lambda: close_base(base), lambda: dual_base(base),
+                     lambda: reconstruct(base, vec("0 0")),
+                     lambda: double_dual(base, vec("0 0"))):
+            with pytest.raises(error, match=match):
+                call()
+
+
 # -- kernels and map classification ------------------------------------
 
 def test_ghost_kernel_of_identity():
@@ -355,3 +416,31 @@ def test_double_dual_never_all_ghost_on_tangible_members(rng):
             continue
         f = double_dual(closed, v)
         assert not f.is_ghost()
+
+
+# -- plain scalar sequences --------------------------------------------
+
+def test_functionals_and_double_dual_take_scalar_sequences():
+    eps = dual_base(DA.row_list())
+    b = DA.col(1)
+    for seq in (list(b), tuple(b)):
+        assert eps[0](seq) == eps[0](b) == G(1)
+        assert double_dual(DA.row_list(), seq) == double_dual(DA.row_list(), b)
+    for call in (lambda v: eps[0](v), lambda v: double_dual(DA.row_list(), v)):
+        with pytest.raises(TypeError):
+            call([T(0), 0])
+        with pytest.raises(ShapeError):
+            call([T(0)])
+
+
+def test_reconstruct_takes_a_scalar_sequence():
+    v = vec("2v 1")
+    for seq in (list(v), tuple(v)):
+        got = reconstruct(DA.row_list(), seq)
+        assert isinstance(got, Vec) and got == v
+    with pytest.raises(NotInClosedSpanError):
+        reconstruct(DA.row_list(), [T(1), G(1)])
+    with pytest.raises(TypeError):
+        reconstruct(DA.row_list(), [T(2), 1])
+    with pytest.raises(ShapeError):
+        reconstruct(DA.row_list(), [T(2)])

@@ -21,7 +21,6 @@ from supertropical import (
     solve_max,
     solve_raw,
 )
-from supertropical import matrices
 from supertropical.matrices import (
     _assign,
     _combine,
@@ -37,6 +36,7 @@ from helpers import (
     G,
     T,
     Z,
+    count_perm_adjoint,
     mat,
     rand_mat,
     rand_nonsingular,
@@ -69,6 +69,15 @@ def test_vec_add_and_scale():
 def test_vec_dot():
     assert vec("1 2").dot(vec("3 0")) == T(4)
     assert vec("1 2").dot(vec("1 0")) == G(2)
+
+
+def test_vec_dot_takes_a_scalar_sequence():
+    v = vec("1 2")
+    assert v.dot([T(3), T(0)]) == v.dot((T(3), T(0))) == T(4)
+    with pytest.raises(TypeError):
+        v.dot([T(3), 0])
+    with pytest.raises(ShapeError):
+        v.dot([T(3)])
 
 
 def test_vec_support_and_layers():
@@ -360,22 +369,9 @@ def test_nabla_singular_rejected_from_one_assignment(n):
             nabla(Mat(rows))
 
 
-def _count_perm_adjoint(monkeypatch):
-    """Patch ``matrices._perm_adjoint`` to count its calls."""
-    calls = []
-    inner = matrices._perm_adjoint
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(matrices, "_perm_adjoint", counted)
-    return calls
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_nabla_is_computed_once_per_matrix(monkeypatch, rng, n):
-    calls = _count_perm_adjoint(monkeypatch)
+    calls = count_perm_adjoint(monkeypatch)
     for _ in range(10):
         A = rand_nonsingular(rng, n)
         v = rand_vec(rng, n)
@@ -395,7 +391,7 @@ def test_nabla_is_computed_once_per_matrix(monkeypatch, rng, n):
 
 
 def test_singular_nabla_raises_on_every_call(monkeypatch):
-    calls = _count_perm_adjoint(monkeypatch)
+    calls = count_perm_adjoint(monkeypatch)
     for A in (SUM10_DEP, Mat.zeros(5, 5)):
         for k in range(1, 4):
             with pytest.raises(SingularMatrixError):
@@ -406,6 +402,44 @@ def test_singular_nabla_raises_on_every_call(monkeypatch):
                 solve_max(A, Vec([ONE] * A.rows))
             assert len(calls) == 3 * k
         calls.clear()
+
+
+def _nabla_outcome(A):
+    """nabla(A) as values, value types and ghost flags, or the message
+    of its SingularMatrixError."""
+    try:
+        nb = nabla(A)
+    except SingularMatrixError as exc:
+        return str(exc)
+    return [[(x.value, type(x.value), x.is_ghost()) for x in r] for r in nb.row_tuples]
+
+
+def test_nabla_from_the_kept_adjoint_matches_its_own_route(monkeypatch):
+    # After adjoint(A), nabla(A) takes the permanent as the Laplace
+    # expansion against the kept adjoint and divides by it; an equal
+    # matrix built apart goes through _perm_adjoint.  Populations: tie
+    # heavy 0..1, -3..5, +-10**6 and halves, with ghosts and zeros.
+    calls = count_perm_adjoint(monkeypatch)
+    rng = seeded(31)
+    populations = [(0, 1, 0.2, 0.1, 1), (-3, 5, 0.15, 0.2, 1),
+                   (-10**6, 10**6, 0.1, 0.1, 1), (-4, 4, 0.1, 0.1, 2)]
+    nonsingular = singular = 0
+    for n in range(1, 10):
+        for lo, hi, zero_p, ghost_p, denom in populations:
+            for _ in range(6):
+                A = rand_mat(rng, n, n, lo=lo, hi=hi, zero_p=zero_p,
+                             ghost_p=ghost_p, denom=denom)
+                want = _nabla_outcome(Mat(A.row_tuples))
+                calls.clear()
+                adjoint(A)
+                for _ in range(3):
+                    assert _nabla_outcome(A) == want, A
+                assert len(calls) == 1
+                if isinstance(want, str):
+                    singular += 1
+                else:
+                    nonsingular += 1
+    assert nonsingular >= 60 and singular >= 120, (nonsingular, singular)
 
 
 # -- quasi-identities --------------------------------------------------

@@ -35,7 +35,13 @@ time and the number over the cap.  Tangible values are -3..5:
   assignment is tied;
 - ``nabla``: an n x n matrix of tangible values -10**6..10**6, whose
   optimal assignment is unique unless two permutations tie by chance (a
-  singular draw's ``SingularMatrixError`` is a finished call).
+  singular draw's ``SingularMatrixError`` is a finished call);
+- ``dual``: ``close_base``, ``dual_base`` on the closed rows and 8
+  ``reconstruct`` calls on them, at fixed points of their
+  quasi-identity, for an n x n base of tangible values -10**6..10**6
+  (redrawn until it and its closure are nonsingular).  The base and the
+  points are built on matrices of the sweep's own, so the timed calls
+  start from nothing kept.
 
 The ``adjoint`` and ``nabla`` rows also hold ``unique``, the number of
 draws whose whole optimum is unique (whose permanent is tangible): the
@@ -72,6 +78,7 @@ ROWS = (
     ("is_ghost_monic", (2, 3, 4), None),
     ("adjoint", (12, 18, 24), None),
     ("nabla", (12, 18, 24), None),
+    ("dual", (8, 12, 16, 24), None),
 )
 # the (lo, hi) of the tangible values of the square rows
 SQUARE = {"adjoint": (0, 2), "nabla": (-10**6, 10**6)}
@@ -149,6 +156,16 @@ def _call(st, search, size, rng):
                 pass
 
         return call
+    if search == "dual":
+        B, points = _closable(st, size, rng)
+
+        def call():
+            _, closed = st.close_base(B)
+            st.dual_base(closed)
+            for v in points:
+                st.reconstruct(closed, v)
+
+        return call
     raise ValueError(search)
 
 
@@ -156,6 +173,20 @@ def _square(st, search, size, rng):
     lo, hi = SQUARE[search]
     return st.Mat([[st.Scalar(rng.randint(lo, hi)) for _ in range(size)]
                    for _ in range(size)])
+
+
+def _closable(st, size, rng):
+    """The rows of a ``dual`` row's base, and 8 fixed points of its
+    closure's quasi-identity."""
+    while True:
+        A = st.Mat([[st.Scalar(rng.randint(-10**6, 10**6)) for _ in range(size)]
+                    for _ in range(size)])
+        try:
+            closure = A @ st.nabla(A) @ A
+            IA = closure @ st.nabla(closure)
+        except st.SingularMatrixError:
+            continue
+        return A.row_list(), [IA.apply(_vec(st, rng, size)) for _ in range(8)]
 
 
 def _timed(call):
