@@ -12,15 +12,21 @@ The permanent has one route per size.  Sizes 2 to 4 work on the values
 and ghost flags of the entries, like the product kernel below, and
 build one Scalar: sizes 2 and 3 loop over unrolled lists of their terms,
 and size 4 walks a table of its 24 permutations built at import.  From
-size 5 on, an exact optimal-assignment solver (shortest augmenting paths
-with row and column potentials, in int and Fraction arithmetic) finds
-the value in ``O(n^3)``; at size 5 a table walk of 120 terms gained
-little on integer entries and was about three times slower with
-halves.  The layer comes from the same run: the result is tangible
-exactly when the optimal permutation uses only tangible entries and is
-the only optimal one.  Every optimal permutation uses only tight edges,
-where the potentials sum to the weight, so a second one exists exactly
-when the tight edges off the optimal permutation close a cycle.
+size 5 on, an exact optimal-assignment solver, ``_assign``, finds the
+value in ``O(n^3)``; at size 5 a table walk of 120 terms gained little
+on integer entries and was about three times slower with halves.  The
+solver follows Jonker and Volgenant, in int and Fraction arithmetic:
+column reduction matches most rows at once, and each row left free
+gets one Dijkstra for its shortest augmenting path, after which only
+the columns that search settled move their potential.  Its callers
+read one invariant of the row potentials u and column potentials v:
+``u[r] + v[c] <= cost[r][c]`` for every entry, with equality on the
+optimal permutation.  The layer comes from the same run: the result is
+tangible exactly when the optimal permutation uses only tangible
+entries and is the only optimal one.  Every optimal permutation uses
+only tight edges, where the potentials sum to the weight, under every
+such pair of potentials, so a second one exists exactly when the tight
+edges off the optimal permutation close a cycle.
 
 Products go through one kernel, ``_dot_value_ghost``, which works on the
 values and ghost flags of the entries and builds no Scalar: the result
@@ -211,12 +217,17 @@ class Vec:
     def scale(self, alpha):
         return _vec(tuple([alpha * x for x in self._e]))
 
-    def dot(self, other):
-        """Max-plus dot product with a Vec or a sequence of Scalars."""
+    def _matched(self, other):
+        """The entries of ``other``, a Vec or a sequence of Scalars,
+        checked to be as many as this vector's."""
         oe = _entries(other)
         if len(self._e) != len(oe):
             raise ShapeError("vector dimensions differ")
-        return _dot(self._e, oe)
+        return oe
+
+    def dot(self, other):
+        """Max-plus dot product with a Vec or a sequence of Scalars."""
+        return _dot(self._e, self._matched(other))
 
     def nu(self):
         return Vec(x.nu() for x in self._e)
@@ -240,18 +251,14 @@ class Vec:
         return tuple(i for i, x in enumerate(self._e) if not x.is_zero())
 
     def surpasses(self, other):
-        """Componentwise ghost surpassing."""
-        if len(self._e) != len(other._e):
-            raise ShapeError("vector dimensions differ")
-        return all(a.ghost_surpasses(b) for a, b in zip(self._e, other._e))
+        """Componentwise ghost surpassing of a Vec or a sequence of Scalars."""
+        return all(a.ghost_surpasses(b) for a, b in zip(self._e, self._matched(other)))
 
     def nu_ge(self, other):
-        if len(self._e) != len(other._e):
-            raise ShapeError("vector dimensions differ")
-        return all(a.nu_ge(b) for a, b in zip(self._e, other._e))
+        return all(a.nu_ge(b) for a, b in zip(self._e, self._matched(other)))
 
     def nu_le(self, other):
-        return other.nu_ge(self)
+        return all(a.nu_le(b) for a, b in zip(self._e, self._matched(other)))
 
     def __eq__(self, other):
         if not isinstance(other, Vec):
@@ -415,7 +422,9 @@ class Mat:
         return all(x.is_ghost0() for r in self._r for x in r)
 
     def surpasses(self, other):
-        """Entrywise ghost surpassing."""
+        """Entrywise ghost surpassing of another Mat."""
+        if not isinstance(other, Mat):
+            raise TypeError(f"expected a Mat, got {type(other).__name__}")
         if self._shape != other._shape:
             raise ShapeError("matrix shapes differ")
         return all(
@@ -627,10 +636,15 @@ def _perm4(r0, r1, r2, r3):
 def _assign(rows):
     """``(hi, big, cost, u, v, p)`` for an optimal assignment of ``rows``,
     0-based, or None when no entry is finite: ``cost = hi - weight``, and
-    ``big`` for a zero entry; potentials with ``u[r] + v[c] <= cost[r][c]``,
-    equal on the matching; p[c], the row matched to column c."""
+    ``big`` for a zero entry; potentials with ``u[r] + v[c] <= cost[r][c]``
+    everywhere, equal on the matching; p[c], the row matched to column c.
+
+    The scheme is Jonker and Volgenant's: column reduction matches most
+    rows, and one Dijkstra per row left free finds its shortest
+    augmenting path, after which only the columns it settled move their
+    potential."""
     n = len(rows)
-    vals = [[x.value for x in r] for r in rows]
+    vals = [[x._v for x in r] for r in rows]
     finite = [w for r in vals for w in r if w is not None]
     if not finite:
         return None
@@ -640,50 +654,63 @@ def _assign(rows):
     big = n * (hi - min(finite)) + 1
     cost = [[big if w is None else hi - w for w in r] for r in vals]
 
-    # Shortest augmenting paths, 1-based, column 0 rooting each search.
-    # 0 <= u <= big and -big <= v <= 0 throughout, so every reduced cost
-    # is below inf.
-    inf = 2 * big + 1
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    cols = range(1, n + 1)
-    for i in cols:
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    # Column reduction: v[c] is the least cost in column c, and the first
+    # row that reaches it takes c if that row is still free.  From here
+    # on the column x[r] of a matched row r has the least reduced cost
+    # cost[r][c] - v[c] of the row, so u[r] below is feasible and tight.
+    v = []
+    x = [-1] * n  # x[r]: the column matched to row r, -1 while free
+    p = [-1] * n
+    for c, col in enumerate(zip(*cost)):
+        w = min(col)
+        v.append(w)
+        r = col.index(w)
+        if x[r] < 0:
+            x[r] = c
+            p[c] = r
+    for f in range(n):
+        if x[f] >= 0:
+            continue
+        # Dijkstra from row f over the columns: d[c] is the length of a
+        # path to column c, whose last edge leaves row pred[c]; an edge
+        # from row r, matched to column x[r], to column k costs
+        # (cost[r][k] - v[k]) - (cost[r][x[r]] - v[x[r]]) >= 0.  Each
+        # step settles the nearest column, a free one first among ties,
+        # and the search stops at the first free column it settles.
+        d = [w - vc for w, vc in zip(cost[f], v)]
+        pred = [f] * n
+        todo = list(range(n))
+        done = []
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            ci = cost[i0 - 1]
-            ui = u[i0]
-            delta = inf
-            j1 = 0
-            for j in cols:
-                if not used[j]:
-                    cur = ci[j - 1] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            low = min([d[k] for k in todo])
+            for k in todo:
+                if d[k] == low:
+                    c = k
+                    if p[k] < 0:
+                        break
+            r = p[c]
+            if r < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return hi, big, cost, u[1:], v[1:], [r - 1 for r in p[1:]]
+            todo.remove(c)
+            done.append(c)
+            cr = cost[r]
+            h = low - cr[c] + v[c]
+            for k in todo:
+                t = h + cr[k] - v[k]
+                if t < d[k]:
+                    d[k] = t
+                    pred[k] = r
+        # Lower the settled columns' potentials by how much nearer than
+        # the free column they lie: every edge on the path becomes tight
+        # and none turns negative.  Then flip the path.
+        for k in done:
+            v[k] += d[k] - low
+        while r != f:
+            r = pred[c]
+            p[c] = r
+            x[r], c = c, x[r]
+    u = [cost[r][c] - v[c] for r, c in enumerate(x)]
+    return hi, big, cost, u, v, p
 
 
 def _peel(succ):

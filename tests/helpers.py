@@ -424,6 +424,69 @@ def grid_solutions_reference(vectors, target, support):
             d -= 1
 
 
+def assign_reference(rows):
+    """Reference for ``matrices._assign``: the shortest-augmenting-path
+    loop it replaced, which starts from an empty matching and moves the
+    potential and slack of every column after each Dijkstra step.  The
+    same ``(hi, big, cost, u, v, p)``, with ``0 <= u <= big`` and
+    ``-big <= v <= 0``."""
+    n = len(rows)
+    vals = [[x.value for x in r] for r in rows]
+    finite = [w for r in vals for w in r if w is not None]
+    if not finite:
+        return None
+    # A zero entry costs more than any permutation of finite entries, so
+    # an optimum uses one only when it must.
+    hi = max(finite)
+    big = n * (hi - min(finite)) + 1
+    cost = [[big if w is None else hi - w for w in r] for r in vals]
+
+    # Shortest augmenting paths, 1-based, column 0 rooting each search.
+    # 0 <= u <= big and -big <= v <= 0 throughout, so every reduced cost
+    # is below inf.
+    inf = 2 * big + 1
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    cols = range(1, n + 1)
+    for i in cols:
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            ci = cost[i0 - 1]
+            ui = u[i0]
+            delta = inf
+            j1 = 0
+            for j in cols:
+                if not used[j]:
+                    cur = ci[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return hi, big, cost, u[1:], v[1:], [r - 1 for r in p[1:]]
+
+
 def adjoint_assign_reference(rows, sol, shift):
     """Reference for ``matrices._adjoint_assign``: the same Dijkstra per
     deleted column i, then for each minor the flipped path and, when it

@@ -580,6 +580,38 @@ def test_vec_surpasses_methods():
     assert vec("1 3v").nu_le(vec("2 3"))
 
 
+@pytest.mark.parametrize("seq", [list, tuple], ids=["list", "tuple"])
+@pytest.mark.parametrize("compare, other, expected", [
+    (lambda v, w: v.surpasses(w), "1 3", True),
+    (lambda v, w: v.surpasses(w), "2 3", False),
+    (lambda v, w: surpasses_vec(v, w), "1 3", True),
+    (lambda v, w: v.nu_ge(w), "1 3v", True),
+    (lambda v, w: v.nu_ge(w), "2 4", False),
+    (lambda v, w: geq_nu_vec(v, w), "1 3v", True),
+    (lambda v, w: v.nu_le(w), "2 3", True),
+    (lambda v, w: v.nu_le(w), "0 3", False),
+], ids=["surpasses", "not-surpasses", "surpasses_vec", "nu_ge", "not-nu_ge",
+        "geq_nu_vec", "nu_le", "not-nu_le"])
+def test_vec_comparisons_take_a_scalar_sequence(seq, compare, other, expected):
+    # v = (1v, 3): each comparison reads a Scalar sequence as it reads
+    # the Vec of the same entries
+    v = vec("1v 3")
+    w = vec(other)
+    assert compare(v, seq(w)) is compare(v, w) is expected
+    with pytest.raises(TypeError):
+        compare(v, seq([w[0], 3]))
+    with pytest.raises(ShapeError):
+        compare(v, seq(w)[:1])
+
+
+def test_mat_surpasses_rejects_a_non_matrix():
+    A = mat("1v 2\n3 4")
+    assert A.surpasses(mat("1 2\n3 4"))
+    for other in (A.row_list(), [list(r) for r in A.row_tuples], vec("1 2")):
+        with pytest.raises(TypeError):
+            A.surpasses(other)
+
+
 # -- combination kernels -----------------------------------------------
 
 def test_combine_adds_weighted_vectors_to_the_start():

@@ -1,6 +1,7 @@
 """The repository's measurement tools, on copies of the sources."""
 
 import importlib.util
+import json
 import random
 import shutil
 from pathlib import Path
@@ -65,3 +66,30 @@ def test_every_sweep_row_builds_its_smallest_input():
         size = min(sizes)
         call = sweep._call(st, search, size, random.Random(f"{search}/{size}/0"))
         assert callable(call), search
+
+
+def test_sweep_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
+    # one child per side per search, the parent first on the first
+    # search and the change first on the next; each side's rows keep
+    # the order of ROWS
+    sweep = _tool("size_sweep")
+    calls = []
+
+    def side(root, search):
+        calls.append((Path(root).name, search))
+        return [{"search": search, "side": Path(root).name}]
+
+    monkeypatch.setattr(sweep, "_side", side)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    out = tmp_path / "sweep.json"
+    assert sweep.main(["--parent", str(parent), "--change", str(change),
+                       "--out", str(out)]) == 0
+    searches = [search for search, _, _ in sweep.ROWS]
+    assert calls == [
+        (side, search)
+        for k, search in enumerate(searches)
+        for side in (("change", "parent") if k % 2 else ("parent", "change"))
+    ]
+    rows = json.loads(out.read_text())["rows"]
+    for name in ("parent", "change"):
+        assert rows[name] == [{"search": s, "side": name} for s in searches]

@@ -2,11 +2,15 @@
 
     python3 tools/size_sweep.py --parent DIR --change DIR --out SWEEP_N.json
 
-``--parent`` and ``--change`` are roots of two checkouts.  Each side runs
-in a child process of its own (``python3 tools/size_sweep.py --run``,
-with ``DIR/src`` first on ``PYTHONPATH``), so it imports only that
-checkout's ``supertropical``; the child prints its rows as one JSON list.
-Each side is recorded by ``bench_pairs._commit``.
+``--parent`` and ``--change`` are roots of two checkouts.  Each search
+of ``ROWS`` runs once per side, in a child process of its own
+(``python3 tools/size_sweep.py --run --row SEARCH``, with ``DIR/src``
+first on ``PYTHONPATH``), so it imports only that checkout's
+``supertropical``; the child prints the search's rows as one JSON list.
+The side that runs first alternates from search to search, the parent
+first on the first one, so that a host that slows down or speeds up
+during the sweep does not read as a change.  Each side is recorded by
+``bench_pairs._commit``.
 
 Every (search, size) row draws ``DRAWS`` seeded inputs, each from its
 own ``random.Random("<search>/<size>/<draw>")``, so a row's inputs do not
@@ -31,6 +35,8 @@ time and the number over the cap.  Tangible values are -3..5:
   degenerate span's ``DegenerateSpaceError`` is a finished call);
 - ``is_ghost_monic``: a 3 x 3 matrix and k generators in 3 coordinates,
   with ghost 0.3 and zero 0.15;
+- ``permanent``: an n x n matrix with ghost 0.3 and zero 0.15, the
+  entries of stbench's ``dense`` workload;
 - ``adjoint``: an n x n matrix of tangible values 0..2, whose optimal
   assignment is tied;
 - ``nabla``: an n x n matrix of tangible values -10**6..10**6, whose
@@ -65,6 +71,7 @@ import sys
 import time
 
 DRAWS = 8
+SIDES = ("parent", "change")
 CAP_S = 5.0
 # (search, sizes, draws per size or None for DRAWS)
 ROWS = (
@@ -76,6 +83,7 @@ ROWS = (
     ("rank", (9,), 1),
     ("gram_dependence", (3, 4, 5), None),
     ("is_ghost_monic", (2, 3, 4), None),
+    ("permanent", (9, 13, 18, 24, 32), None),
     ("adjoint", (12, 18, 24), None),
     ("nabla", (12, 18, 24), None),
     ("dual", (8, 12, 16, 24), None),
@@ -143,6 +151,9 @@ def _call(st, search, size, rng):
         M = st.Mat([_vec(st, rng, 3, ghost_p=0.3, zero_p=0.15) for _ in range(3)])
         S = [_vec(st, rng, 3, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
         return lambda: st.is_ghost_monic(M, S)
+    if search == "permanent":
+        A = st.Mat([_vec(st, rng, size, ghost_p=0.3, zero_p=0.15) for _ in range(size)])
+        return lambda: st.permanent(A)
     if search == "adjoint":
         A = _square(st, search, size, rng)
         return lambda: st.adjoint(A)
@@ -202,41 +213,42 @@ def _timed(call):
     return time.thread_time() - t0
 
 
-def run():
-    """Every row of ``ROWS`` on the imported ``supertropical``."""
+def run(search):
+    """The rows of one search of ``ROWS`` on the imported
+    ``supertropical``."""
     import supertropical as st
 
     signal.signal(signal.SIGVTALRM, _on_cap)
     rows = []
-    for search, sizes, fixed in ROWS:
-        for size in sizes:
-            seeds = [f"{search}/{size}/{d}" for d in range(fixed or DRAWS)]
-            times = [_timed(_call(st, search, size, random.Random(s))) for s in seeds]
-            done = sorted(t for t in times if t is not None)
-            over = len(times) - len(done)
-            # over-cap draws sort above every finished one
-            median = None if 2 * over >= len(times) else statistics.median(
-                done + [float("inf")] * over)
-            row = {
-                "search": search, "size": size, "draws": len(times),
-                "median_s": median, "max_s": done[-1] if done else None,
-                "over_cap": over, "times_s": times,
-            }
-            if search in SQUARE:
-                # the same inputs again, from fresh generators
-                row["unique"] = sum(
-                    st.permanent(_square(st, search, size, random.Random(s))).is_tangible()
-                    for s in seeds)
-            rows.append(row)
-            print(f"{search} {size}: median {median} over {over}", file=sys.stderr)
+    sizes, fixed = next((sizes, fixed) for s, sizes, fixed in ROWS if s == search)
+    for size in sizes:
+        seeds = [f"{search}/{size}/{d}" for d in range(fixed or DRAWS)]
+        times = [_timed(_call(st, search, size, random.Random(s))) for s in seeds]
+        done = sorted(t for t in times if t is not None)
+        over = len(times) - len(done)
+        # over-cap draws sort above every finished one
+        median = None if 2 * over >= len(times) else statistics.median(
+            done + [float("inf")] * over)
+        row = {
+            "search": search, "size": size, "draws": len(times),
+            "median_s": median, "max_s": done[-1] if done else None,
+            "over_cap": over, "times_s": times,
+        }
+        if search in SQUARE:
+            # the same inputs again, from fresh generators
+            row["unique"] = sum(
+                st.permanent(_square(st, search, size, random.Random(s))).is_tangible()
+                for s in seeds)
+        rows.append(row)
+        print(f"{search} {size}: median {median} over {over}", file=sys.stderr)
     return rows
 
 
-def _side(root):
+def _side(root, search):
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(root), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, os.path.abspath(__file__), "--run"]
+    cmd = [sys.executable, os.path.abspath(__file__), "--run", "--row", search]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -247,9 +259,13 @@ def main(argv=None):
     ap.add_argument("--change")
     ap.add_argument("--out")
     ap.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--row", choices=[search for search, _, _ in ROWS],
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:
-        json.dump(run(), sys.stdout)
+        if not args.row:
+            ap.error("--run needs --row")
+        json.dump(run(args.row), sys.stdout)
         return 0
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
@@ -263,13 +279,12 @@ def main(argv=None):
         "host": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
         "timing": "time.thread_time per call; a call is stopped at the cap by "
                   "ITIMER_VIRTUAL on its own process",
-        "commits": {},
-        "rows": {},
+        "commits": {side: _commit(getattr(args, side)) for side in SIDES},
+        "rows": {side: [] for side in SIDES},
     }
-    for side in ("parent", "change"):
-        root = getattr(args, side)
-        doc["commits"][side] = _commit(root)
-        doc["rows"][side] = _side(root)
+    for k, (search, _, _) in enumerate(ROWS):
+        for side in SIDES[::-1] if k % 2 else SIDES:
+            doc["rows"][side] += _side(getattr(args, side), search)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
