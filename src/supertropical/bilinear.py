@@ -249,6 +249,8 @@ def _random_args(n, vals, rng, budget):
 
 
 def _symmetry_scan(F, budget, rng, require_nu_match):
+    if type(budget) is not int:
+        raise InvalidInputError(f"budget must be an int, got {budget!r}")
     if budget < 0:
         raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     G = F.G

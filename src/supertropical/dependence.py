@@ -49,37 +49,24 @@ The search returns the first solution on a support in lexicographic
 tuple order, each member's candidates ascending, and fixes it one
 member at a time.  It carries the prefix sum (the target plus the
 members fixed so far) per coordinate as a value and a ghost flag.  Each
-member before the last two takes its least candidate after which the
+member before the last takes its least candidate after which the
 members that follow can still complete the sum to a ghost or zero one.
-When two follow, the pair step below decides that and its answer ends
-the search.  When more follow, the descent below decides it in
-polynomial time with the prefix as its start sum, and the completion
-it finds is the greatest, so the next members' candidates are cut there.
-Each choice is the least value with a valid completion, so the result
-is the first solution of the full grid, after at most one descent per
-candidate of the members before the last two.
-The last two members are not tried candidate by candidate.  In a
-max-plus sum the maximum only grows along a prefix, so a coordinate
-whose prefix is tangible can still turn ghost only if one of them
-reaches its value; a prefix with a tangible coordinate above both
-members' largest terms there has no completion.  With m the
-prefix value and x the last member's entry at a coordinate, a tangible
-prefix forces the last value c = m - x under a tangible entry and needs
+While two or more follow, the descent below decides that in polynomial
+time with the prefix as its start sum, and the completion it finds is
+the greatest, so the next members' candidates are cut there.  The
+second-to-last member tries its candidates in ascending order, and the
+last member's answer to each prefix takes no walk.  With m the prefix
+value and x the last member's entry at a coordinate, a tangible prefix
+forces the last value c = m - x under a tangible entry and needs
 c >= m - x under a ghost one, a ghost prefix needs c <= m - x under a
 tangible entry, and a tangible prefix with no entry or a zero prefix
-under a tangible entry leaves nothing; so for a fixed prefix the valid
-last values are one slice of the sorted candidates.  The member before
-it, with entry a and value b, changes the prefix at a coordinate only
-where a + b ties m (the coordinate turns ghost) or passes it (a + b
-leads, and the bounds above become b plus a constant).  So its
-candidates fall into runs between the breakpoints m - a, each
-breakpoint a run of its own, on which every bound is a constant or b
-plus a constant; the valid b of a run are one ``bisect`` range, and
-for each of them the least of the last member's candidates at or above
-its lower bound completes the sum or none does.  Only values without a
-valid completion are skipped, so the solution found is the first of the
-full grid, and only grid values are ever produced.  A one-member
-support is the pair of a member with no entries and itself.
+under a tangible entry leaves nothing; so the valid last values are one
+slice of the sorted candidates, and its least is one ``bisect`` away
+(``_last_first``).  A one-member support is that last member alone on
+the start sum.  Each choice is the least value with a valid completion,
+so the result is the first solution of the full grid, after at most one
+descent per candidate of the members before the last two, and only grid
+values are ever produced.
 
 The greatest valid grid assignment c* takes no walk: a descent finds
 it (``_descend``).  Every member starts at its largest candidate.
@@ -99,12 +86,12 @@ supertropical Cramer bound of every nonsingular minor of the members
 equations"; ``solve_max``).  From three members on, the search starts
 with the descent: there is no solution when it finds none, and
 otherwise each member's candidates are cut at c*; two members go
-straight to the pair step above.  The cut drops only values that no
-valid assignment takes, so the first solution is that of the uncut
-grid, and c*'s own value always has a completion, so every member
-finds a candidate.
+straight to the scan of the first one's candidates, which may find
+nothing.  The cut drops only values that no valid assignment takes, so
+the first solution is that of the uncut grid, and c*'s own value always
+has a completion, so every member finds a candidate.
 
-With a target and four or more members, the cut lists are raised
+With a target and three or more members, the cut lists are raised
 further to a fixpoint of the demand floor before the first member is
 fixed.  A tangible target value, and a member's tangible term at its
 smallest candidate where that lies above the target's value, must be
@@ -112,8 +99,7 @@ reached by another member's term; when only one member can reach it,
 that member's candidates start where its term does.  c* survives every
 floor and meets every demand, so no list empties, and the floors drop
 only values that no valid assignment takes: the first solution stays
-as it is.  Three members, and supports without a target, keep the cut
-lists, where the floors were measured to cost more than they save.
+as it is.  Supports without a target keep the cut lists.
 
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
@@ -395,90 +381,36 @@ def _iter_supports(k, smallest=1):
         yield from combinations(range(k), size)
 
 
-def _pair_first(first, last, mx, gh):
-    """The first completion of the prefix sum (values ``mx``, ghost flags
-    ``gh``) to a ghost or zero sum by the last two members, as the pair
-    ``(c, t)`` of a candidate of each, least c first and then least t;
-    None when there is none.  ``first`` and ``last`` are a member's
-    sorted candidates, entry values and ghost flags.  A tangible prefix
-    value above both members' largest terms stays tangible, so such a
-    prefix has no completion and is rejected first.
+def _last_first(level, mx, gh):
+    """The least candidate of the last member (sorted candidates, entry
+    values and ghost flags) that completes the prefix sum (values ``mx``,
+    ghost flags ``gh``) to a ghost or zero sum, or None.
 
-    Per coordinate, with m the prefix value and x the last member's entry:
-    a tangible prefix and a tangible entry force the last value to be
-    m - x, a tangible prefix and a ghost entry need at least m - x, a
-    ghost prefix and a tangible entry need at most m - x, and a tangible
-    prefix with no entry or a zero prefix with a tangible entry allow
-    nothing.  The first member's entry a, raised by c, changes the prefix
-    only where it ties or passes m, so the breakpoints m - a cut its
-    candidates into runs (each breakpoint a run of its own) on which every
-    coordinate keeps one case: with the prefix as it is, turned ghost by
-    the tie, or led by a + c, where the bounds are c plus a constant.
-    Over a run the last value thus lies between max(lo, c + klo) and
-    min(hi, c + khi), which leaves the c of one ``bisect`` range, and
-    for each c the least candidate at or above the lower bound is the
-    only one to try."""
-    dom, row, grow = first
-    ldom, lrow, lgrow = last
-    for a, x, m, mg in zip(row, lrow, mx, gh):
-        if m is not None and not mg and (a is None or a + dom[-1] < m) \
-                and (x is None or x + ldom[-1] < m):
-            return None
-    ts = sorted({m - a for a, m in zip(row, mx) if a is not None and m is not None})
-    i, size = 0, len(dom)
-    while i < size:
-        c = dom[i]
-        k = bisect_left(ts, c)
-        if k == len(ts):
-            end = size
-        elif ts[k] == c:
-            end = i + 1
-        else:
-            end = bisect_left(dom, ts[k], i)
-        # the last value's bounds over the run: constants (the ends of
-        # its candidates at first) and offsets from c (None: no bound)
-        lo, hi, klo, khi = ldom[0], ldom[-1], None, None
-        for a, ga, x, g, m, mg in zip(row, grow, lrow, lgrow, mx, gh):
-            if a is not None:
-                if m is None or a + c > m:
-                    if x is None:
-                        if not ga:
-                            break
-                    else:
-                        d = a - x
-                        if not g and (khi is None or d < khi):
-                            khi = d
-                        if not ga and (klo is None or d > klo):
-                            klo = d
-                    continue
-                if a + c == m:
-                    mg = True
-            if x is None:
-                if m is not None and not mg:
-                    break
-            elif not g:
-                if m is None:
-                    break
-                t = m - x
-                if t < hi:
-                    hi = t
-                if not mg and t > lo:
-                    lo = t
-            elif m is not None and not mg and m - x > lo:
-                lo = m - x
-        else:
-            if lo <= hi and (klo is None or khi is None or klo <= khi):
-                # c + khi >= lo and c + klo <= hi
-                start = i if khi is None else bisect_left(dom, lo - khi, i, end)
-                stop = end if klo is None else bisect_right(dom, hi - klo, i, end)
-                for c in dom[start:stop]:
-                    low = lo if klo is None or c + klo < lo else c + klo
-                    high = hi if khi is None or c + khi > hi else c + khi
-                    k = bisect_left(ldom, low)
-                    if k < len(ldom) and ldom[k] <= high:
-                        return c, ldom[k]
-        i = end
-    return None
+    Per coordinate, with m the prefix value and x the entry: a tangible
+    prefix and a tangible entry force the value to be m - x, a tangible
+    prefix and a ghost entry need at least m - x, a ghost prefix and a
+    tangible entry need at most m - x, and a tangible prefix with no
+    entry or a zero prefix with a tangible entry allow nothing.  So the
+    valid values are the candidates between one lower and one upper
+    bound, and the least of them is one ``bisect`` away."""
+    dom, row, grow = level
+    lo, hi = dom[0], dom[-1]
+    for x, g, m, mg in zip(row, grow, mx, gh):
+        if x is None:
+            if m is not None and not mg:
+                return None
+        elif not g:
+            if m is None:
+                return None
+            t = m - x
+            if t < hi:
+                hi = t
+            if not mg and t > lo:
+                lo = t
+        elif m is not None and not mg and m - x > lo:
+            lo = m - x
+    k = bisect_left(dom, lo)
+    return dom[k] if k < len(dom) and dom[k] <= hi else None
 
 
 def _levels(vectors, target, support):
@@ -499,43 +431,43 @@ def _levels(vectors, target, support):
 
 def _first_solution(vectors, target, support):
     """The first valid coefficient list for one support in candidate-grid
-    (lexicographic tuple) order, or None.  One and two members go
-    straight to ``_pair_first``.  From three members on, every member's
-    candidates are cut at the greatest valid assignment found by
-    ``_descend`` (with a target and four or more members, ``_tighten``
-    then raises their floors), and the members before the last two are
-    fixed one at a time: each takes its least candidate that leaves a
-    completion, which ``_descend`` decides for the members after it and
-    ``_pair_first`` for the last two (module docstring)."""
+    (lexicographic tuple) order, or None.  A member alone takes the least
+    candidate that ``_last_first`` finds for the start sum.  From three
+    members on, every member's candidates are cut at the greatest valid
+    assignment found by ``_descend`` (with a target, ``_tighten`` then
+    raises their floors), and the members before the last are fixed one
+    at a time: each takes its least candidate that leaves a completion,
+    which ``_descend`` decides while two or more members follow; the
+    second-to-last tries its candidates in order, and ``_last_first``
+    answers for the last (module docstring)."""
     levels, mx, gh = _levels(vectors, target, support)
     if len(levels) == 1:
-        # a member alone completes the start sum as the second of a pair
-        # whose first member has no entries and only the unit
-        n = len(mx)
-        found = _pair_first(([0], [None] * n, [False] * n), levels[0], mx, gh)
-        return found and [Scalar(found[1])]
-    if len(levels) == 2:
-        found = _pair_first(*levels, mx, gh)
-        return found and [Scalar(c) for c in found]
-    top = _descend(levels, mx, gh)
-    if top is None:
-        return None
-    levels = _cut(levels, top)
-    if target is not None and len(levels) > 3:
-        levels = _tighten(levels, mx, gh)
+        c = _last_first(levels[0], mx, gh)
+        return None if c is None else [Scalar(c)]
+    vouched = len(levels) > 2
+    if vouched:
+        top = _descend(levels, mx, gh)
+        if top is None:
+            return None
+        levels = _cut(levels, top)
+        if target is not None:
+            levels = _tighten(levels, mx, gh)
     head = []
-    while True:  # until the pair step, with two members left, returns
+    while True:  # until the last member's answer, or the scan ends
         (dom, row, grow), *levels = levels
         for c in dom:
             pmx, pgh = _fold(row, grow, c, mx, gh)
-            if len(levels) == 2:
-                found = _pair_first(*levels, pmx, pgh)
-                if found is not None:
-                    return [Scalar(x) for x in (*head, c, *found)]
+            if len(levels) == 1:
+                t = _last_first(levels[0], pmx, pgh)
+                if t is not None:
+                    return [Scalar(x) for x in (*head, c, t)]
             elif (top := _descend(levels, pmx, pgh)) is not None:
                 break
         else:
-            raise AssertionError("a member has no candidate with a completion")
+            # from three members on, the descent vouched for a completion
+            if vouched:
+                raise AssertionError("a member has no candidate with a completion")
+            return None
         head.append(c)
         mx, gh, levels = pmx, pgh, _cut(levels, top)
 
@@ -733,7 +665,7 @@ def d_base(S, order=None):
     if order is None:
         order = range(len(S))
     order = list(order)
-    if sorted(order) != list(range(len(S))):
+    if any(type(i) is not int for i in order) or sorted(order) != list(range(len(S))):
         raise InvalidInputError("order must be a permutation of the indices")
     kept = []
     kept_idx = []

@@ -346,6 +346,8 @@ def is_critical(i, S):
     """Whether the i-th member cannot be rebuilt from the family once
     its whole projective class is set aside."""
     S = _family(S)
+    if type(i) is not int:
+        raise InvalidInputError(f"member index must be an int, got {i!r}")
     if not 0 <= i < len(S):
         raise IndexError("member index out of range")
     if S[i].is_zero():

@@ -72,6 +72,10 @@ class TestGramConstruction:
         with pytest.raises(TypeError, match="expected a Mat, got Vec"):
             GramForm(vec("1 2"))
 
+    def test_gram_form_must_be_square(self):
+        with pytest.raises(ShapeError, match="Gram matrix must be square"):
+            GramForm(mat("1 2"))
+
     def test_dot_on_dependent_triple(self):
         gram = gram_of_dot([V1, V2, V3]).G
         assert gram == mat("10v 10v 6\n10v 10v 8\n6 8 8")
@@ -357,6 +361,13 @@ class TestSymmetryScans:
         assert evaluate(F, x, y) == G(0)
         assert evaluate(F, y, x) == T(0)
 
+    def test_budget_without_rng_draws_from_seed_zero(self):
+        F = GramForm(mat("0 1\n3 0"))
+        for scan in (is_orthogonal_symmetric, is_supertropically_symmetric):
+            verdict = scan(F, budget=4)
+            assert verdict == scan(F, budget=4, rng=random.Random(0)), scan
+            assert verdict.samples == 4 or not verdict.consistent, verdict
+
     def test_symmetric_tangible_form_passes(self):
         assert is_orthogonal_symmetric(GramForm(mat("0 1\n1 0"))).consistent
 
@@ -368,6 +379,14 @@ class TestSymmetryScans:
         for scan in (is_orthogonal_symmetric, is_supertropically_symmetric):
             with pytest.raises(InvalidInputError, match="budget must be nonnegative, got -3"):
                 scan(F, budget=-3)
+
+    @pytest.mark.parametrize("budget", [True, 1.0, 2.5, "3", None])
+    def test_budget_that_is_not_an_int_is_rejected(self, budget):
+        # True would draw one sample and 1.0 would fail inside the draw
+        F = GramForm(mat("0 1\n3 0"))
+        for scan in (is_orthogonal_symmetric, is_supertropically_symmetric):
+            with pytest.raises(InvalidInputError, match="budget must be an int"):
+                scan(F, budget=budget)
 
     def test_supertropical_needs_value_agreement(self):
         verdict = is_supertropically_symmetric(GramForm(mat("0 1\n1v 0")))

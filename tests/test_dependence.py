@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -36,7 +37,7 @@ from supertropical.dependence import (
     _has_nonsingular_minor,
     _is_irredundant,
     _iter_supports,
-    _pair_first,
+    _last_first,
     _search_witness,
     _tighten,
     _value_rows,
@@ -48,6 +49,7 @@ from helpers import (
     G,
     T,
     Z,
+    _last_values_reference,
     grid_solutions_reference,
     is_irredundant_reference,
     mat,
@@ -352,6 +354,14 @@ def test_d_base_rejects_an_order_that_is_not_a_permutation():
         d_base([E1, E2], order=[0, 0])
 
 
+@pytest.mark.parametrize("order", [[False, True], [1.0, 0.0], [0, "1"]])
+def test_d_base_rejects_order_entries_that_are_not_ints(order):
+    # a bool passes for an int in a sort and as an index, and a float
+    # would fail as an index only after the walk starts
+    with pytest.raises(InvalidInputError, match="order must be a permutation of the indices"):
+        d_base([E1, E2], order=order)
+
+
 # -- extension ---------------------------------------------------------
 
 def test_extend_with_tangible_drop_one():
@@ -585,6 +595,13 @@ def test_sum_saturated_sum10_pair():
     assert s.is_valid(S)
     for i in s.support:
         assert s.coeffs[i] == (w3.coeffs[i] + w4.coeffs[i]).nu_hat()
+
+
+def test_sum_saturated_needs_two_targets():
+    v = vec("1 2")
+    w = saturate(v, [E1, E2], depends_on(v, [E1, E2]))
+    with pytest.raises(InvalidInputError, match="both witnesses need targets"):
+        sum_saturated(w, DepWitness(w.coeffs, w.support))
 
 
 def test_sum_saturated_rejects_unsaturated():
@@ -853,6 +870,8 @@ def test_scaling_invariance(rng):
 def test_projective_normalize():
     assert projective_normalize(vec("2 5 -inf")) == vec("0 3 -inf")
     assert projective_normalize(vec("-inf 3v 1")) == vec("-inf 0v -2")
+    zero = vec("-inf -inf")
+    assert projective_normalize(zero) is zero
 
 
 # -- the pruned grid walk ----------------------------------------------
@@ -970,7 +989,7 @@ def test_pair_step_pinned(members, target, want):
 
 
 def test_pair_step_without_stack_levels():
-    # a two-member support goes straight to the pair step: the tie
+    # a two-member support goes straight to the scan: the tie
     # between the members (c1 = c0 + 1 at both coordinates) is the only
     # dependence, and every candidate pair on that line is valid
     S = rows("1 2\n0 1")
@@ -1053,23 +1072,51 @@ def test_descend_pinned(members, doms, target, want):
     # must tie the target's tangible 3, which it cannot, and at it the
     # tie turns the coordinate ghost, so the last member need only stay
     # at or below 3
-    ("1\n0", [[1, 2], [0, 1]], "3", (2, 0)),
+    ("1\n0", [[1, 2], [0, 1]], "3", [2, 0]),
     # a ghost target over ghost entries bounds neither the last member
     # nor a first member whose ghost term leads
-    ("0v\n0v", [[0], [2]], "1v", (0, 2)),
-    ("0v\n0v", [[2], [0]], "1v", (2, 0)),
-    # one member after a first with no entries: a tangible target over a
-    # tangible entry bounds it above by the tie value 3, a tangible one
-    # over a ghost entry only below by 2, and a ghost target over a
-    # tangible entry above by 2
-    ("-inf -inf\n0 0", [[0], [4]], "3 5v", None),
-    ("-inf -inf\n0v 0v", [[0], [4]], "2 4v", (0, 4)),
-    ("-inf -inf\n0 0v", [[0], [3]], "2v 4v", None),
-], ids=["breakpoint", "ghost-last", "ghost-lead", "tie-only", "tie-or-more",
-        "tie-or-less"])
-def test_pair_first_pinned(members, doms, target, want):
-    # candidate lists on which the first completion rests on one rule
-    assert _pair_first(*_given_levels(rows(members), doms), *_start(target)) == want
+    ("0v\n0v", [[0], [2]], "1v", [0, 2]),
+    ("0v\n0v", [[2], [0]], "1v", [2, 0]),
+], ids=["breakpoint", "ghost-last", "ghost-lead"])
+def test_two_member_scan_pinned(monkeypatch, members, doms, target, want):
+    # candidate lists on which the first completion rests on one rule,
+    # given to the search in place of the chain candidates
+    monkeypatch.setattr(dependence, "_chain_candidates",
+                        lambda rows, tvals, support: dict(zip(support, doms)))
+    assert _first_solution(rows(members), vec(target), (0, 1)) == [T(c) for c in want]
+
+
+@pytest.mark.parametrize("member, dom, target, want", [
+    # a tangible target over a tangible entry bounds the last member
+    # above by the tie value 3, a tangible one over a ghost entry only
+    # below by 2, and a ghost target over a tangible entry above by 2
+    ("0 0", [4], "3 5v", None),
+    ("0v 0v", [4], "2 4v", 4),
+    ("0 0v", [3], "2v 4v", None),
+], ids=["tie-only", "tie-or-more", "tie-or-less"])
+def test_last_first_pinned(member, dom, target, want):
+    (level,) = _given_levels(rows(member), [dom])
+    assert _last_first(level, *_start(target)) == want
+
+
+def test_last_first_is_the_least_of_the_reference_slice():
+    # the closed form against the least value of the reference's slice
+    # of valid last values, on drawn candidate lists, entries and prefix
+    # sums with ghosts, zeros and halves; both answers must occur often
+    rng = seeded(3301)
+    found = Counter()
+    for _ in range(3000):
+        n, denom = rng.randint(1, 4), rng.choice((1, 2))
+        kw = dict(lo=-3, hi=3, zero_p=0.2, ghost_p=0.3, denom=denom)
+        dom = sorted({Fraction(rng.randint(-6, 6), denom) for _ in range(rng.randint(1, 6))})
+        member, prefix = rand_vec(rng, n, **kw), rand_vec(rng, n, **kw)
+        (level,) = _given_levels([member], [dom])
+        start = [x.value for x in prefix], [x.is_ghost() for x in prefix]
+        want = _last_values_reference(*level, *start)
+        got = _last_first(level, *start)
+        assert got == (want[0] if want else None), (dom, member, prefix)
+        found[got is not None] += 1
+    assert min(found.values()) >= 500, found
 
 
 # -- the Cramer bound --------------------------------------------------
@@ -1125,10 +1172,10 @@ def test_clipped_walk_matches_the_uncut_walk():
 
 
 def _cut_and_tightened(levels, tvals, tghosts):
-    """The step before a walk of four or more members, as the candidate
-    lists cut at the greatest valid assignment and those lists raised by
-    the floors; None when the descent finds no valid assignment.  The
-    greatest valid assignment must survive the floors."""
+    """The step before a walk of three or more members with a target, as
+    the candidate lists cut at the greatest valid assignment and those
+    lists raised by the floors; None when the descent finds no valid
+    assignment.  The greatest valid assignment must survive the floors."""
     top = _descend(levels, tvals, tghosts)
     if top is None:
         return None

@@ -299,6 +299,18 @@ def test_ghost_monic_identity():
     assert is_ghost_monic(MapByMatrix(Mat.identity(2)), [E1, E2])
 
 
+def test_ghost_monic_checks_its_samples():
+    M = MapByMatrix(Mat.identity(2))
+    with pytest.raises(InvalidInputError, match="need at least one sample generator"):
+        is_ghost_monic(M, [])
+    with pytest.raises(ShapeError, match="sample dimension does not match the map"):
+        is_ghost_monic(M, [E1, vec("0 0 0")])
+
+
+def test_functional_prints_its_covector():
+    assert str(dual.Functional(vec("0 1v -inf"))) == "0 1v -inf"
+
+
 def test_ghost_monic_fails_for_ties():
     assert not is_ghost_monic(MapByMatrix(mat("0 0\n0 0")), [E1, E2])
     assert not is_ghost_monic(MapByMatrix(mat("1v 2v\n0v 1v")), [E1, E2])

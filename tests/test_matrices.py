@@ -140,6 +140,38 @@ def test_shape_errors():
         mat("1 2\n3 4").apply(vec("1 2 3"))
 
 
+def test_empty_and_mismatched_shapes_are_rejected():
+    cases = [
+        (lambda: Vec([]), "vectors must have at least one entry"),
+        (lambda: Mat([]), "matrices must have at least one row"),
+        (lambda: Mat([[]]), "matrices must have at least one column"),
+        (lambda: Mat.from_cols([]), "need at least one column"),
+        (lambda: mat("1 2") + mat("1\n2"), "matrix shapes differ"),
+        (lambda: mat("1 2").surpasses(mat("1\n2")), "matrix shapes differ"),
+        (lambda: adjoint(mat("1 2")), "adjoint requires a square matrix"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+
+def test_operators_refuse_other_types():
+    # the NotImplemented returns: Python then raises TypeError, and an
+    # equality test against another type is False
+    v, A = vec("0 1"), mat("0 1\n2 3")
+    for call in (lambda: v + 1, lambda: 2 * v, lambda: A + v, lambda: A @ 1,
+                 lambda: 2 * A):
+        with pytest.raises(TypeError):
+            call()
+    assert v != v.entries and A != A.row_tuples
+
+
+def test_repr_shows_the_entries():
+    assert repr(vec("0 1v -inf")) == "Vec(0 1v -inf)"
+    assert repr(mat("0 1\n2v -inf")) == "Mat[0 1; 2v -inf]"
+    assert str(mat("0 1\n2v -inf")) == "0 1\n2v -inf"
+
+
 def test_from_cols_rejects_ragged_columns():
     assert Mat.from_cols([vec("1 2"), vec("3 4")]) == mat("1 3\n2 4")
     # zip would cut both columns to the shorter one's length

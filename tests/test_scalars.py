@@ -47,6 +47,35 @@ def test_constants():
     assert zero() is ZERO
 
 
+def test_construction_rejects_other_inputs():
+    with pytest.raises(TypeError, match="cannot build a scalar value from list"):
+        Scalar([1])
+    with pytest.raises(ValueError, match="zero has no ghost variant"):
+        Scalar(None, True)
+
+
+def test_operators_refuse_other_types():
+    # the NotImplemented returns: Python then raises TypeError, and an
+    # equality test against another type is False
+    for call in (lambda: T(1) + 1, lambda: T(1) / 2):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        T(1) ** 1.5
+    with pytest.raises(ValueError, match="ghost scalars have no multiplicative inverse"):
+        T(1) / G(1)
+    assert not (T(1) == 1) and T(1) != 1
+
+
+def test_zero_is_nu_below_every_nonzero():
+    assert ZERO.nu_lt(T(-5)) and ZERO.nu_lt(G(3)) and T(-5).nu_gt(ZERO)
+    assert not ZERO.nu_lt(ZERO)
+
+
+def test_repr_is_the_text_form():
+    assert [repr(x) for x in (T(1), G(Fraction(1, 2)), ZERO)] == ["1", "1/2v", "-inf"]
+
+
 def test_zero_is_canonical():
     # There is exactly one zero; it never carries a value.
     assert ZERO.value is None

@@ -174,8 +174,14 @@ def test_ghost_variant_family_all_critical():
 
 
 def test_is_critical_index_checked():
-    with pytest.raises(Exception):
+    with pytest.raises(IndexError, match="member index out of range"):
         is_critical(5, [E1, E2])
+
+
+@pytest.mark.parametrize("i", [1.0, True, "0", None])
+def test_is_critical_rejects_an_index_that_is_not_an_int(i):
+    with pytest.raises(InvalidInputError, match="member index must be an int"):
+        is_critical(i, [E1, E2])
 
 
 # -- s-bases -----------------------------------------------------------
@@ -186,6 +192,11 @@ def test_s_base_drops_spanned_vector():
     assert r.indices == (0, 1)
     assert r.rank == 2
     assert r.normalized == (vec("0 -inf"), vec("-inf 0"))
+
+
+def test_s_base_skips_zero_members():
+    r = s_base(rows("-inf -inf\n0 -inf\n-inf 0"))
+    assert r.indices == (1, 2)
 
 
 def test_s_base_keeps_ghost_variants():
@@ -377,6 +388,10 @@ def test_generalized_permutation_rejects_ghost_entries():
     assert not is_generalized_permutation(mat("-inf 2v\n7 -inf"))
 
 
+def test_generalized_permutation_must_be_square():
+    assert not is_generalized_permutation(mat("0 -inf -inf\n-inf 0 -inf"))
+
+
 # -- change of base ----------------------------------------------------
 
 def test_change_of_base_diagonal():
@@ -398,6 +413,8 @@ def test_change_of_base_antidiagonal():
 def test_change_of_base_failure():
     with pytest.raises(NoChangeOfBaseError):
         change_of_base(Mat.identity(2), mat("0 0\n-inf 0"))
+    with pytest.raises(NoChangeOfBaseError, match="row matrices have different shapes"):
+        change_of_base(Mat.identity(2), Mat.identity(3))
 
 
 # -- almost tangible ---------------------------------------------------

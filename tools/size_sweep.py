@@ -25,6 +25,11 @@ time and the number over the cap.  Tangible values are -3..5:
 - ``is_dependent``: n+1 tangible vectors in n coordinates;
 - ``annihilator_set``: a tangible n x (n+1) matrix;
 - ``depends_on``: k = n tangible vectors and a free tangible target;
+- ``depends_on_built``: k = n independent tangible vectors and the
+  tangible lift of a combination of all of them with tangible
+  coefficients, each member's term the unique largest at some
+  coordinate, so that the witness needs every member: the shape of
+  stbench's ``witness`` workload (redrawn until it holds);
 - ``spans``: k members and a free target in 5 coordinates, with ghost
   0.3 and zero 0.15;
 - ``is_almost_tangible``: a vector that is neither tangible nor ghost
@@ -78,6 +83,7 @@ ROWS = (
     ("is_dependent", (5, 6, 7), None),
     ("annihilator_set", (5, 6, 8), None),
     ("depends_on", (5, 6, 8), None),
+    ("depends_on_built", (3, 4, 5, 6), None),
     ("spans", (14, 18), None),
     ("is_almost_tangible", (10, 12, 16, 24), None),
     ("rank", (9,), 1),
@@ -122,6 +128,18 @@ def _call(st, search, size, rng):
     if search == "depends_on":
         S = [_vec(st, rng, size) for _ in range(size)]
         v = _vec(st, rng, size)
+        return lambda: st.depends_on(v, S)
+    if search == "depends_on_built":
+        while True:
+            S = [_vec(st, rng, size) for _ in range(size)]
+            terms = [w.scale(_scalar(st, rng)) for w in S]
+            if st.max_rank(S) == size and all(
+                any(all(t[j].value > o[j].value for o in terms if o is not t)
+                    for j in range(size))
+                for t in terms
+            ):
+                break
+        v = sum(terms[1:], terms[0]).nu_hat()
         return lambda: st.depends_on(v, S)
     if search == "spans":
         S = [_vec(st, rng, 5, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
