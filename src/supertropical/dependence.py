@@ -166,7 +166,11 @@ class _Witness:
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
-        support = tuple(sorted(self.support))
+        support = tuple(self.support)
+        for i in support:
+            if type(i) is not int:
+                raise InvalidInputError(f"support index must be an int, got {i!r}")
+        support = tuple(sorted(support))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "support", support)
         if not support:

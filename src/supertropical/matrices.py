@@ -57,7 +57,11 @@ come from it, and nabla's entries are built already divided by the
 permanent.  The cycle test peels the tight graph over rows, and its
 order, relabelled to columns, is the one the minors' layers need, so
 nabla peels that graph once.  ``adjoint`` does not read the permanent,
-so it skips the permanent's cycle test and peels the graph itself.
+so it skips the permanent's cycle test and peels the graph itself.  A
+cycle there means a tied whole optimum, which only ``adjoint`` meets
+(``nabla`` stops at the ghost permanent): each minor is then a
+permanent of its own, as below size 5, so from size 6 on a tied
+adjoint solves n^2 assignments of size n - 1.
 
 ``adjoint`` and ``nabla`` are computed once per matrix: the first call
 that succeeds keeps its result on the matrix, in the slots ``_adj`` and
@@ -75,22 +79,15 @@ content: an equal matrix built apart computes its own.  Only
 The minor without row j and column i flips a shortest path that starts
 at the row matched to column i and ends at the column s matched to row
 j, so one Dijkstra per column i gives every minor's value.  Its layer
-comes from the same pass when the whole optimum is unique, which holds
-for every nonsingular matrix: a second optimum of the minor differs from
-the flipped matching by one alternating path plus cycles, and every
-cycle costs more, so the minor is tied exactly when two shortest paths
-reach s.  The Dijkstra counts the paths as it settles the columns,
-capped at 2, and sums the change in ghost and zero entries along the
-path down the shortest-path tree.  Its unsettled columns stay in a
-topological order of the zero-cost edges, which can join columns at
-equal distance, so a column is settled after every column on a shortest
-path to it, and its count is final by then.  A tied whole optimum,
-which only ``adjoint`` meets (``nabla`` stops at the ghost permanent),
-keeps a cycle test per minor: the minor's potentials
-are those of the whole matrix shifted by ``min(dist, D)`` with
-D = dist[s], so an edge from a row at distance a to a column at
-distance b with reduced cost rc is tight in the minor exactly when
-``rc + min(a, D) == min(b, D)``, which the test reads per minor.
+comes from the same pass, since the whole optimum is unique: a second
+optimum of the minor differs from the flipped matching by one
+alternating path plus cycles, and every cycle costs more, so the minor
+is tied exactly when two shortest paths reach s.  The Dijkstra counts
+the paths as it settles the columns, capped at 2, and sums the change in
+ghost and zero entries along the path down the shortest-path tree.  Its
+unsettled columns stay in a topological order of the zero-cost edges,
+which can join columns at equal distance, so a column is settled after
+every column on a shortest path to it, and its count is final by then.
 """
 
 from __future__ import annotations
@@ -644,15 +641,14 @@ def _assign(rows):
     augmenting path, after which only the columns it settled move their
     potential."""
     n = len(rows)
-    vals = [[x._v for x in r] for r in rows]
-    finite = [w for r in vals for w in r if w is not None]
+    finite = [x._v for r in rows for x in r if x._v is not None]
     if not finite:
         return None
     # A zero entry costs more than any permutation of finite entries, so
     # an optimum uses one only when it must.
     hi = max(finite)
     big = n * (hi - min(finite)) + 1
-    cost = [[big if w is None else hi - w for w in r] for r in vals]
+    cost = [[big if x._v is None else hi - x._v for x in r] for r in rows]
 
     # Column reduction: v[c] is the least cost in column c, and the first
     # row that reaches it takes c if that row is still free.  From here
@@ -764,15 +760,14 @@ def _perm_order(rows, sol):
 def _adjoint_assign(rows, sol, shift, row_order=None):
     """All minors from one optimal assignment ``sol = _assign(rows)``,
     each less ``shift``: ``out[i][j]`` is the permanent without row j and
-    column i.  Its optimum flips the shortest path, in reduced costs
-    ``rc``, from the row r0 matched to column i to the column s matched
-    to row j, and costs ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0
-    per column i gives d for every j, and the layer of every minor of
-    column i (module docstring): from the shortest paths that the same
-    Dijkstra counts when the whole optimum is unique, and otherwise
-    from a cycle test per minor on the tight edges of its own
-    potentials.  ``row_order``, the order that ``_perm_order`` returned
-    for a tangible permanent, saves peeling the tight graph again."""
+    column i, or None when the whole optimum is tied.  Its optimum flips
+    the shortest path, in reduced costs ``rc``, from the row r0 matched
+    to column i to the column s matched to row j, and costs
+    ``C* - u[j] - v[i] + d(s)``; one Dijkstra from r0 per column i gives
+    d for every j, and the layer of every minor of column i from the
+    shortest paths it counts (module docstring).  ``row_order``, the
+    order that ``_perm_order`` returned for a tangible permanent, saves
+    peeling the tight graph again."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n
@@ -781,14 +776,15 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
     rc = [[x - ur - vc for x, vc in zip(cr, v)] for cr, ur in zip(cost, u)]
     # The tight graph: column c' -> c when rc[p[c']][c] == 0, c != c'.
     # It is the row graph of _perm_order relabelled through p, so a row
-    # order becomes a column order through col.  order is a topological
-    # order of it, or None when it has a cycle, that is when the whole
-    # optimum is tied.
+    # order becomes a column order through col.  A cycle in it is a
+    # second whole optimum, whose minors the count below cannot decide.
     if row_order is not None:
         order = [col[r] for r in row_order]
     else:
         order = _peel([[c for c, x in enumerate(rc[r]) if not x and c != k]
                        for k, r in enumerate(p)])
+        if order is None:
+            return None
     # off: the entry is ghost or zero; off_p counts them on p.
     off = [[not x.is_tangible() for x in r] for r in rows]
     off_p = sum(off[r][c] for c, r in enumerate(p))
@@ -800,17 +796,16 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
         # row p[c]; dist[i] = 0 is r0's own label.  delta[c]: the change
         # in off entries when the path to c is flipped.  tied[c]: whether
         # two shortest paths reach c, which ties the minor with s = c.
-        # With a unique whole optimum, left keeps the topological order,
-        # so min settles a column after every column that reaches it at
-        # the same distance by a zero-cost edge: each settled column has
-        # its final tied and delta.
+        # left keeps the topological order, so min settles a column after
+        # every column that reaches it at the same distance by a
+        # zero-cost edge: each settled column has its final tied and
+        # delta.
         r0 = p[i]
         dist = list(rc[r0])
-        pre = [r0] * n
         o0 = off[r0][i]
         delta = [x - o0 for x in off[r0]]
         tied = [False] * n
-        left = [c for c in (range(n) if order is None else order) if c != i]
+        left = [c for c in order if c != i]
         while left:
             c = min(left, key=dist.__getitem__)
             left.remove(c)
@@ -821,46 +816,17 @@ def _adjoint_assign(rows, sol, shift, row_order=None):
                 t = d + rr[c2]
                 if t < dist[c2]:
                     dist[c2] = t
-                    pre[c2] = r
                     delta[c2] = dc + orr[c2]
                     tied[c2] = tc
                 elif t == dist[c2]:
                     tied[c2] = True
-        if order is None:
-            others = [c for c in range(n) if c != i]
-            da = [dist[c] for c in col]  # da[r]: distance of row r's column
         for j in range(n):
             s = col[j]
-            D = dist[s]
-            m = base - u[j] - v[i] + D
+            m = base - u[j] - v[i] + dist[s]
             if m >= big:
                 out[i][j] = ZERO
-                continue
-            if off_p - off[j][s] + delta[s] > 0:
-                ghosted = True
-            elif order is not None:
-                ghosted = tied[s]
             else:
-                # Flip the path: q is the minor's matching, column to row.
-                # A second optimum closes a cycle of tight edges off q.
-                # The minor has potentials u - pi(row), v + pi(column),
-                # pi = min(dist, D), so edge (r, c) is tight when
-                # rc + min(da[r], D) == min(dist[c], D).  No edge enters
-                # row j, so it lies on no cycle.
-                q = list(p)
-                c = s
-                while c != i:
-                    r = pre[c]
-                    q[c] = r
-                    c = col[r]
-                low = [min(b, D) for b in dist]
-                succ = []
-                for r, rr in enumerate(rc):
-                    t = min(da[r], D)
-                    succ.append([q[c] for c in others
-                                 if rr[c] + t == low[c] and q[c] != r])
-                ghosted = _peel(succ) is None
-            out[i][j] = _made(top - m, ghosted)
+                out[i][j] = _made(top - m, tied[s] or off_p - off[j][s] + delta[s] > 0)
     return tuple(map(tuple, out))
 
 
@@ -884,19 +850,22 @@ def _perm_adjoint(rows, divide=False):
     permanent is not tangible.  Without ``divide`` the permanent, which
     nothing then reads, is None.
 
-    From size 5 on both come from one optimal assignment.  Below that
-    each minor is a permanent of size at most 3 from the value and
-    ghost-flag kernels of ``_perm_rows``, and ``_divided`` takes the
-    permanent from them."""
+    From size 5 on both come from one optimal assignment, unless the
+    whole optimum is tied, which only the adjoint meets.  Below that,
+    and for a tied adjoint, each minor is a permanent of its own from
+    ``_perm_rows``; below size 5 ``_divided`` takes the permanent from
+    them."""
     n = len(rows)
     if n > 4:
         sol = _assign(rows)
-        if not divide:
-            return None, _adjoint_assign(rows, sol, 0)
-        per, order = _perm_order(rows, sol)
-        if not per.is_tangible():
-            return per, None
-        return per, _adjoint_assign(rows, sol, per._v, order)
+        if divide:
+            per, order = _perm_order(rows, sol)
+            if not per.is_tangible():
+                return per, None
+            return per, _adjoint_assign(rows, sol, per._v, order)
+        adj = _adjoint_assign(rows, sol, 0)
+        if adj is not None:
+            return None, adj
     if n == 1:
         adj = ((ONE,),)
     else:

@@ -488,10 +488,12 @@ def assign_reference(rows):
 
 
 def adjoint_assign_reference(rows, sol, shift):
-    """Reference for ``matrices._adjoint_assign``: the same Dijkstra per
-    deleted column i, then for each minor the flipped path and, when it
-    uses only tangible entries, a cycle test on the minor's own tight
-    edges, whether or not the whole optimum is unique."""
+    """Reference for the adjoint from an assignment: for
+    ``matrices._adjoint_assign`` on a unique whole optimum, and for
+    ``adjoint`` on every input.  The same Dijkstra per deleted column i,
+    then for each minor the flipped path and, when it uses only tangible
+    entries, a cycle test on the minor's own tight edges, whether or not
+    the whole optimum is unique."""
     n = len(rows)
     if sol is None:
         return ((ZERO,) * n,) * n

@@ -4,20 +4,24 @@ pinned cases.
 From size 5 on, ``permanent`` solves an optimal assignment and decides
 the layer by a cycle test on the tight edges (sizes 2 to 4 walk their
 permutations on values and ghost flags), and ``adjoint`` takes every
-minor from one assignment of the whole matrix.  The solver,
-``matrices._assign``, is Jonker and Volgenant's: column reduction, then
-one Dijkstra per row left free.  ``tests/helpers.assign_reference`` is
-the loop it replaced, which starts from an empty matching; both must
-give feasible potentials, tight on a permutation of the same optimal
-cost, and the same permanent and minors from either solution.
+minor from one assignment of the whole matrix when its optimum is
+unique.  The solver, ``matrices._assign``, is Jonker and Volgenant's:
+column reduction, then one Dijkstra per row left free.
+``tests/helpers.assign_reference`` is the loop it replaced, which
+starts from an empty matching; both must give feasible potentials,
+tight on a permutation of the same optimal cost, and the same permanent
+and minors from either solution.
 
 When the whole optimum is unique, a minor is tied exactly when two
 shortest alternating paths reach it, so one count per deleted column
-decides every minor's layer; only a tied whole optimum keeps a cycle
-test per minor.  ``tests/helpers.adjoint_assign_reference`` runs that
-per-minor test on every input, and ``oracles.dp_permanent`` (the
-memoized row expansion) and ``oracles.brute_permanent`` (the literal
-permutation sum) share no code with either.
+decides every minor's layer.  On a tied whole optimum
+``matrices._adjoint_assign`` returns None, and ``adjoint`` takes every
+minor as a permanent of its own, as below size 5.
+``tests/helpers.adjoint_assign_reference`` decides every minor of every
+input by a cycle test on the minor's own tight edges, and
+``oracles.dp_permanent`` (the memoized row expansion) and
+``oracles.brute_permanent`` (the literal permutation sum) share no code
+with either.
 """
 
 import time
@@ -166,19 +170,23 @@ class TestLayer:
 @pytest.mark.parametrize("n", [5, 6])
 class TestAdjointFromOneAssignment:
     """From size 5 on, every minor of the adjoint comes from one optimal
-    assignment of the whole matrix and a shortest path per minor.  Entry
-    (i, j) is the minor without row j and column i."""
+    assignment of the whole matrix and a shortest path per minor, unless
+    that optimum is tied.  Entry (i, j) is the minor without row j and
+    column i."""
 
     def test_unique_minor_inside_a_ghost_permanent(self, n, monkeypatch):
         # The identity and the swap of rows 0 and 1 are both optimal, so
-        # the minors take the cycle test of the tied case.
+        # the whole assignment's tight graph has a cycle and the minors
+        # are decided minor by minor: each is a permanent of its own, an
+        # assignment of its own from size 5 on.
         rows = _diagonal_heavy(n)
         rows[0][1] = rows[1][0] = T(10)
         A = Mat(rows)
         assert permanent(A) == G(10 * n)
-        calls = _counting_peel(monkeypatch)
+        assert _adjoint_assign(A.row_tuples, _assign(A.row_tuples), 0) is None
+        calls = _counting(monkeypatch, "_assign")
         adj = _checked_adjoint(A)
-        assert len(calls) > n
+        assert len(calls) == 1 + (n * n if n > 5 else 0)
         assert adj.entry(0, 0) == T(10 * (n - 1))
         assert adj.entry(1, 0) == T(10 * (n - 1))
         assert adj.entry(n - 1, n - 1) == G(10 * (n - 1))
@@ -234,18 +242,21 @@ class TestAdjointFromOneAssignment:
 
 
 class TestAdjointTightEdges:
-    """Pinned minors of the two routes.  With a unique whole optimum, the
-    minor without row j and column i is tied exactly when two shortest
-    paths lead from the row matched to column i to the column s matched
-    to row j.  With a tied whole optimum, the minor's potentials are the
-    whole matrix's shifted by pi = min(dist, D), where dist holds the
-    shortest paths from that row and D = dist[s]; an edge with reduced
-    cost rc, from a row at distance a to a column at distance b, is then
-    tight exactly when rc == 0 and D <= b, or rc + a == b and D >= b, and
-    a cycle of those edges off the minor's matching is its second
-    optimum.  Of the first two tests, the first has a unique optimum (its
-    permanent is 13) and the second a tied one (6v); the third pins the
-    order in which the count visits columns at equal distance."""
+    """Pinned minors, through ``adjoint``.  With a unique whole optimum,
+    the minor without row j and column i is tied exactly when two
+    shortest paths lead from the row matched to column i to the column s
+    matched to row j.  A tied whole optimum sends ``adjoint`` minor by
+    minor; ``tests/helpers.adjoint_assign_reference`` still decides such
+    a minor from the whole matrix's assignment: the minor's potentials
+    are the whole matrix's shifted by pi = min(dist, D), where dist holds
+    the shortest paths from that row and D = dist[s]; an edge with
+    reduced cost rc, from a row at distance a to a column at distance b,
+    is then tight exactly when rc == 0 and D <= b, or rc + a == b and
+    D >= b, and a cycle of those edges off the minor's matching is its
+    second optimum.  Of the first two tests, the first has a unique
+    optimum (its permanent is 13) and the second a tied one (6v), whose
+    minors the reference must give too; the third pins the order in
+    which the count visits columns at equal distance."""
 
     def test_zero_reduced_cost_edge_cut_by_the_cap(self):
         # Entry (1, 4): D = 1, and the zero-cost edges out of rows 3 and 4
@@ -267,6 +278,8 @@ class TestAdjointTightEdges:
         assert adj.entry(0, 0) == G(4)
         assert adj.entry(0, 3) == G(4)
         assert adj.entry(4, 2) == G(5)
+        rows = A.row_tuples
+        assert _typed(adj.row_tuples) == _typed(adjoint_assign_reference(rows, _assign(rows), 0))
 
 
     def test_equal_distance_columns_joined_by_zero_cost_edges(self):
@@ -282,16 +295,17 @@ class TestAdjointTightEdges:
         assert adj.entry(2, 0) == G(3)
 
 
-def _counting_peel(monkeypatch):
-    """Count the calls of ``matrices._peel``, the one cycle test."""
+def _counting(monkeypatch, name):
+    """Count the calls of ``matrices.<name>``, recording the size of
+    each call's one argument."""
     calls = []
-    peel = matrices._peel
+    wrapped = getattr(matrices, name)
 
-    def counted(succ):
-        calls.append(len(succ))
-        return peel(succ)
+    def counted(arg):
+        calls.append(len(arg))
+        return wrapped(arg)
 
-    monkeypatch.setattr(matrices, "_peel", counted)
+    monkeypatch.setattr(matrices, name, counted)
     return calls
 
 
@@ -300,16 +314,28 @@ def _tie_heavy(rng, n, hi):
 
 
 def _typed(adj):
-    """The values, value types and ghost flags of adjoint row tuples."""
+    """The values, value types and ghost flags of adjoint row tuples, or
+    None for None."""
+    if adj is None:
+        return None
     return [[(x.value, type(x.value), x.is_ghost()) for x in r] for r in adj]
 
 
+def _tied(sol):
+    """Whether two permutations reach the optimal cost of the solution
+    ``sol = _assign(rows)``, by the DP oracle on its tangible costs."""
+    return dp_permanent(Mat([[T(-w) for w in cr] for cr in sol[2]])).is_ghost()
+
+
 def test_count_route_matches_the_per_minor_reference():
-    """Whole adjoints (and nabla's, shifted by the permanent) against
-    the per-minor cycle test, in values, value types and ghost flags, on
-    nonsingular, tie-heavy and mixed-denominator draws of sizes 5 to 9."""
+    """The public ``adjoint`` (and ``nabla``, on nonsingular draws)
+    against the per-minor cycle test, in values, value types and ghost
+    flags, on nonsingular, tie-heavy and mixed-denominator draws of
+    sizes 5 to 9.  The count route takes every draw whose whole optimum
+    is unique and returns None on every tied one, which ``adjoint`` then
+    decides minor by minor."""
     rng = seeded(18)
-    optima = set()
+    optima = {"tied": 0, "unique": 0}
     for n in range(5, 10):
         draws = [rand_nonsingular(rng, n, ghost_p=0.2) for _ in range(12)]
         draws += [_tie_heavy(rng, n, hi) for hi in (1, 3) for _ in range(12)]
@@ -317,18 +343,19 @@ def test_count_route_matches_the_per_minor_reference():
         for A in draws:
             rows = A.row_tuples
             sol = _assign(rows)
+            tied = sol is not None and _tied(sol)
+            optima["tied" if tied else "unique"] += 1
+            want = _typed(adjoint_assign_reference(rows, sol, 0))
+            got = _typed(_adjoint_assign(rows, sol, 0))
+            assert got == (None if tied else want), A
+            assert _typed(adjoint(A).row_tuples) == want, A
             per, order = _perm_order(rows, sol)
-            shifts = [0] + ([per._v] if per.is_tangible() else [])
-            for shift in shifts:
-                got = _typed(_adjoint_assign(rows, sol, shift))
-                assert got == _typed(adjoint_assign_reference(rows, sol, shift)), (A, shift)
-                # nabla's route: the permanent's order passed on
-                if order is not None:
-                    assert _typed(_adjoint_assign(rows, sol, shift, order)) == got, (A, shift)
-            # with every entry made tangible, only a tie makes it ghost
-            layer = permanent(A.nu_hat())
-            optima.add("zero" if layer.is_zero() else "tied" if layer.is_ghost() else "unique")
-    assert {"tied", "unique"} <= optima
+            if per.is_tangible():
+                want = _typed(adjoint_assign_reference(rows, sol, per._v))
+                # nabla's own route, on a matrix with no adjoint kept
+                assert _typed(nabla(Mat(rows)).row_tuples) == want, A
+                assert _typed(_adjoint_assign(rows, sol, per._v, order)) == want, A
+    assert min(optima.values()) >= 100, optima
 
 
 def test_zero_cost_edges_at_equal_distance_match_the_per_minor_reference():
@@ -403,7 +430,7 @@ def test_solver_meets_its_contract_against_the_loop_it_replaced():
     The potentials and even the matching may differ, since every optimal
     permutation is tight under every optimal dual."""
     rng = seeded(32)
-    collided = through_matched = other_matching = 0
+    collided = through_matched = other_matching = tied = 0
     for n in list(range(1, 15)) + [24]:
         for A in _contract_draws(rng, n):
             rows = A.row_tuples
@@ -427,15 +454,21 @@ def test_solver_meets_its_contract_against_the_loop_it_replaced():
                 outs.append((_typed([[per]]), [
                     _typed(_adjoint_assign(rows, s, shift, order)) for shift in shifts]))
             assert outs[0] == outs[1], A
+            # None only on a tied whole optimum, whose minors adjoint
+            # decides one by one without either solution; the DP oracle
+            # stops at 14
+            tied += outs[0][1][0] is None
+            if n <= 14:
+                assert (outs[0][1][0] is None) == _tied(sol), A
             # a row that the reduction matched and that ends in another
             # column moved when a search passed through its column
             taken, hit = _reduction(cost)
             collided += hit
             through_matched += any(p[c] != r for c, r in taken.items())
             other_matching += p != ref[5]
-    # the seeded draws give 162, 124 and 59 of 195
-    assert collided >= 120 and through_matched >= 90 and other_matching >= 40, (
-        collided, through_matched, other_matching)
+    # the seeded draws give 162, 124, 59 and 90 of 195
+    assert collided >= 120 and through_matched >= 90 and other_matching >= 40 and tied >= 60, (
+        collided, through_matched, other_matching, tied)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -445,7 +478,7 @@ def test_unique_optimum_runs_no_cycle_test_per_minor(monkeypatch, n):
     # order it passes on to the minors.  nabla of an equal matrix built
     # apart takes its own route; on A it divides the kept adjoint and
     # peels nothing.
-    calls = _counting_peel(monkeypatch)
+    calls = _counting(monkeypatch, "_peel")
     rng = seeded(180 + n)
     for _ in range(10):
         A = rand_nonsingular(rng, n, ghost_p=0.2)

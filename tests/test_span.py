@@ -83,6 +83,9 @@ def test_spans_two_generator_example():
     ((T(0), T(3)), (0,), "3v 3v"),
     # a coefficient that is not a scalar
     ((1, Z), (0,), "3v 3v"),
+    # support indices that are not ints, though they compare equal to 0
+    ((T(0), Z), (True,), "3v 3v"),
+    ((T(0), Z), (0.0,), "3v 3v"),
 ])
 def test_span_witness_validation(coeffs, support, ghost_part):
     # the two witness types share their support and coefficient checks;

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import random
 import shutil
+import statistics
 from pathlib import Path
 
 import pytest
@@ -69,27 +70,46 @@ def test_every_sweep_row_builds_its_smallest_input():
 
 
 def test_sweep_alternates_the_side_that_runs_first(tmp_path, monkeypatch):
-    # one child per side per search, the parent first on the first
-    # search and the change first on the next; each side's rows keep
-    # the order of ROWS
+    # one child per side per draw, one after the other, the parent first
+    # on the first draw and the change first on the next; each side's
+    # rows keep the order of ROWS, each row its draws in order, and each
+    # row's ratio pairs the draws that finished on both sides
     sweep = _tool("size_sweep")
     calls = []
+    timed = {"parent": 1.0, "change": 2.0}
 
-    def side(root, search):
-        calls.append((Path(root).name, search))
-        return [{"search": search, "side": Path(root).name}]
+    def side(root, search, size, draw):
+        name = Path(root).name
+        calls.append((name, search, size, draw))
+        over = name == "change" and draw == 1
+        return {"time_s": None if over else timed[name] + draw, "unique": draw < 2}
 
     monkeypatch.setattr(sweep, "_side", side)
     parent, change = tmp_path / "parent", tmp_path / "change"
     out = tmp_path / "sweep.json"
     assert sweep.main(["--parent", str(parent), "--change", str(change),
                        "--out", str(out)]) == 0
-    searches = [search for search, _, _ in sweep.ROWS]
+    draws = [(search, size, d) for search, sizes, fixed in sweep.ROWS
+             for size in sizes for d in range(fixed or sweep.DRAWS)]
     assert calls == [
-        (side, search)
-        for k, search in enumerate(searches)
+        (side, *draw)
+        for k, draw in enumerate(draws)
         for side in (("change", "parent") if k % 2 else ("parent", "change"))
     ]
-    rows = json.loads(out.read_text())["rows"]
-    for name in ("parent", "change"):
-        assert rows[name] == [{"search": s, "side": name} for s in searches]
+    doc = json.loads(out.read_text())
+    sizes = [(search, size) for search, sizes, _ in sweep.ROWS for size in sizes]
+    for name, t in timed.items():
+        rows = doc["rows"][name]
+        assert [(r["search"], r["size"]) for r in rows] == sizes
+        for r in rows:
+            want = [None if name == "change" and d == 1 else t + d for d in range(r["draws"])]
+            assert r["times_s"] == want, r
+            assert r["over_cap"] == want.count(None), r
+            assert ("unique" in r) == (r["search"] in sweep.SQUARE), r
+            if "unique" in r:
+                assert r["unique"] == 2, r
+    assert [(r["search"], r["size"]) for r in doc["ratios"]] == sizes
+    for r, row in zip(doc["ratios"], doc["rows"]["parent"]):
+        # draw 1 is over the cap on the change's side
+        want = [(2.0 + d) / (1.0 + d) for d in range(row["draws"]) if d != 1]
+        assert r["ratio"] == statistics.median(want), r

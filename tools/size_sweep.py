@@ -2,25 +2,31 @@
 
     python3 tools/size_sweep.py --parent DIR --change DIR --out SWEEP_N.json
 
-``--parent`` and ``--change`` are roots of two checkouts.  Each search
-of ``ROWS`` runs once per side, in a child process of its own
-(``python3 tools/size_sweep.py --run --row SEARCH``, with ``DIR/src``
-first on ``PYTHONPATH``), so it imports only that checkout's
-``supertropical``; the child prints the search's rows as one JSON list.
-The side that runs first alternates from search to search, the parent
+``--parent`` and ``--change`` are roots of two checkouts.  Every draw
+of every row of ``ROWS`` runs once per side, in a child process of its
+own (``python3 tools/size_sweep.py --run --row SEARCH --size N --draw
+D``, with ``DIR/src`` first on ``PYTHONPATH``), so it imports only that
+checkout's ``supertropical``; the child prints the draw's result as one
+JSON object.  The children run one after another, never two at once,
+and the side that runs first alternates from draw to draw, the parent
 first on the first one, so that a host that slows down or speeds up
-during the sweep does not read as a change.  Each side is recorded by
-``bench_pairs._commit``.
+during the sweep, even within one row, does not read as a change.  Each
+side is recorded by ``bench_pairs._commit``.
 
 Every (search, size) row draws ``DRAWS`` seeded inputs, each from its
 own ``random.Random("<search>/<size>/<draw>")``, so a row's inputs do not
-depend on the other rows or on the checkout.  Each call is timed with
-``time.thread_time`` and capped at ``CAP_S`` seconds of the process's
-own CPU time by ``signal.setitimer(signal.ITIMER_VIRTUAL, ...)``; a call
-that reaches the cap is stopped and counted as over it.  Per row the
-file holds every draw's time (None: over the cap), the median (None
-when half or more of the draws are over the cap), the largest finished
-time and the number over the cap.  Tangible values are -3..5:
+depend on the other rows or on the checkout.  The child makes the call
+twice, each time on an input freshly built from that seed: the first
+call warms the interpreter, and the second is timed.  Each call is
+timed with ``time.thread_time`` and capped at ``CAP_S`` seconds of the
+process's own CPU time by ``signal.setitimer(signal.ITIMER_VIRTUAL,
+...)``; a call that reaches the cap is stopped and counted as over it,
+and a draw whose first call reaches it is not called again.  Per row
+and side the file holds every draw's time (None: over the cap), the
+median (None when half or more of the draws are over the cap), the
+largest finished time and the number over the cap.  Per row,
+``ratios`` holds the median over the draws that finished on both sides
+of the change's time over the parent's.  Tangible values are -3..5:
 
 - ``is_dependent``: n+1 tangible vectors in n coordinates;
 - ``annihilator_set``: a tangible n x (n+1) matrix;
@@ -56,8 +62,8 @@ time and the number over the cap.  Tangible values are -3..5:
 
 The ``adjoint`` and ``nabla`` rows also hold ``unique``, the number of
 draws whose whole optimum is unique (whose permanent is tangible): the
-adjoint takes its minors' layers from a path count on those and from a
-cycle test per minor on the others.
+adjoint takes its minors' layers from a path count on those, and takes
+each minor as a permanent of its own on the others.
 
 Nothing outside the two processes is measured or changed.
 """
@@ -90,7 +96,7 @@ ROWS = (
     ("gram_dependence", (3, 4, 5), None),
     ("is_ghost_monic", (2, 3, 4), None),
     ("permanent", (9, 13, 18, 24, 32), None),
-    ("adjoint", (12, 18, 24), None),
+    ("adjoint", (5, 6, 8, 12, 18, 24), None),
     ("nabla", (12, 18, 24), None),
     ("dual", (8, 12, 16, 24), None),
 )
@@ -231,44 +237,50 @@ def _timed(call):
     return time.thread_time() - t0
 
 
-def run(search):
-    """The rows of one search of ``ROWS`` on the imported
-    ``supertropical``."""
+def run(search, size, draw):
+    """One draw of one row on the imported ``supertropical``:
+    ``time_s``, the thread CPU seconds of the second of two calls (None:
+    over the cap), and for the square rows ``unique``, whether the
+    input's whole optimum is unique."""
     import supertropical as st
 
     signal.signal(signal.SIGVTALRM, _on_cap)
-    rows = []
-    sizes, fixed = next((sizes, fixed) for s, sizes, fixed in ROWS if s == search)
-    for size in sizes:
-        seeds = [f"{search}/{size}/{d}" for d in range(fixed or DRAWS)]
-        times = [_timed(_call(st, search, size, random.Random(s))) for s in seeds]
-        done = sorted(t for t in times if t is not None)
-        over = len(times) - len(done)
-        # over-cap draws sort above every finished one
-        median = None if 2 * over >= len(times) else statistics.median(
-            done + [float("inf")] * over)
-        row = {
-            "search": search, "size": size, "draws": len(times),
-            "median_s": median, "max_s": done[-1] if done else None,
-            "over_cap": over, "times_s": times,
-        }
-        if search in SQUARE:
-            # the same inputs again, from fresh generators
-            row["unique"] = sum(
-                st.permanent(_square(st, search, size, random.Random(s))).is_tangible()
-                for s in seeds)
-        rows.append(row)
-        print(f"{search} {size}: median {median} over {over}", file=sys.stderr)
-    return rows
+    seed = f"{search}/{size}/{draw}"
+    t = _timed(_call(st, search, size, random.Random(seed)))  # warm-up
+    if t is not None:
+        t = _timed(_call(st, search, size, random.Random(seed)))
+    out = {"time_s": t}
+    if search in SQUARE:
+        out["unique"] = st.permanent(_square(st, search, size, random.Random(seed))).is_tangible()
+    return out
 
 
-def _side(root, search):
+def _side(root, search, size, draw):
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(root), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    cmd = [sys.executable, os.path.abspath(__file__), "--run", "--row", search]
+    cmd = [sys.executable, os.path.abspath(__file__), "--run", "--row", search,
+           "--size", str(size), "--draw", str(draw)]
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def _row(search, size, results):
+    """One side's row from the results of its draws."""
+    times = [r["time_s"] for r in results]
+    done = sorted(t for t in times if t is not None)
+    over = len(times) - len(done)
+    # over-cap draws sort above every finished one
+    median = None if 2 * over >= len(times) else statistics.median(
+        done + [float("inf")] * over)
+    row = {
+        "search": search, "size": size, "draws": len(times),
+        "median_s": median, "max_s": done[-1] if done else None,
+        "over_cap": over, "times_s": times,
+    }
+    if search in SQUARE:
+        row["unique"] = sum(r["unique"] for r in results)
+    return row
 
 
 def main(argv=None):
@@ -279,11 +291,13 @@ def main(argv=None):
     ap.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--row", choices=[search for search, _, _ in ROWS],
                     help=argparse.SUPPRESS)
+    ap.add_argument("--size", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--draw", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:
-        if not args.row:
-            ap.error("--run needs --row")
-        json.dump(run(args.row), sys.stdout)
+        if not args.row or args.size is None or args.draw is None:
+            ap.error("--run needs --row, --size and --draw")
+        json.dump(run(args.row, args.size, args.draw), sys.stdout)
         return 0
     if not (args.parent and args.change and args.out):
         ap.error("--parent, --change and --out are required")
@@ -295,14 +309,29 @@ def main(argv=None):
         "draws": DRAWS,
         "cap_s": CAP_S,
         "host": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
-        "timing": "time.thread_time per call; a call is stopped at the cap by "
-                  "ITIMER_VIRTUAL on its own process",
+        "timing": "time.thread_time of the second of two calls per draw, one child "
+                  "per side and draw, the sides alternating from draw to draw; a "
+                  "call is stopped at the cap by ITIMER_VIRTUAL on its own process",
         "commits": {side: _commit(getattr(args, side)) for side in SIDES},
         "rows": {side: [] for side in SIDES},
+        "ratios": [],
     }
-    for k, (search, _, _) in enumerate(ROWS):
-        for side in SIDES[::-1] if k % 2 else SIDES:
-            doc["rows"][side] += _side(getattr(args, side), search)
+    k = 0
+    for search, sizes, fixed in ROWS:
+        for size in sizes:
+            results = {side: [] for side in SIDES}
+            for draw in range(fixed or DRAWS):
+                for side in SIDES[::-1] if k % 2 else SIDES:
+                    results[side].append(_side(getattr(args, side), search, size, draw))
+                k += 1
+            for side in SIDES:
+                doc["rows"][side].append(_row(search, size, results[side]))
+            pairs = zip(results["parent"], results["change"])
+            ratios = [b["time_s"] / a["time_s"] for a, b in pairs
+                      if a["time_s"] and b["time_s"] is not None]
+            ratio = statistics.median(ratios) if ratios else None
+            doc["ratios"].append({"search": search, "size": size, "ratio": ratio})
+            print(f"{search} {size}: change/parent {ratio}", file=sys.stderr)
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
