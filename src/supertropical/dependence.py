@@ -101,6 +101,18 @@ floor and meets every demand, so no list empties, and the floors drop
 only values that no valid assignment takes: the first solution stays
 as it is.  Supports without a target keep the cut lists.
 
+One support's chain candidates are kept across calls: ``depends_on``
+and then ``saturate`` or ``saturate_by_sup`` on the same family and
+target read the same support's grid, and only the first of them builds
+it.  The key is the members' value rows in support order and the
+target's values (None without one), which are all the grid depends on;
+ghost flags, the family around the support and the vectors' identities
+are not part of it.  The last 32 keys are kept, which covers every
+support a ``depends_on`` and a saturation of its witness walk for
+families of up to five members.  Each kept grid is a tuple of sorted
+tuples, one per member, and the search only slices, bisects and
+indexes them, so no caller can change what a later one reads.
+
 Saturation raises the coefficients of a dependence as far as validity
 allows on its support.  Valid assignments on one support are closed
 under the coordinatewise join (``sup_witness``), and the coordinatewise
@@ -117,6 +129,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .exceptions import InvalidInputError, ShapeError
@@ -343,31 +356,35 @@ def max_rank(S):
 
 
 def _value_rows(vectors, idx):
-    return {i: tuple(map(_value, vectors[i])) for i in idx}
+    return tuple(tuple(map(_value, vectors[i])) for i in idx)
 
 
-def _chain_candidates(rows, target_vals, support):
-    """Per-index candidate coefficient values for one support.
+@lru_cache(maxsize=32)
+def _chain_candidates(rows, target_vals):
+    """Per member of one support, its sorted candidate coefficient values,
+    from the members' value rows ``rows`` in support order and the
+    target's values (None: no target).  Kept for the last few keys
+    (module docstring).
 
     Seeds are the unit value (a member may be normalized to the unit) and,
     with a target, the differences that tie a member directly to the
     target.  Propagation then closes the seeds under tie equations between
-    members, to chain depth len(support) - 1.
+    members, to chain depth len(rows) - 1.
     """
-    cand = {i: {0} for i in support}
+    cand = [{0} for _ in rows]
     if target_vals is not None:
-        for i in support:
-            cand[i] |= {t - x for t, x in zip(target_vals, rows[i])
-                        if t is not None and x is not None}
-    frontier = {i: set(cand[i]) for i in support}
+        for seeds, row in zip(cand, rows):
+            seeds |= {t - x for t, x in zip(target_vals, row)
+                      if t is not None and x is not None}
+    frontier = [set(c) for c in cand]
     pairs = []
-    for a, b in permutations(support, 2):
+    for a, b in permutations(range(len(rows)), 2):
         ds = {x - y for x, y in zip(rows[a], rows[b]) if x is not None and y is not None}
         if ds:
             pairs.append((a, b, ds))
-    for _ in range(max(0, len(support) - 1)):
+    for _ in range(len(rows) - 1):
         moved = False
-        new_frontier = {i: set() for i in support}
+        new_frontier = [set() for _ in rows]
         for a, b, ds in pairs:
             fresh = {x + d for x in frontier[a] for d in ds} - cand[b]
             if fresh:
@@ -377,7 +394,7 @@ def _chain_candidates(rows, target_vals, support):
         if not moved:
             break
         frontier = new_frontier
-    return {i: sorted(cand[i]) for i in support}
+    return tuple(tuple(sorted(c)) for c in cand)
 
 
 def _iter_supports(k, smallest=1):
@@ -423,13 +440,14 @@ def _levels(vectors, target, support):
     values and ghost flags (the target's, or a zero vector's)."""
     rows = _value_rows(vectors, support)
     if target is None:
-        n = len(rows[support[0]])
+        n = len(rows[0])
         tvals, start = None, ([None] * n, [False] * n)
     else:
-        tvals = list(map(_value, target))
-        start = tvals, list(map(_ghost, target))
-    cand = _chain_candidates(rows, tvals, support)
-    levels = [(cand[i], rows[i], tuple(map(_ghost, vectors[i]))) for i in support]
+        tvals = tuple(map(_value, target))
+        start = list(tvals), list(map(_ghost, target))
+    cand = _chain_candidates(rows, tvals)
+    levels = [(dom, row, tuple(map(_ghost, vectors[i])))
+              for dom, row, i in zip(cand, rows, support)]
     return levels, *start
 
 
@@ -710,6 +728,8 @@ def extend_with_tangible(S, v):
 
 
 def _check_saturate_inputs(v, S, w):
+    if not isinstance(w, DepWitness):
+        raise TypeError(f"expected a DepWitness, got {type(w).__name__}")
     if w.target is None or w.target != v:
         raise InvalidInputError("witness target must be the given vector")
     w._check_count(S)

@@ -368,9 +368,11 @@ def grid_solutions_reference(vectors, target, support):
     else:
         tvals = [x.value for x in target]
         start = tvals, [x.is_ghost() for x in target]
-    cand = _chain_candidates(rows, tvals, support)
+    cand = _chain_candidates(tuple(tuple(rows[i]) for i in support),
+                             None if tvals is None else tuple(tvals))
     # per depth: the member's candidates, entry values and ghost flags
-    levels = [(cand[i], rows[i], [x.is_ghost() for x in vectors[i]]) for i in support]
+    levels = [(dom, rows[i], [x.is_ghost() for x in vectors[i]])
+              for dom, i in zip(cand, support)]
     if not last:
         for c in _last_values_reference(*levels[0], *start):
             yield [Scalar(c)]

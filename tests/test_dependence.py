@@ -483,6 +483,11 @@ def test_saturation_routes_agree(rng):
     # saturate requires an irredundant support
     (InvalidInputError, "reducible", vec("0 0"), rows("0 0\n0 1"),
      DepWitness((T(0), T(-5)), (0, 1), vec("0 0")), False),
+    # anything but a dependence witness is a type error, before any
+    # attribute of it is read
+    (TypeError, "DepWitness", SAT_V, SAT_S,
+     SpanWitness((T(0), T(0)), (0, 1), vec("-inf -inf -inf")), True),
+    (TypeError, "DepWitness", SAT_V, SAT_S, None, True),
 ])
 def test_saturate_rejects_inputs(error, match, v, S, w, by_sup):
     with pytest.raises(error, match=match):
@@ -882,9 +887,8 @@ def _flat_grid_solutions(vectors, target, support):
     each tuple checked with scalar arithmetic."""
     rows_ = _value_rows(vectors, support)
     tvals = tuple(x.value for x in target) if target is not None else None
-    cand = _chain_candidates(rows_, tvals, support)
     out = []
-    for tup in itertools.product(*(cand[i] for i in support)):
+    for tup in itertools.product(*_chain_candidates(rows_, tvals)):
         cs = [Scalar(v) for v in tup]
         for j in range(vectors[support[0]].dim):
             acc = target[j] if target is not None else ZERO
@@ -1082,7 +1086,7 @@ def test_two_member_scan_pinned(monkeypatch, members, doms, target, want):
     # candidate lists on which the first completion rests on one rule,
     # given to the search in place of the chain candidates
     monkeypatch.setattr(dependence, "_chain_candidates",
-                        lambda rows, tvals, support: dict(zip(support, doms)))
+                        lambda rows, tvals: tuple(map(tuple, doms)))
     assert _first_solution(rows(members), vec(target), (0, 1)) == [T(c) for c in want]
 
 
@@ -1137,7 +1141,7 @@ def test_cramer_bound_covers_every_grid_solution():
         v = rand_vec(rng, k, lo=-2, hi=3, zero_p=0.2, ghost_p=0.3)
         bound = solve_max(Mat(S).transpose(), v)
         support = tuple(range(k))
-        cand = _chain_candidates(_value_rows(S, support), [x.value for x in v], support)
+        cand = _chain_candidates(_value_rows(S, support), tuple(x.value for x in v))
         for i, b in enumerate(bound):
             assert b.is_zero() or b.value in cand[i], (S, v, bound)
         for cs in _flat_grid_solutions(S, v, support):
@@ -1266,7 +1270,7 @@ def test_five_vector_instance_is_tightened_to_one_candidate_each(monkeypatch):
     def recorded(levels, *start):
         seen.append([len(dom) for dom, _, _ in levels])
         out = _tighten(levels, *start)
-        seen.append([dom for dom, _, _ in out])
+        seen.append([list(dom) for dom, _, _ in out])
         return out
 
     monkeypatch.setattr(dependence, "_tighten", recorded)
@@ -1275,6 +1279,47 @@ def test_five_vector_instance_is_tightened_to_one_candidate_each(monkeypatch):
     found = _first_solution(FAULT1_S, FAULT1_V, support)
     assert seen == [[33, 34, 34, 33, 33], [[-1], [-2], [-1], [-2], [-2]]]
     assert found == [T(c) for c in (-1, -2, -1, -2, -2)]
+
+
+def test_five_vector_chain_grid_is_built_once_per_support(monkeypatch):
+    # depends_on builds each support's grid that it walks, and the
+    # saturation of its witness reads the witness support's grid back
+    walked = []
+    levels = dependence._levels
+
+    def recorded(vectors, target, support):
+        walked.append(support)
+        return levels(vectors, target, support)
+
+    monkeypatch.setattr(dependence, "_levels", recorded)
+    grid = dependence._chain_candidates
+    grid.cache_clear()
+    saturate(FAULT1_V, FAULT1_S, depends_on(FAULT1_V, FAULT1_S))
+    info = grid.cache_info()
+    assert walked == [(0, 1, 2, 3, 4)] * 2
+    assert (info.misses, info.hits) == (len(set(walked)), len(walked) - len(set(walked)))
+
+
+def test_kept_chain_grid_matches_a_fresh_build():
+    # every answer of the kept closure, whether built or read back, is
+    # the closure built afresh, on families with ints, halves, ghosts
+    # and zeros, with and without a target, on supports of 1-4 members
+    rng = seeded(3501)
+    grid = dependence._chain_candidates
+    grid.cache_clear()
+    for _ in range(300):
+        k, n = rng.randint(1, 4), rng.randint(1, 4)
+        kw = dict(lo=-3, hi=3, zero_p=0.2, ghost_p=0.3, denom=rng.choice((1, 2)))
+        S = [rand_vec(rng, n, **kw) for _ in range(k)]
+        tvals = None if rng.random() < 0.4 else tuple(x.value for x in rand_vec(rng, n, **kw))
+        support = tuple(sorted(rng.sample(range(k), rng.randint(1, k))))
+        rows_ = _value_rows(S, support)
+        for _ in range(2):
+            got = _chain_candidates(rows_, tvals)
+            assert got == grid.__wrapped__(rows_, tvals), (rows_, tvals)
+            assert all(type(dom) is tuple and list(dom) == sorted(dom) for dom in got)
+    info = grid.cache_info()
+    assert info.hits >= 300 and info.misses >= 200, info
 
 
 def test_independent_five_by_five_families_with_free_targets():

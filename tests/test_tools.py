@@ -5,6 +5,8 @@ import json
 import random
 import shutil
 import statistics
+import subprocess
+import types
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,31 @@ def test_bench_pairs_names_a_checkout_without_git_by_its_sources(tmp_path):
     assert commit(str(b)) != got
 
 
+def test_bench_pairs_names_uncommitted_sources_beside_the_commit(tmp_path):
+    # a git checkout whose src/ matches its commit gets the short commit;
+    # one with a changed or an added source file also gets the id that
+    # a copy of those sources without .git gets
+    commit = _tool("bench_pairs")._commit
+    repo, bare = tmp_path / "repo", tmp_path / "bare"
+    ignore = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(ROOT / "src", repo / "src", ignore=ignore)
+    (repo / "NOTES").write_text("outside src\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "x"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    (repo / "NOTES").write_text("changed outside src\n")
+    assert commit(str(repo)) == head
+    with open(repo / "src" / "supertropical" / "__init__.py", "a") as f:
+        f.write("\n")
+    shutil.copytree(repo / "src", bare / "src")
+    got = commit(str(repo))
+    assert got == f"{head}+{commit(str(bare))}", got
+    (repo / "src" / "supertropical" / "extra.py").write_text("")
+    assert commit(str(repo)) not in (head, got)
+
+
 @pytest.mark.parametrize(
     "seeds",
     [["--seeds", "3001-4"], ["--seeds", "3001", "--traced", "cli", "--trace-seed", "3011-3"],
@@ -67,6 +94,30 @@ def test_every_sweep_row_builds_its_smallest_input():
         size = min(sizes)
         call = sweep._call(st, search, size, random.Random(f"{search}/{size}/0"))
         assert callable(call), search
+
+
+def test_sweep_times_cold_calls_and_saturates_the_built_draws():
+    # the chain grids and the dual's row matrices are emptied before a
+    # timed call, and a library that keeps neither is left as it is;
+    # saturate_built saturates the witness of depends_on_built's draw
+    sweep = _tool("size_sweep")
+    import supertropical as st
+    from supertropical import dependence, dual
+
+    seed = f"{sweep.SEED_OF['saturate_built']}/4/0"
+    w = sweep._call(st, "depends_on_built", 4, random.Random(seed))()
+    assert len(w.support) == 4
+    s = sweep._call(st, "saturate_built", 4, random.Random(seed))()
+    assert s.support == w.support and s.target == w.target
+    assert dependence._chain_candidates.cache_info().currsize
+    st.dual_base([st.Vec([st.Scalar(0)])])
+    assert dual._shared.cache_info().currsize
+    sweep._cold(st)
+    assert dependence._chain_candidates.cache_info().currsize == 0
+    assert dual._shared.cache_info().currsize == 0
+    kept_by_none = types.SimpleNamespace(dependence=types.SimpleNamespace(
+        _chain_candidates=lambda rows, tvals: None))
+    sweep._cold(kept_by_none)
 
 
 def test_sweep_alternates_the_side_that_runs_first(tmp_path, monkeypatch):

@@ -61,12 +61,24 @@ def _commit(root):
     """The checkout's short commit, or for a checkout without ``.git``
     (one made with ``git archive``, say) ``src:<12 hex>``: a sha256 over
     the sorted paths and bytes of its ``src/``, ``__pycache__`` left
-    out, so that two copies of the same sources get the same id."""
+    out, so that two copies of the same sources get the same id.  A
+    checkout whose ``src/`` differs from its commit gets both,
+    ``<commit>+src:<12 hex>``, so that uncommitted sources are not
+    recorded under the commit."""
     if os.path.exists(os.path.join(root, ".git")):
         out = subprocess.run(["git", "-C", root, "rev-parse", "--short", "HEAD"],
                              capture_output=True, text=True)
         if out.stdout.strip():
-            return out.stdout.strip()
+            dirty = subprocess.run(["git", "-C", root, "status", "--porcelain", "--", "src"],
+                                   capture_output=True, text=True)
+            if not dirty.stdout.strip():
+                return out.stdout.strip()
+            return f"{out.stdout.strip()}+{_sources(root)}"
+    return _sources(root)
+
+
+def _sources(root):
+    """``src:<12 hex>`` over the sorted paths and bytes of ``src/``."""
     src = os.path.join(root, "src")
     paths = sorted(
         os.path.relpath(os.path.join(d, name), src)

@@ -14,17 +14,23 @@ during the sweep, even within one row, does not read as a change.  Each
 side is recorded by ``bench_pairs._commit``.
 
 Every (search, size) row draws ``DRAWS`` seeded inputs, each from its
-own ``random.Random("<search>/<size>/<draw>")``, so a row's inputs do not
-depend on the other rows or on the checkout.  The child makes the call
-twice, each time on an input freshly built from that seed: the first
-call warms the interpreter, and the second is timed.  Each call is
-timed with ``time.thread_time`` and capped at ``CAP_S`` seconds of the
-process's own CPU time by ``signal.setitimer(signal.ITIMER_VIRTUAL,
-...)``; a call that reaches the cap is stopped and counted as over it,
-and a draw whose first call reaches it is not called again.  Per row
-and side the file holds every draw's time (None: over the cap), the
-median (None when half or more of the draws are over the cap), the
-largest finished time and the number over the cap.  Per row,
+own ``random.Random("<search>/<size>/<draw>")`` (``saturate_built``
+from ``depends_on_built``'s, so that it runs on the same draws), so a
+row's inputs do not depend on the other rows or on the checkout.  The
+child makes the call ``1 + REPEATS`` times, each time on an input
+freshly built from that seed: the first call warms the interpreter,
+and the draw's time is the median of the others.  Each of those starts
+cold: the library's kept results (``MEMOS``, where the checkout has
+them) are emptied after the input is built and before the clock
+starts, so that no call reads what an earlier one on equal inputs
+left.  Each call is timed with ``time.thread_time`` and capped at
+``CAP_S`` seconds of the process's own CPU time by
+``signal.setitimer(signal.ITIMER_VIRTUAL, ...)``; a call that reaches
+the cap is stopped and counted as over it, and a draw with a call
+that reaches it is not called again.  Per row and side the file holds
+every draw's time (None: over the cap), the median (None when half or
+more of the draws are over the cap), the largest finished time and
+the number over the cap.  Per row,
 ``ratios`` holds the median over the draws that finished on both sides
 of the change's time over the parent's.  Tangible values are -3..5:
 
@@ -36,6 +42,9 @@ of the change's time over the parent's.  Tangible values are -3..5:
   coefficients, each member's term the unique largest at some
   coordinate, so that the witness needs every member: the shape of
   stbench's ``witness`` workload (redrawn until it holds);
+- ``saturate_built``: ``saturate(v, S, depends_on(v, S))`` as one call
+  on the ``depends_on_built`` draws, the chain of the ``witness``
+  workload;
 - ``spans``: k members and a free target in 5 coordinates, with ghost
   0.3 and zero 0.15;
 - ``is_almost_tangible``: a vector that is neither tangible nor ghost
@@ -82,6 +91,7 @@ import sys
 import time
 
 DRAWS = 8
+REPEATS = 5
 SIDES = ("parent", "change")
 CAP_S = 5.0
 # (search, sizes, draws per size or None for DRAWS)
@@ -90,6 +100,7 @@ ROWS = (
     ("annihilator_set", (5, 6, 8), None),
     ("depends_on", (5, 6, 8), None),
     ("depends_on_built", (3, 4, 5, 6), None),
+    ("saturate_built", (3, 4, 5, 6), None),
     ("spans", (14, 18), None),
     ("is_almost_tangible", (10, 12, 16, 24), None),
     ("rank", (9,), 1),
@@ -102,6 +113,10 @@ ROWS = (
 )
 # the (lo, hi) of the tangible values of the square rows
 SQUARE = {"adjoint": (0, 2), "nabla": (-10**6, 10**6)}
+# rows that draw the inputs of another row
+SEED_OF = {"saturate_built": "depends_on_built"}
+# the library's kept results, (module, cache): emptied before each timed call
+MEMOS = (("dependence", "_chain_candidates"), ("dual", "_shared"))
 
 
 class _Cap(BaseException):
@@ -136,17 +151,11 @@ def _call(st, search, size, rng):
         v = _vec(st, rng, size)
         return lambda: st.depends_on(v, S)
     if search == "depends_on_built":
-        while True:
-            S = [_vec(st, rng, size) for _ in range(size)]
-            terms = [w.scale(_scalar(st, rng)) for w in S]
-            if st.max_rank(S) == size and all(
-                any(all(t[j].value > o[j].value for o in terms if o is not t)
-                    for j in range(size))
-                for t in terms
-            ):
-                break
-        v = sum(terms[1:], terms[0]).nu_hat()
+        v, S = _built(st, size, rng)
         return lambda: st.depends_on(v, S)
+    if search == "saturate_built":
+        v, S = _built(st, size, rng)
+        return lambda: st.saturate(v, S, st.depends_on(v, S))
     if search == "spans":
         S = [_vec(st, rng, 5, ghost_p=0.3, zero_p=0.15) for _ in range(size)]
         v = _vec(st, rng, 5, ghost_p=0.3, zero_p=0.15)
@@ -204,6 +213,19 @@ def _call(st, search, size, rng):
     raise ValueError(search)
 
 
+def _built(st, size, rng):
+    """A ``depends_on_built`` draw: the target and the family."""
+    while True:
+        S = [_vec(st, rng, size) for _ in range(size)]
+        terms = [w.scale(_scalar(st, rng)) for w in S]
+        if st.max_rank(S) == size and all(
+            any(all(t[j].value > o[j].value for o in terms if o is not t)
+                for j in range(size))
+            for t in terms
+        ):
+            return sum(terms[1:], terms[0]).nu_hat(), S
+
+
 def _square(st, search, size, rng):
     lo, hi = SQUARE[search]
     return st.Mat([[st.Scalar(rng.randint(lo, hi)) for _ in range(size)]
@@ -237,19 +259,34 @@ def _timed(call):
     return time.thread_time() - t0
 
 
+def _cold(st):
+    """Empty each of ``MEMOS`` that the imported library keeps (an
+    older checkout may have the function, but not kept)."""
+    for module, name in MEMOS:
+        memo = getattr(getattr(st, module, None), name, None)
+        clear = getattr(memo, "cache_clear", None)
+        if clear is not None:
+            clear()
+
+
 def run(search, size, draw):
     """One draw of one row on the imported ``supertropical``:
-    ``time_s``, the thread CPU seconds of the second of two calls (None:
-    over the cap), and for the square rows ``unique``, whether the
-    input's whole optimum is unique."""
+    ``time_s``, the median thread CPU seconds of ``REPEATS`` cold calls
+    after a warm-up (None: a call over the cap), and for the square rows
+    ``unique``, whether the input's whole optimum is unique."""
     import supertropical as st
 
     signal.signal(signal.SIGVTALRM, _on_cap)
-    seed = f"{search}/{size}/{draw}"
-    t = _timed(_call(st, search, size, random.Random(seed)))  # warm-up
-    if t is not None:
-        t = _timed(_call(st, search, size, random.Random(seed)))
-    out = {"time_s": t}
+    seed = f"{SEED_OF.get(search, search)}/{size}/{draw}"
+    times = []
+    for _ in range(1 + REPEATS):  # the first is the warm-up
+        call = _call(st, search, size, random.Random(seed))
+        _cold(st)
+        t = _timed(call)
+        if t is None:
+            break
+        times.append(t)
+    out = {"time_s": None if t is None else statistics.median(times[1:])}
     if search in SQUARE:
         out["unique"] = st.permanent(_square(st, search, size, random.Random(seed))).is_tangible()
     return out
@@ -309,7 +346,9 @@ def main(argv=None):
         "draws": DRAWS,
         "cap_s": CAP_S,
         "host": f"Python {platform.python_version()}, {os.cpu_count()} CPUs",
-        "timing": "time.thread_time of the second of two calls per draw, one child "
+        "timing": f"time.thread_time, per draw the median of {REPEATS} cold calls "
+                  "after a warm-up, each after the library's kept results "
+                  f"({', '.join('.'.join(m) for m in MEMOS)}) are emptied; one child "
                   "per side and draw, the sides alternating from draw to draw; a "
                   "call is stopped at the cap by ITIMER_VIRTUAL on its own process",
         "commits": {side: _commit(getattr(args, side)) for side in SIDES},
